@@ -6,6 +6,13 @@ as ground truth in tests.  Both restrict each node to at most one (gateway,
 frequency) channel per slot; symbol counts are then a pure feasibility
 question (they do not enter the objective), settled by a small max-flow in the
 solver and by direct enumeration in the oracle.
+
+Both routes share one tie rule: among optimal schedules, the first choice
+vector in lexicographic order wins (positions slot-major, node-minor; idle
+before channel 0, 1, ...).  The objective is alpha * collisions + beta * hops
+over integer counts, weighed the same way in both.  The solver prunes a
+partial schedule when its lower bound (committed collisions and hops plus
+hops that nodes are forced to make later) reaches the incumbent.
 """
 
 from __future__ import annotations
@@ -160,125 +167,157 @@ def _schedule_from_choices(scenario, choices, s):
 def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     """Depth-first branch and bound over per-node per-slot channel choices.
 
-    The lower bound of a partial schedule is the cost already committed
-    (collisions of filled channel-slots plus hop flags), so pruning uses
-    bound > incumbent; ties are resolved toward the lexicographically
-    smallest x tensor.
+    Positions are filled slot by slot, node by node, each trying idle first
+    and then channels 0, 1, ...; depth-first order is therefore the
+    lexicographic order of the choice vector, the order `enumerate_oracle`
+    scans.  Costs are integer (collisions, hops) counts weighed as
+    alpha * C + beta * H, exactly as the oracle weighs them.
+
+    The lower bound of a partial schedule is its committed collisions and
+    hops plus one forced hop per node that has not hopped yet and cannot keep
+    its value for the whole horizon: idle with k_lo >= 1, or on a channel
+    with k_hi < horizon (a node with no decided slot counts when both hold).
+    Pruning on bound >= incumbent keeps the first optimal leaf found, so ties
+    resolve to the first optimal choice vector in lexicographic order, the
+    schedule the oracle returns.  The search runs on an explicit stack, so
+    its depth is not limited by the interpreter's recursion limit.
     """
     if alpha < 0 or beta < 0:
         raise ValueError("weights must be nonnegative")
     n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
     horizon = scenario.horizon
     n_ch = n_gw * f_n
-    bmin = scenario.min_symbols
-    bmax = max(scenario.freq_capacity)
+    positions = n_nodes * horizon
 
     slot_bounds = _node_slot_bounds(scenario)
     if slot_bounds is None:
         raise Infeasible(core.ConstraintFamily.DEMAND.value,
                          "demand not expressible within the horizon and symbol bounds")
 
-    choices = [-1] * (n_nodes * horizon)
-    occ = np.zeros((horizon, n_ch), dtype=np.int64)     # users per channel-slot
-    gw_load = np.zeros((horizon, n_gw), dtype=np.int64)
+    gw_of = [c // f_n for c in range(n_ch)]
+    gw_cap = scenario.gateway_capacity
+    max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
+    # per node, whether staying idle / on one channel for the whole horizon is infeasible
+    must_leave = [(k_lo >= 1, k_hi < horizon) for k_lo, k_hi in slot_bounds]
+
+    choices = [-1] * positions
+    occ = [[0] * n_ch for _ in range(horizon)]          # users per channel-slot
+    gw_load = [[0] * n_gw for _ in range(horizon)]
     active_cnt = [0] * n_nodes
+    node_hops = [0] * n_nodes
+    # committed collisions, hops and forced future hops of the prefix [0, pos)
+    coll = [0] * positions
+    hops = [0] * positions
+    forced = [0] * positions
+    forced[0] = sum(1 for idle, busy in must_leave if idle and busy)
+    next_choice = [-1] * positions
     prune_counts = {}
-    state = {"explored": 0, "aborted": False,
-             "best_obj": None, "best_key": None, "best": None}
+    explored = 0
+    aborted = False
+    best_obj = best_choices = best_s = None
 
     def note_prune(family):
         prune_counts[family] = prune_counts.get(family, 0) + 1
 
-    def finish_leaf(cost):
-        s = _symbols_by_flow(scenario, choices)
-        if s is None:
-            note_prune(core.ConstraintFamily.FREQ_CAPACITY.value)
-            return
-        sched = _schedule_from_choices(scenario, choices, s)
-        key = sched.x.tobytes()
-        if (state["best_obj"] is None or cost < state["best_obj"]
-                or (cost == state["best_obj"] and key < state["best_key"])):
-            state["best_obj"] = cost
-            state["best_key"] = key
-            state["best"] = sched
-
-    def descend(pos, cost):
-        if state["aborted"]:
-            return
-        if pos == n_nodes * horizon:
-            finish_leaf(cost)
-            return
-        t, i = divmod(pos, n_nodes)
-        k_lo, k_hi = slot_bounds[i]
-        remaining_slots = horizon - t - 1
-        prev = choices[(t - 1) * n_nodes + i] if t > 0 else None
-
-        for c in [-1] + list(range(n_ch)):
-            if state["explored"] >= budget:
-                state["aborted"] = True
-                return
-            state["explored"] += 1
+    pos = 0
+    while True:
+        c = next_choice[pos]
+        if c < n_ch:
+            next_choice[pos] = c + 1
+            if explored >= budget:
+                aborted = True
+                break
+            explored += 1
+            t, i = divmod(pos, n_nodes)
+            k_lo, k_hi = slot_bounds[i]
             if c == -1:
                 # staying idle must leave enough future slots to reach k_lo
-                if active_cnt[i] + remaining_slots < k_lo:
+                if active_cnt[i] + horizon - t - 1 < k_lo:
                     note_prune(core.ConstraintFamily.DEMAND.value)
                     continue
-                new_cost = cost + (beta if (prev is not None and prev != -1) else 0.0)
+                new_coll = coll[pos]
             else:
                 if active_cnt[i] + 1 > k_hi:
                     note_prune(core.ConstraintFamily.DEMAND.value)
                     continue
-                g = c // f_n
-                if gw_load[t, g] + 1 > scenario.gateway_capacity[g]:
+                if gw_load[t][gw_of[c]] + 1 > gw_cap[gw_of[c]]:
                     note_prune(core.ConstraintFamily.GATEWAY_CAPACITY.value)
                     continue
-                if (occ[t, c] + 1) * bmin > scenario.freq_capacity[c % f_n]:
+                if occ[t][c] + 1 > max_users[c]:
                     note_prune(core.ConstraintFamily.FREQ_CAPACITY.value)
                     continue
-                if t > 0 and occ[t - 1, c] >= 2 and occ[t, c] + 1 > 1:
+                if t > 0 and occ[t - 1][c] >= 2 and occ[t][c] + 1 > 1:
                     note_prune(core.ConstraintFamily.COLLISION_EVICTION.value)
                     continue
-                new_cost = cost + alpha * 2 * occ[t, c] \
-                    + (beta if (prev is not None and prev != c) else 0.0)
-            if state["best_obj"] is not None and new_cost > state["best_obj"]:
+                new_coll = coll[pos] + 2 * occ[t][c]
+            new_hops, new_forced = hops[pos], forced[pos]
+            hop = t > 0 and choices[pos - n_nodes] != c
+            if t == 0:
+                # the node's first value replaces its undecided forced-hop term
+                new_forced += must_leave[i][c >= 0] - (must_leave[i][0] and must_leave[i][1])
+            elif hop:
+                new_hops += 1
+                if node_hops[i] == 0:
+                    # the first hop is the one the bound already counted, if any
+                    new_forced -= must_leave[i][choices[pos - n_nodes] >= 0]
+            if best_obj is not None \
+                    and alpha * new_coll + beta * (new_hops + new_forced) >= best_obj:
                 continue
 
             choices[pos] = c
             if c >= 0:
-                occ[t, c] += 1
-                gw_load[t, c // f_n] += 1
+                occ[t][c] += 1
+                gw_load[t][gw_of[c]] += 1
                 active_cnt[i] += 1
+            if hop:
+                node_hops[i] += 1
             ok = True
             if i == n_nodes - 1 and t > 0:
                 # every channel collided in the previous slot must keep one node
                 for ch in range(n_ch):
-                    if occ[t - 1, ch] >= 2 and occ[t, ch] != 1:
+                    if occ[t - 1][ch] >= 2 and occ[t][ch] != 1:
                         note_prune(core.ConstraintFamily.COLLISION_EVICTION.value)
                         ok = False
                         break
+            if ok and pos + 1 < positions:
+                pos += 1
+                coll[pos], hops[pos], forced[pos] = new_coll, new_hops, new_forced
+                next_choice[pos] = -1
+                continue
             if ok:
-                descend(pos + 1, new_cost)
-            choices[pos] = -1
-            if c >= 0:
-                occ[t, c] -= 1
-                gw_load[t, c // f_n] -= 1
-                active_cnt[i] -= 1
-            if state["aborted"]:
-                return
+                # a leaf that survives the bound always improves on the incumbent
+                s = _symbols_by_flow(scenario, choices)
+                if s is None:
+                    note_prune(core.ConstraintFamily.FREQ_CAPACITY.value)
+                else:
+                    best_obj = alpha * new_coll + beta * new_hops
+                    best_choices, best_s = list(choices), s
+        else:
+            if pos == 0:
+                break
+            pos -= 1
+        # take back the choice at pos before trying its next sibling
+        t, i = divmod(pos, n_nodes)
+        c = choices[pos]
+        if c >= 0:
+            occ[t][c] -= 1
+            gw_load[t][gw_of[c]] -= 1
+            active_cnt[i] -= 1
+        if t > 0 and choices[pos - n_nodes] != c:
+            node_hops[i] -= 1
+        choices[pos] = -1
 
-    descend(0, 0.0)
-
-    if state["best"] is None:
-        if state["aborted"]:
+    if best_choices is None:
+        if aborted:
             raise BudgetExhausted(f"no feasible schedule within {budget} expansions")
         family = max(prune_counts, key=prune_counts.get) if prune_counts \
             else core.ConstraintFamily.DEMAND.value
         raise Infeasible(family)
     return SolveResult(
-        schedule=state["best"],
-        objective_value=float(state["best_obj"]),
-        nodes_explored=state["explored"],
-        proven_optimal=not state["aborted"],
+        schedule=_schedule_from_choices(scenario, best_choices, best_s),
+        objective_value=float(best_obj),
+        nodes_explored=explored,
+        proven_optimal=not aborted,
     )
 
 
@@ -349,6 +388,9 @@ def _symbols_by_enumeration(scenario, choices):
 def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000, chunk=200_000):
     """Exhaustive enumeration of all channel assignments; exact optimum.
 
+    Choice vectors are enumerated in lexicographic order and stably sorted by
+    objective, so ties resolve to the first optimal choice vector in
+    lexicographic order, the same schedule `solve_exact` returns.
     Intended for tests only: refuses instances whose state count exceeds `cap`.
     """
     if alpha < 0 or beta < 0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lorahop import core, optimizer
+from lorahop import cli, core, optimizer
 
 from conftest import random_scenario
 
@@ -61,8 +61,10 @@ def test_budget_exhaustion():
     # too few expansions to reach any feasible leaf
     with pytest.raises(optimizer.BudgetExhausted):
         optimizer.solve_exact(sc, budget=5)
-    # enough to find an incumbent but not to prove optimality
-    result = optimizer.solve_exact(sc, budget=200)
+    # one expansion short of the full search: an incumbent but no proof
+    full = optimizer.solve_exact(sc)
+    assert full.proven_optimal
+    result = optimizer.solve_exact(sc, budget=full.nodes_explored - 1)
     assert not result.proven_optimal
     assert core.validate(sc, result.schedule) == []
 
@@ -160,3 +162,42 @@ def test_symbol_routes_agree():
         by_flow = optimizer._symbols_by_flow(sc, flat)
         by_enum = optimizer._symbols_by_enumeration(sc, flat)
         assert (by_flow is None) == (by_enum is None)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.1), (1, 0), (0, 1), (2.5, 0.5)])
+def test_solver_and_oracle_return_the_same_schedule(alpha, beta):
+    """Both routes break ties toward the first optimal choice vector in lexicographic order."""
+    rng = np.random.default_rng(42)
+    feasible = 0
+    for _ in range(200):
+        sc = random_scenario(rng)
+        try:
+            a = optimizer.solve_exact(sc, alpha, beta)
+        except optimizer.Infeasible:
+            with pytest.raises(optimizer.Infeasible):
+                optimizer.enumerate_oracle(sc, alpha, beta)
+            continue
+        b = optimizer.enumerate_oracle(sc, alpha, beta)
+        assert a.objective_value == b.objective_value
+        assert np.array_equal(a.schedule.x, b.schedule.x)
+        assert np.array_equal(a.schedule.s, b.schedule.s)
+        feasible += 1
+    assert feasible > 0
+
+
+def test_deep_instance_fails_cleanly(tmp_path):
+    """1,200 decision positions: the search must not hit the recursion limit."""
+    sc = core.Scenario(num_nodes=10, num_gateways=1, frequencies=(867.1, 867.3, 867.5),
+                       horizon=120, gateway_capacity=(10,), freq_capacity=(6, 6, 6),
+                       min_symbols=2, demand=(6,) * 10)
+    try:
+        result = optimizer.solve_exact(sc, budget=20_000)
+    except optimizer.BudgetExhausted:
+        pass
+    else:
+        assert core.validate(sc, result.schedule) == []
+    path = tmp_path / "deep.json"
+    path.write_text(sc.to_json())
+    code = cli.main(["optimize", "--scenario", str(path), "--budget", "20000",
+                     "--out", str(tmp_path / "result.json")])
+    assert code in (0, 1)
