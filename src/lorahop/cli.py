@@ -4,31 +4,27 @@ Subcommands: optimize, simulate, gen-dataset, train, export, pipeline,
 recommend (generate/impute/study), figdata.  Every command writes its primary
 output plus a sidecar run manifest (<out>.manifest.json) with the command
 line, an input digest, seeds, version and wall-clock duration.  Exit codes:
-0 success, 1 domain failure (infeasible instance, diverged training),
-2 input error.
+0 success; 1 domain failure (infeasible instance, search budget exhausted,
+diverged training); 2 input error (unreadable or unwritable file, malformed
+or out-of-range input).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, core, optimizer, predictor, recommender, sim, telemetry, trace
+from . import __version__, core, optimizer, pipeline, predictor, recommender, sim, telemetry, trace
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
-
-
-class InputError(Exception):
-    pass
 
 
 def _digest(*parts):
@@ -42,46 +38,26 @@ def _digest(*parts):
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, digest, seeds, outputs, started):
-    manifest = {
-        "command": command,
-        "config_digest": digest,
-        "seeds": seeds,
-        "tool_version": __version__,
-        "outputs": [str(o) for o in outputs],
-        "duration_s": round(time.monotonic() - started, 3),
-    }
-    Path(str(out_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+def _load_trace(args):
+    return trace.load_trace(args.trace or trace.bundled_trace_path())
 
 
-def _read(path):
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
-def _load_trace(path):
-    p = path or trace.bundled_trace_path()
-    try:
-        return trace.load_trace(p)
-    except (OSError, trace.TraceError) as exc:
-        raise InputError(f"bad trace {p}: {exc}") from None
-
+# Each cmd_* does its command's work and returns
+# (manifest base path, config digest, seeds, output paths); `main` writes the manifest.
 
 def cmd_optimize(args):
-    started = time.monotonic()
-    text = _read(args.scenario)
-    try:
-        scenario = core.Scenario.from_json(text)
-    except (ValueError, KeyError) as exc:
-        raise InputError(f"bad scenario: {exc}") from None
-    try:
-        result = optimizer.solve_exact(scenario, alpha=args.alpha, beta=args.beta,
-                                       budget=args.budget)
-    except (optimizer.Infeasible, optimizer.BudgetExhausted) as exc:
-        print(f"optimize failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    text = Path(args.scenario).read_text()
+    scenario = core.Scenario.from_json(text)
+    result = optimizer.solve_exact(scenario, alpha=args.alpha, beta=args.beta,
+                                   budget=args.budget)
     doc = {
         "objective_value": result.objective_value,
         "proven_optimal": result.proven_optimal,
@@ -93,13 +69,11 @@ def cmd_optimize(args):
         "z": result.schedule.z.astype(int).tolist(),
     }
     Path(args.out).write_text(json.dumps(doc, sort_keys=True))
-    _write_manifest(args.out, "optimize", _digest(text, args.alpha, args.beta, args.budget),
-                    [], [args.out], started)
-    return EXIT_OK
+    return args.out, _digest(text, args.alpha, args.beta, args.budget), [], [args.out]
 
 
-def _strategy_from_spec(spec, trace_obj):
-    kind = spec.get("kind")
+def _strategy_from_spec(spec):
+    kind = spec["kind"]
     if kind == "fixed":
         return sim.FixedStrategy(spec["freq"])
     if kind == "random_hop":
@@ -109,95 +83,58 @@ def _strategy_from_spec(spec, trace_obj):
     if kind == "predictor_hop":
         model = predictor.import_flat(Path(spec["model"]).read_bytes())
         return sim.PredictorHopStrategy(model)
-    raise InputError(f"unknown strategy kind {kind!r}")
+    raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-def _sim_config_from_json(doc, trace_obj):
-    try:
-        nodes = tuple(
-            sim.NodeSpec(source=n["source"], strategy=_strategy_from_spec(n["strategy"], trace_obj))
-            for n in doc["nodes"])
-        return sim.SimConfig(
-            nodes=nodes,
-            payload_schedule=tuple(doc.get("payload_schedule", sim.DEFAULT_PAYLOAD_SCHEDULE)),
-            packets_per_size=doc.get("packets_per_size", 50),
-            rng_seed=doc.get("seed", 0),
-            capture_threshold_db=doc.get("capture_threshold_db", 6.0),
-            rssi_jitter_db=doc.get("rssi_jitter_db", 1.0),
-            snr_jitter_db=doc.get("snr_jitter_db", 0.5),
-            predictor_placement=doc.get("predictor_placement", "end_node"),
-            window_slots=doc.get("window_slots", telemetry.DEFAULT_WINDOW_SLOTS),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad simulation config: {exc}") from None
-
-
-def _write_events_csv(events, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "node", "gateway", "freq_mhz", "size",
-                         "rssi", "snr", "delivered", "collided", "hopped"])
-        for e in events:
-            writer.writerow([e.slot, e.node, e.gateway, e.freq_mhz, e.size,
-                             e.rssi, e.snr, int(e.delivered), int(e.collided), int(e.hopped)])
+def _sim_config_from_json(doc):
+    nodes = tuple(sim.NodeSpec(source=n["source"], strategy=_strategy_from_spec(n["strategy"]))
+                  for n in doc["nodes"])
+    return sim.SimConfig(
+        nodes=nodes,
+        payload_schedule=tuple(doc.get("payload_schedule", sim.DEFAULT_PAYLOAD_SCHEDULE)),
+        packets_per_size=doc.get("packets_per_size", 50),
+        rng_seed=doc.get("seed", 0),
+        capture_threshold_db=doc.get("capture_threshold_db", 6.0),
+        rssi_jitter_db=doc.get("rssi_jitter_db", 1.0),
+        snr_jitter_db=doc.get("snr_jitter_db", 0.5),
+        predictor_placement=doc.get("predictor_placement", "end_node"),
+        window_slots=doc.get("window_slots", telemetry.DEFAULT_WINDOW_SLOTS),
+    )
 
 
 def cmd_simulate(args):
-    started = time.monotonic()
-    trace_obj = _load_trace(args.trace)
-    text = _read(args.config)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad config JSON: {exc}") from None
-    config = _sim_config_from_json(doc, trace_obj)
+    trace_obj = _load_trace(args)
+    text = Path(args.config).read_text()
+    config = _sim_config_from_json(json.loads(text))
     if args.seed is not None:
-        config = sim.SimConfig(**{**config.__dict__, "rng_seed": args.seed})
-    try:
-        report = sim.run(config, trace_obj)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        config = dataclasses.replace(config, rng_seed=args.seed)
+    report = sim.run(config, trace_obj)
     outputs = [args.out]
     Path(args.out).write_text(report.to_json())
     if args.events:
-        _write_events_csv(report.events, args.events)
-        outputs.append(args.events)
-    _write_manifest(args.out, "simulate", _digest(text, args.seed),
-                    [config.rng_seed], outputs, started)
-    return EXIT_OK
+        outputs.append(_write_csv(args.events, sim.EVENT_FIELDS, (
+            [int(v) if isinstance(v, bool) else v for v in e.to_dict().values()]
+            for e in report.events)))
+    return args.out, _digest(text, args.seed), [config.rng_seed], outputs
 
 
 def cmd_gen_dataset(args):
-    started = time.monotonic()
-    trace_obj = _load_trace(args.trace)
+    trace_obj = _load_trace(args)
     config = telemetry.DatasetConfig(source=args.source, ts=args.ts)
-    try:
-        rows = telemetry.generate_labeled_dataset(trace_obj, config, args.rows, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    rows = telemetry.generate_labeled_dataset(trace_obj, config, args.rows, args.seed)
     Path(args.out).write_text(telemetry.dataset_to_json(rows, config.ts,
                                                         len(trace_obj.frequencies)))
-    _write_manifest(args.out, "gen-dataset",
-                    _digest(args.source, args.ts, args.rows, args.seed),
-                    [args.seed], [args.out], started)
-    return EXIT_OK
+    return (args.out, _digest(args.source, args.ts, args.rows, args.seed), [args.seed],
+            [args.out])
 
 
 def cmd_train(args):
-    started = time.monotonic()
-    text = _read(args.dataset)
-    try:
-        rows, meta = telemetry.dataset_from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad dataset: {exc}") from None
+    text = Path(args.dataset).read_text()
+    rows, meta = telemetry.dataset_from_json(text)
     input_dim = telemetry.TelemetryWindow.feature_dim(meta["ts"], meta["F"])
     model = predictor.init_model(input_dim, meta["F"], seed=args.seed, l1_lambda=args.l1)
-    try:
-        report = predictor.train(model, rows, epochs=args.epochs, batch_size=args.batch,
-                                 lr=args.lr, seed=args.seed)
-    except FloatingPointError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = predictor.train(model, rows, epochs=args.epochs, batch_size=args.batch,
+                             lr=args.lr, seed=args.seed)
     Path(args.out).write_bytes(predictor.export_flat(model))
     curves_path = str(args.out) + ".train.json"
     Path(curves_path).write_text(json.dumps({
@@ -207,192 +144,88 @@ def cmd_train(args):
         "test_accuracy": report.test_accuracy,
         "split_sizes": list(report.split_sizes),
     }, sort_keys=True))
-    _write_manifest(args.out, "train",
-                    _digest(text, args.epochs, args.batch, args.lr, args.l1, args.seed),
-                    [args.seed], [args.out, curves_path], started)
-    return EXIT_OK
+    return (args.out, _digest(text, args.epochs, args.batch, args.lr, args.l1, args.seed),
+            [args.seed], [args.out, curves_path])
 
 
 def cmd_export(args):
-    started = time.monotonic()
-    try:
-        model = predictor.import_flat(Path(args.model).read_bytes())
-    except (OSError, predictor.ModelFormatError) as exc:
-        raise InputError(f"bad model file: {exc}") from None
+    blob = Path(args.model).read_bytes()
+    model = predictor.import_flat(blob)
     if args.format == "c_array":
-        try:
-            Path(args.out).write_text(predictor.export_c_array(model, args.symbol))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        Path(args.out).write_text(predictor.export_c_array(model, args.symbol))
     else:
         Path(args.out).write_bytes(predictor.export_flat(model))
-    _write_manifest(args.out, "export", _digest(Path(args.model).read_bytes(), args.format,
-                                                args.symbol), [], [args.out], started)
-    return EXIT_OK
-
-
-def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000,
-                 epochs=60, ts=telemetry.DEFAULT_WINDOW_SLOTS):
-    """Dataset -> training -> flat export -> predictor-vs-random simulation."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    models = {}
-    for src in sources:
-        cfg = telemetry.DatasetConfig(source=src, ts=ts)
-        dataset = telemetry.generate_labeled_dataset(trace_obj, cfg, rows, seed)
-        ds_path = out_dir / f"dataset_{src}.json"
-        ds_path.write_text(telemetry.dataset_to_json(dataset, ts, len(trace_obj.frequencies)))
-        model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(
-            ts, len(trace_obj.frequencies)), len(trace_obj.frequencies), seed=seed)
-        predictor.train(model, dataset, epochs=epochs, seed=seed)
-        model_path = out_dir / f"model_{src}.fhop"
-        model_path.write_bytes(predictor.export_flat(model))
-        models[src] = model
-        outputs += [ds_path, model_path]
-
-    def run_all(strategy_for):
-        reports = []
-        for src in sources:
-            config = sim.SimConfig(nodes=(sim.NodeSpec(source=src,
-                                                       strategy=strategy_for(src)),),
-                                   rng_seed=seed, window_slots=ts)
-            reports.append(sim.run(config, trace_obj))
-        return sim.SimReport(rows=[r for rep in reports for r in rep.rows],
-                             events=[e for rep in reports for e in rep.events])
-
-    report_random = run_all(lambda src: sim.RandomHopStrategy())
-    report_pred = run_all(lambda src: sim.PredictorHopStrategy(models[src]))
-    comparison = sim.compare_strategies(report_pred, report_random)
-
-    rand_path = out_dir / "report_random.json"
-    pred_path = out_dir / "report_predictor.json"
-    rand_path.write_text(report_random.to_json())
-    pred_path.write_text(report_pred.to_json())
-    comp_path = out_dir / "comparison.csv"
-    with open(comp_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "metric", "random_hop", "predictor_hop", "improvement"])
-        for row in comparison:
-            writer.writerow([row["size"], "rssi", row["rssi_b"], row["rssi_a"],
-                             row["rssi_improvement_pct"]])
-            writer.writerow([row["size"], "snr", row["snr_b"], row["snr_a"],
-                             row["snr_improvement_pct"]])
-            writer.writerow([row["size"], "pdr", row["pdr_b"], row["pdr_a"],
-                             row["pdr_delta"]])
-    outputs += [rand_path, pred_path, comp_path]
-    return comparison, outputs
+    return args.out, _digest(blob, args.format, args.symbol), [], [args.out]
 
 
 def cmd_pipeline(args):
-    started = time.monotonic()
-    trace_obj = _load_trace(args.trace)
-    sources = tuple(args.sources.split(","))
-    for src in sources:
-        if src not in trace_obj.sources:
-            raise InputError(f"trace has no source {src!r}")
-    try:
-        _, outputs = run_pipeline(trace_obj, args.out_dir, args.seed, sources=sources,
-                                  rows=args.rows, epochs=args.epochs)
-    except FloatingPointError as exc:
-        print(f"pipeline failed at training stage: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    _write_manifest(Path(args.out_dir) / "pipeline",
-                    "pipeline", _digest(args.sources, args.rows, args.epochs, args.seed),
-                    [args.seed], outputs, started)
-    return EXIT_OK
+    _, outputs = pipeline.run_pipeline(_load_trace(args), args.out_dir, args.seed,
+                                       sources=tuple(args.sources.split(",")),
+                                       rows=args.rows, epochs=args.epochs)
+    return (Path(args.out_dir) / "pipeline",
+            _digest(args.sources, args.rows, args.epochs, args.seed), [args.seed], outputs)
 
 
-def cmd_recommend(args):
-    started = time.monotonic()
-    if args.rec_command == "generate":
-        matrix = recommender.synthetic_ratings(args.soils, args.plants, seed=args.seed)
-        recommender.save_matrix_csv(matrix, args.out)
-        _write_manifest(args.out, "recommend generate",
-                        _digest(args.soils, args.plants, args.seed), [args.seed],
-                        [args.out], started)
-        return EXIT_OK
-    if args.rec_command == "impute":
-        try:
-            matrix = recommender.load_matrix_csv(args.infile)
-            filled = recommender.impute(matrix, k_neighbors=args.k,
-                                        missing_as_zero=args.missing_as_zero)
-        except (OSError, ValueError) as exc:
-            raise InputError(str(exc)) from None
-        recommender.save_matrix_csv(filled, args.out)
-        _write_manifest(args.out, "recommend impute",
-                        _digest(Path(args.infile).read_bytes(), args.k, args.missing_as_zero),
-                        [], [args.out], started)
-        return EXIT_OK
-    # study
+def cmd_recommend_generate(args):
+    matrix = recommender.synthetic_ratings(args.soils, args.plants, seed=args.seed)
+    recommender.save_matrix_csv(matrix, args.out)
+    return args.out, _digest(args.soils, args.plants, args.seed), [args.seed], [args.out]
+
+
+def cmd_recommend_impute(args):
+    matrix = recommender.load_matrix_csv(args.infile)
+    filled = recommender.impute(matrix, k_neighbors=args.k, missing_as_zero=args.missing_as_zero)
+    recommender.save_matrix_csv(filled, args.out)
+    return (args.out, _digest(Path(args.infile).read_bytes(), args.k, args.missing_as_zero),
+            [], [args.out])
+
+
+def cmd_recommend_study(args):
     sparsities = tuple(int(v) for v in args.sparsities.split(","))
     report = recommender.run_study(num_soils=args.soils, num_plants=args.plants,
                                    sparsities=sparsities, num_seeds=args.seeds,
                                    k_neighbors=args.k, base_seed=args.seed,
                                    missing_as_zero=args.missing_as_zero)
     Path(args.out).write_text(json.dumps(report, sort_keys=True))
-    _write_manifest(args.out, "recommend study",
-                    _digest(args.soils, args.plants, args.sparsities, args.seeds,
-                            args.k, args.seed, args.missing_as_zero),
-                    [args.seed], [args.out], started)
-    return EXIT_OK
+    return (args.out, _digest(args.soils, args.plants, args.sparsities, args.seeds,
+                              args.k, args.seed, args.missing_as_zero),
+            [args.seed], [args.out])
 
 
 def cmd_figdata(args):
-    started = time.monotonic()
+    if args.figure != "model-sizes" and not args.infile:
+        raise ValueError(f"--figure {args.figure} needs --in")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     if args.figure == "model-sizes":
-        path = out_dir / "fig_model_sizes.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["channels", "flat_bytes", "c_array_bytes"])
-            for n_ch in range(2, 10):
-                input_dim = telemetry.TelemetryWindow.feature_dim(args.ts, n_ch)
-                model = predictor.init_model(input_dim, n_ch, seed=args.seed)
-                flat = predictor.export_flat(model)
-                c_text = predictor.export_c_array(model, "hopping_model")
-                writer.writerow([n_ch, len(flat), len(c_text.encode())])
-        outputs.append(path)
+        rows = []
+        for n_ch in range(2, 10):
+            input_dim = telemetry.TelemetryWindow.feature_dim(args.ts, n_ch)
+            model = predictor.init_model(input_dim, n_ch, seed=args.seed)
+            c_text = predictor.export_c_array(model, "hopping_model")
+            rows.append([n_ch, len(predictor.export_flat(model)), len(c_text.encode())])
+        outputs.append(_write_csv(out_dir / "fig_model_sizes.csv",
+                                  ["channels", "flat_bytes", "c_array_bytes"], rows))
     elif args.figure == "strategy-comparison":
-        comp = Path(args.infile or "")
-        if not comp.is_file():
-            raise InputError("strategy-comparison needs --in pointing at a pipeline comparison.csv")
-        rows = list(csv.DictReader(comp.open()))
+        with open(args.infile, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         for metric in ("rssi", "snr", "pdr"):
-            path = out_dir / f"fig_strategy_{metric}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["size", "random_hop", "predictor_hop"])
-                for row in rows:
-                    if row["metric"] == metric:
-                        writer.writerow([row["size"], row["random_hop"], row["predictor_hop"]])
-            outputs.append(path)
+            outputs.append(_write_csv(
+                out_dir / f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
+                [[r["size"], r["random_hop"], r["predictor_hop"]]
+                 for r in rows if r["metric"] == metric]))
     else:  # confusion
-        src = Path(args.infile or "")
-        if not src.is_file():
-            raise InputError("confusion needs --in pointing at a recommend study report")
-        report = json.loads(src.read_text())
+        report = json.loads(Path(args.infile).read_text())
         for entry in report["sparsities"]:
-            path = out_dir / f"fig_confusion_sparsity{entry['sparsity_pct']}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["true\\pred"] + [str(v) for v in range(1, 6)])
-                for t, row in enumerate(entry["confusion"], start=1):
-                    writer.writerow([t] + row)
-            outputs.append(path)
-        path = out_dir / "fig_rating_distribution.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rating", "count"])
-            for v, count in enumerate(report["distribution"], start=1):
-                writer.writerow([v, count])
-        outputs.append(path)
-    _write_manifest(out_dir / f"figdata_{args.figure}", "figdata",
-                    _digest(args.figure, args.infile, args.ts, args.seed),
-                    [args.seed], outputs, started)
-    return EXIT_OK
+            outputs.append(_write_csv(
+                out_dir / f"fig_confusion_sparsity{entry['sparsity_pct']}.csv",
+                ["true\\pred"] + [str(v) for v in range(1, 6)],
+                [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
+        outputs.append(_write_csv(out_dir / "fig_rating_distribution.csv", ["rating", "count"],
+                                  enumerate(report["distribution"], start=1)))
+    return (out_dir / f"figdata_{args.figure}",
+            _digest(args.figure, args.infile, args.ts, args.seed), [args.seed], outputs)
 
 
 def build_parser():
@@ -457,13 +290,13 @@ def build_parser():
     g.add_argument("--plants", type=int, default=20)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_recommend)
+    g.set_defaults(func=cmd_recommend_generate)
     im = rec.add_parser("impute", help="fill missing ratings in a CSV matrix")
     im.add_argument("--in", dest="infile", required=True)
     im.add_argument("--k", type=int, default=20)
     im.add_argument("--missing-as-zero", action="store_true")
     im.add_argument("--out", required=True)
-    im.set_defaults(func=cmd_recommend)
+    im.set_defaults(func=cmd_recommend_impute)
     st = rec.add_parser("study", help="sparsity sweep with confusion matrices")
     st.add_argument("--soils", type=int, default=500)
     st.add_argument("--plants", type=int, default=20)
@@ -473,7 +306,7 @@ def build_parser():
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--missing-as-zero", action="store_true")
     st.add_argument("--out", required=True)
-    st.set_defaults(func=cmd_recommend)
+    st.set_defaults(func=cmd_recommend_study)
 
     p = sub.add_parser("figdata", help="emit plot-ready CSV bundles")
     p.add_argument("--figure", choices=["strategy-comparison", "model-sizes", "confusion"],
@@ -492,11 +325,27 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    command = " ".join(filter(None, (args.command, getattr(args, "rec_command", None))))
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        manifest_base, digest, seeds, outputs = args.func(args)
+        manifest = {
+            "command": command,
+            "config_digest": digest,
+            "seeds": seeds,
+            "tool_version": __version__,
+            "outputs": [str(o) for o in outputs],
+            "duration_s": round(time.monotonic() - started, 3),
+        }
+        Path(f"{manifest_base}.manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True))
+    except (optimizer.Infeasible, optimizer.BudgetExhausted, FloatingPointError) as exc:
+        print(f"{command} failed: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ operate on immutable inputs, so they are safe to call concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

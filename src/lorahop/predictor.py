@@ -8,10 +8,9 @@ bit-exactly; arithmetic runs in float64.
 
 from __future__ import annotations
 
-import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,6 +148,8 @@ def train(model, rows, epochs=200, batch_size=32, lr=1e-3,
         raise ValueError("empty dataset")
     x = np.asarray([r.features for r in rows], dtype=np.float64)
     y = np.asarray([r.label for r in rows], dtype=np.int64)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input features")
     if y.max() >= model.num_channels:
         raise ValueError("label exceeds model output width")
     rng = np.random.default_rng(seed)

@@ -112,6 +112,8 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     similarity to row i; the k most similar vote with weight = similarity.
     Degenerate cells fall back to the rounded row mean.
     """
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be at least 1")
     sparse = check_matrix(sparse)
     mask = present_mask(sparse)
     if not mask.any(axis=1).all():

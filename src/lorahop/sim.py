@@ -11,7 +11,7 @@ hopping strategies consume.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -101,8 +101,10 @@ class SimConfig:
             raise ValueError("predictor_placement must be end_node or gateway")
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotEvent:
+    """One transmission: the run's only per-transmission record, kept unrounded."""
+
     slot: int
     node: str
     gateway: str
@@ -113,6 +115,20 @@ class SlotEvent:
     delivered: bool
     collided: bool
     hopped: bool
+
+    def observed(self):
+        """(rssi, snr) as the gateway reports them: the floor values for a lost packet."""
+        return (self.rssi, self.snr) if self.delivered else (RSSI_FLOOR_DBM, SNR_FLOOR_DB)
+
+    def to_dict(self):
+        """Output form, keys in field order; RSSI and SNR rounded to 6 decimals."""
+        return {"slot": self.slot, "node": self.node, "gateway": self.gateway,
+                "freq_mhz": self.freq_mhz, "size": self.size,
+                "rssi": round(self.rssi, 6), "snr": round(self.snr, 6),
+                "delivered": self.delivered, "collided": self.collided, "hopped": self.hopped}
+
+
+EVENT_FIELDS = tuple(f.name for f in fields(SlotEvent))
 
 
 @dataclass
@@ -152,7 +168,7 @@ class SimReport:
     def to_json(self):
         doc = {
             "rows": [dict(asdict(r), pdr=r.pdr) for r in self.rows],
-            "events": [asdict(e) for e in self.events],
+            "events": [e.to_dict() for e in self.events],
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -163,7 +179,6 @@ class _NodeState:
         self.window = TelemetryWindow(ts=window_slots, num_freqs=num_freqs)
         self.rng = np.random.default_rng([seed, 0x50, index])
         self.current_freq_idx = None
-        self.hops = 0
 
     @property
     def source(self):
@@ -189,78 +204,57 @@ def run(config, trace):
     }
 
     events = []
-    acc = {}   # (node_name, size) -> accumulators
     slot = 0
     for size in config.payload_schedule:
         for _ in range(config.packets_per_size):
             slot += 1
             txs = []
+            avail = np.zeros(len(freqs))
             for node in nodes:
                 f_idx = node.spec.strategy.choose(node, freqs, node.rng)
                 hopped = node.current_freq_idx is not None and f_idx != node.current_freq_idx
-                if hopped:
-                    node.hops += 1
                 node.current_freq_idx = f_idx
+                avail[f_idx] += 1.0
                 delivered, rssi, snr = samplers[node.source].sample(
                     node.source, freqs[f_idx], size)
-                txs.append({"node": node, "f_idx": f_idx, "delivered": delivered,
-                            "rssi": rssi, "snr": snr, "hopped": hopped,
-                            "collided": False})
+                txs.append(SlotEvent(slot, node.source, "GW0", freqs[f_idx], size,
+                                     rssi, snr, delivered, False, hopped))
 
             # capture: strongest survives with enough margin, otherwise all lost
-            for f_idx in set(t["f_idx"] for t in txs):
-                group = [t for t in txs if t["f_idx"] == f_idx]
+            for freq in {e.freq_mhz for e in txs}:
+                group = [e for e in txs if e.freq_mhz == freq]
                 if len(group) < 2:
                     continue
-                group.sort(key=lambda t: t["rssi"], reverse=True)
-                margin = group[0]["rssi"] - group[1]["rssi"]
-                for j, t in enumerate(group):
+                group.sort(key=lambda e: e.rssi, reverse=True)
+                margin = group[0].rssi - group[1].rssi
+                for j, e in enumerate(group):
                     if j == 0 and margin >= config.capture_threshold_db:
                         continue
-                    t["delivered"] = False
-                    t["collided"] = True
+                    e.delivered = False
+                    e.collided = True
 
-            avail = np.zeros(len(freqs))
-            for t in txs:
-                avail[t["f_idx"]] += 1.0
-            for t in txs:
-                node = t["node"]
-                observed_rssi = t["rssi"] if t["delivered"] else RSSI_FLOOR_DBM
-                observed_snr = t["snr"] if t["delivered"] else SNR_FLOOR_DB
-                if config.predictor_placement == "end_node" or t["delivered"]:
-                    node.window.record(avail, observed_rssi, observed_snr)
-                key = (node.source, size)
-                a = acc.setdefault(key, {"sent": 0, "delivered": 0, "collisions": 0,
-                                         "hops": 0, "rssi": [], "snr": [],
-                                         "rssi_all": [], "snr_all": []})
-                a["sent"] += 1
-                a["delivered"] += int(t["delivered"])
-                a["collisions"] += int(t["collided"])
-                a["hops"] += int(t["hopped"])
-                if t["delivered"]:
-                    a["rssi"].append(t["rssi"])
-                    a["snr"].append(t["snr"])
-                a["rssi_all"].append(observed_rssi)
-                a["snr_all"].append(observed_snr)
-                events.append(SlotEvent(
-                    slot=slot, node=node.source, gateway="GW0",
-                    freq_mhz=freqs[t["f_idx"]], size=size,
-                    rssi=round(t["rssi"], 6), snr=round(t["snr"], 6),
-                    delivered=t["delivered"], collided=t["collided"],
-                    hopped=t["hopped"]))
+            for node, e in zip(nodes, txs):
+                if config.predictor_placement == "end_node" or e.delivered:
+                    node.window.record(avail, *e.observed())
+            events += txs
 
+    by_key = {}
+    for e in events:
+        by_key.setdefault((e.node, e.size), []).append(e)
     rows = []
     for node in nodes:
         for size in config.payload_schedule:
-            a = acc[(node.source, size)]
+            group = by_key[(node.source, size)]
+            ok = [e for e in group if e.delivered]
+            observed = [e.observed() for e in group]
             rows.append(ReportRow(
                 node=node.source, size=size, strategy=node.spec.strategy.kind,
-                sent=a["sent"], delivered=a["delivered"],
-                collisions=a["collisions"], hops=a["hops"],
-                mean_rssi=float(np.mean(a["rssi"])) if a["rssi"] else RSSI_FLOOR_DBM,
-                mean_snr=float(np.mean(a["snr"])) if a["snr"] else SNR_FLOOR_DB,
-                mean_rssi_all=float(np.mean(a["rssi_all"])),
-                mean_snr_all=float(np.mean(a["snr_all"])),
+                sent=len(group), delivered=len(ok),
+                collisions=sum(e.collided for e in group), hops=sum(e.hopped for e in group),
+                mean_rssi=float(np.mean([e.rssi for e in ok])) if ok else RSSI_FLOOR_DBM,
+                mean_snr=float(np.mean([e.snr for e in ok])) if ok else SNR_FLOOR_DB,
+                mean_rssi_all=float(np.mean([rssi for rssi, _ in observed])),
+                mean_snr_all=float(np.mean([snr for _, snr in observed])),
             ))
     return SimReport(rows=rows, events=events)
 

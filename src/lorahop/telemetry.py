@@ -8,8 +8,7 @@ and labels each row with the channel that realized the highest RSSI.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +27,40 @@ class TelemetryWindow:
             raise ValueError("ts and num_freqs must be positive")
         self.ts = int(ts)
         self.num_freqs = int(num_freqs)
-        self.availability = deque(maxlen=self.ts)
-        self.rssi = deque(maxlen=self.ts)
-        self.snr = deque(maxlen=self.ts)
+        # one row per slot, oldest first: availability per frequency, RSSI, SNR;
+        # rows not recorded yet hold the cold-start values
+        self._rows = np.zeros((self.ts, self.num_freqs + 2))
+        self._rows[:, -2] = RSSI_FLOOR_DBM
+        self._rows[:, -1] = SNR_FLOOR_DB
+        self._filled = 0
 
     def __len__(self):
-        return len(self.availability)
+        return self._filled
+
+    @property
+    def availability(self):
+        """Read-only (len, num_freqs) view of the recorded availability, oldest first."""
+        view = self._rows[self.ts - self._filled:, :self.num_freqs]
+        view.flags.writeable = False
+        return view
 
     def record(self, availability_vec, rssi, snr):
         vec = np.asarray(availability_vec, dtype=np.float64)
         if vec.shape != (self.num_freqs,):
             raise ValueError(f"availability vector must have length {self.num_freqs}")
-        self.availability.append(vec.copy())
-        self.rssi.append(float(rssi))
-        self.snr.append(float(snr))
+        rows = self._rows
+        rows[:-1] = rows[1:]
+        rows[-1, :self.num_freqs] = vec
+        rows[-1, -2] = rssi
+        rows[-1, -1] = snr
+        self._filled = min(self._filled + 1, self.ts)
         return self
 
     def snapshot(self):
         """Flatten to ts*(F+2) features, oldest first, cold-start slots padded."""
-        pad = self.ts - len(self)
-        avail = [np.zeros(self.num_freqs)] * pad + list(self.availability)
-        rssi = [RSSI_FLOOR_DBM] * pad + list(self.rssi)
-        snr = [SNR_FLOOR_DB] * pad + list(self.snr)
-        feats = np.concatenate([
-            np.concatenate(avail) if avail else np.zeros(0),
-            np.asarray(rssi) / RSSI_NORM_DBM,
-            np.asarray(snr) / SNR_NORM_DB,
-        ])
-        return feats
+        rows = self._rows
+        return np.concatenate([rows[:, :self.num_freqs].ravel(),
+                               rows[:, -2] / RSSI_NORM_DBM, rows[:, -1] / SNR_NORM_DB])
 
     @staticmethod
     def feature_dim(ts, num_freqs):

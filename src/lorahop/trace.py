@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -72,6 +73,8 @@ def load_trace(path):
                                    pdr=float(row[6]), sample_count=int(row[5]))
             except ValueError as exc:
                 raise TraceError(f"line {lineno}: {exc}") from None
+            if not (math.isfinite(entry.mean_rssi) and math.isfinite(entry.mean_snr)):
+                raise TraceError(f"line {lineno}: non-finite rssi or snr")
             if not 0.0 <= entry.pdr <= 1.0:
                 raise TraceError(f"line {lineno}: pdr {entry.pdr} outside [0, 1]")
             if entry.mean_rssi > 0:

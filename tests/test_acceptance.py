@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lorahop import cli, core, optimizer, predictor, recommender, sim, telemetry, trace
+from lorahop.pipeline import run_pipeline
 from conftest import random_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
@@ -91,7 +92,7 @@ def test_criterion_3_trace_fidelity(bundled_trace):
 
 def test_criterion_4_predictor_beats_random(bundled_trace, tmp_path):
     started = time.monotonic()
-    comparison, _ = cli.run_pipeline(bundled_trace, tmp_path, seed=7)
+    comparison, _ = run_pipeline(bundled_trace, tmp_path, seed=7)
     best = 0.0
     for row in comparison:
         assert abs(row["rssi_a"]) <= abs(row["rssi_b"]), row   # predictor RSSI at least as strong

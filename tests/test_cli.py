@@ -1,7 +1,10 @@
+import copy
+import csv
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lorahop import cli
 from lorahop.core import Scenario
@@ -147,3 +150,141 @@ def test_manifest_contents(tmp_path):
     assert manifest["seeds"] == [9]
     assert str(dataset) in manifest["outputs"]
     assert manifest["duration_s"] >= 0
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _scenario_doc():
+    return json.loads((SCENARIO_DIR / "three_nodes_two_freqs.json").read_text())
+
+
+# Inputs that must be reported as input errors (exit 2), each given a scratch directory.
+MALFORMED_INPUTS = {
+    "missing predictor model file": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "predictor_hop",
+                                                   "model": str(d / "absent.fhop")}}]})],
+    "strategy is a string": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": "random_hop"}]})],
+    "sparsity 100": lambda d: [
+        "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
+        "--sparsities", "100", "--out", str(d / "study.json")],
+    "sparsity not a number": lambda d: [
+        "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
+        "--sparsities", "abc", "--out", str(d / "study.json")],
+    "scalar demand": lambda d: [
+        "optimize", "--out", str(d / "o.json"),
+        "--scenario", _write_json(d / "scenario.json", {**_scenario_doc(), "demand": 6})],
+    "scenario is a list": lambda d: [
+        "optimize", "--out", str(d / "o.json"),
+        "--scenario", _write_json(d / "scenario.json", [_scenario_doc()])],
+    "study report without sparsities": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_json(d / "study.json", {"distribution": [1, 2, 3, 4, 5]})],
+    "out directory does not exist": lambda d: [
+        "gen-dataset", "--rows", "5", "--out", str(d / "absent" / "ds.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, case):
+    assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the diverging run overflows
+def test_train_exit_codes(tmp_path):
+    dataset = tmp_path / "ds.json"
+    assert run(["gen-dataset", "--rows", "50", "--seed", "1", "--out", str(dataset)]) == 0
+    # finite data with an absurd step size diverges: a domain failure
+    assert run(["train", "--dataset", str(dataset), "--epochs", "3", "--lr", "1e300",
+                "--out", str(tmp_path / "m.fhop")]) == 1
+    # a non-finite feature is an input error
+    doc = json.loads(dataset.read_text())
+    doc["rows"][0]["features"][0] = float("nan")
+    nan_dataset = _write_json(tmp_path / "nan.json", doc)
+    assert run(["train", "--dataset", nan_dataset, "--epochs", "3",
+                "--out", str(tmp_path / "m.fhop")]) == 2
+
+
+FUZZ_VALUES = (None, True, -1, 0, 2.5, "x", [], [1], {})
+FUZZ_SIM_CONFIG = {
+    "nodes": [{"source": "A", "strategy": {"kind": "fixed", "freq": 869.0}},
+              {"source": "B", "strategy": {"kind": "sensing_hop"}}],
+    "payload_schedule": [30, 74], "packets_per_size": 5, "seed": 1,
+    "capture_threshold_db": 6.0, "rssi_jitter_db": 1.0, "snr_jitter_db": 0.5,
+    "predictor_placement": "end_node", "window_slots": 4,
+}
+
+
+def _containers(doc):
+    """Every dict and list inside doc, doc included."""
+    found = [doc]
+    children = doc.values() if isinstance(doc, dict) else doc
+    for child in children:
+        if isinstance(child, (dict, list)):
+            found += _containers(child)
+    return found
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three drops or replacements of a field or an element."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(_containers(doc)))
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                   else range(len(target))))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return doc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=mutated(_scenario_doc()), config=mutated(FUZZ_SIM_CONFIG))
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, scenario, config):
+    codes = [
+        run(["optimize", "--budget", "2000", "--out", str(tmp_path / "o.json"),
+             "--scenario", _write_json(tmp_path / "scenario.json", scenario)]),
+        run(["simulate", "--out", str(tmp_path / "r.json"), "--events", str(tmp_path / "e.csv"),
+             "--config", _write_json(tmp_path / "sim.json", config)]),
+    ]
+    assert set(codes) <= {0, 1, 2}
+
+
+def test_events_csv_and_report_share_rounded_link_values(tmp_path):
+    config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "fixed", "freq": 869.0}},
+                  {"source": "B", "strategy": {"kind": "fixed", "freq": 869.0}},
+                  {"source": "C", "strategy": {"kind": "random_hop"}}],
+        "packets_per_size": 10, "seed": 2})
+    out, events = tmp_path / "report.json", tmp_path / "events.csv"
+    assert run(["simulate", "--config", config, "--out", str(out),
+                "--events", str(events)]) == 0
+    report_events = json.loads(out.read_text())["events"]
+    with open(events, newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    assert any(e["collided"] for e in report_events)
+    assert len(csv_rows) == len(report_events) == 3 * 6 * 10
+    for row, event in zip(csv_rows, report_events):
+        rssi, snr = float(row["rssi"]), float(row["snr"])
+        assert (rssi, snr) == (event["rssi"], event["snr"])
+        assert (rssi, snr) == (round(rssi, 6), round(snr, 6))
+
+
+def test_empty_payload_schedule_still_writes_events_header(tmp_path):
+    config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}], "payload_schedule": []})
+    events = tmp_path / "events.csv"
+    assert run(["simulate", "--config", config, "--out", str(tmp_path / "report.json"),
+                "--events", str(events)]) == 0
+    assert events.read_text().splitlines() == [
+        "slot,node,gateway,freq_mhz,size,rssi,snr,delivered,collided,hopped"]

@@ -1,0 +1,43 @@
+"""Static checks over the package source, standing in for a linter.
+
+Every import is from the standard library, numpy or lorahop itself (the
+package has no other runtime dependency), and every imported name is used.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lorahop"
+MODULES = sorted(SRC.glob("*.py"))
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "lorahop"}
+
+
+def _imports(tree):
+    """(top-level module or None for a relative import, bound name) per imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            top = node.module.split(".")[0] if node.level == 0 else None
+            for alias in node.names:
+                yield top, alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_numpy_or_lorahop(path):
+    tree = ast.parse(path.read_text())
+    foreign = sorted({top for top, _ in _imports(tree)
+                      if top is not None and top not in ALLOWED_TOP_LEVEL})
+    assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted({name for _, name in _imports(tree)} - used)
+    assert not unused, f"{path.name} imports unused {unused}"

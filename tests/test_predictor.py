@@ -163,3 +163,10 @@ def test_flat_size_grows_per_channel():
     deltas = [b - a for a, b in zip(sizes, sizes[1:])]
     # each extra channel adds ts availability inputs and 11 output parameters
     assert all(d == 4 * (ts * 10 + 11) for d in deltas)
+
+
+def test_train_rejects_non_finite_features():
+    rows = [DatasetRow(features=(0.1 * k, 0.5, 1.0), label=k % 2) for k in range(20)]
+    rows[7] = DatasetRow(features=(np.nan, 0.5, 1.0), label=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        predictor.train(predictor.init_model(3, 2, seed=0), rows, epochs=2)

@@ -152,3 +152,10 @@ def test_run_study_shape():
         assert np.asarray(entry["confusion"]).shape == (5, 5)
         assert len(entry["per_seed_accuracy"]) == 2
         assert 0.0 <= entry["mean_accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_impute_rejects_k_below_one(k):
+    sp = rec.sparsify(rec.synthetic_ratings(10, 4, seed=3), 20, seed=3)
+    with pytest.raises(ValueError):
+        rec.impute(sp, k_neighbors=k)

@@ -75,3 +75,11 @@ def test_sampler_jitter_keeps_rssi_nonpositive(bundled_trace):
     for _ in range(200):
         d, rssi, _ = sampler.sample("A", 869.0, 30)
         assert rssi <= 0.0
+
+
+@pytest.mark.parametrize("rssi,snr", [("nan", "nan"), ("-inf", "9.0"), ("-70.0", "inf")])
+def test_load_trace_rejects_non_finite_link_values(tmp_path, rssi, snr):
+    p = tmp_path / "non_finite.csv"
+    p.write_text(",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n")
+    with pytest.raises(trace.TraceError):
+        trace.load_trace(p)
