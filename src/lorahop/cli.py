@@ -86,20 +86,19 @@ def _strategy_from_spec(spec):
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
+# config document keys: SimConfig's field names, with "seed" for rng_seed
+_SIM_DOC_KEYS = ("payload_schedule", "packets_per_size", "seed", "capture_threshold_db",
+                "rssi_jitter_db", "snr_jitter_db", "predictor_placement", "window_slots")
+
+
 def _sim_config_from_json(doc):
+    """SimConfig from a config document; keys the document lacks keep SimConfig's defaults."""
     nodes = tuple(sim.NodeSpec(source=n["source"], strategy=_strategy_from_spec(n["strategy"]))
                   for n in doc["nodes"])
-    return sim.SimConfig(
-        nodes=nodes,
-        payload_schedule=tuple(doc.get("payload_schedule", sim.DEFAULT_PAYLOAD_SCHEDULE)),
-        packets_per_size=doc.get("packets_per_size", 50),
-        rng_seed=doc.get("seed", 0),
-        capture_threshold_db=doc.get("capture_threshold_db", 6.0),
-        rssi_jitter_db=doc.get("rssi_jitter_db", 1.0),
-        snr_jitter_db=doc.get("snr_jitter_db", 0.5),
-        predictor_placement=doc.get("predictor_placement", "end_node"),
-        window_slots=doc.get("window_slots", telemetry.DEFAULT_WINDOW_SLOTS),
-    )
+    given = {("rng_seed" if k == "seed" else k): doc[k] for k in _SIM_DOC_KEYS if k in doc}
+    if "payload_schedule" in given:
+        given["payload_schedule"] = tuple(given["payload_schedule"])
+    return sim.SimConfig(nodes=nodes, **given)
 
 
 def cmd_simulate(args):
@@ -173,11 +172,12 @@ def cmd_recommend_generate(args):
 
 
 def cmd_recommend_impute(args):
+    # digest the input before --out is written: the two may be one file
+    digest = _digest(Path(args.infile).read_bytes(), args.k, args.missing_as_zero)
     matrix = recommender.load_matrix_csv(args.infile)
     filled = recommender.impute(matrix, k_neighbors=args.k, missing_as_zero=args.missing_as_zero)
     recommender.save_matrix_csv(filled, args.out)
-    return (args.out, _digest(Path(args.infile).read_bytes(), args.k, args.missing_as_zero),
-            [], [args.out])
+    return args.out, digest, [], [args.out]
 
 
 def cmd_recommend_study(args):

@@ -8,6 +8,7 @@ bit-exactly; arithmetic runs in float64.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 HIDDEN_WIDTH = 10
 FLAT_MAGIC = b"FHOP"
 FLAT_VERSION = 1
+_FLAT_HEADER = struct.Struct("<4sBII")
 
 
 class ModelFormatError(ValueError):
@@ -58,6 +60,19 @@ class TrainReport:
     split_sizes: tuple
 
 
+def _param_shapes(input_dim, num_channels):
+    """Shapes of (w1, b1, w2, b2, w3, b3): the layer order, and the flat export's order."""
+    return [(input_dim, HIDDEN_WIDTH), (HIDDEN_WIDTH,),
+            (HIDDEN_WIDTH, HIDDEN_WIDTH), (HIDDEN_WIDTH,),
+            (HIDDEN_WIDTH, num_channels), (num_channels,)]
+
+
+def _views(flat, shapes):
+    """Consecutive views into a flat vector, one per shape."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
 def init_model(input_dim, num_channels, seed=0, l1_lambda=1e-4):
     """Seeded uniform fan-in/fan-out initialization, zero biases."""
     if input_dim < 1:
@@ -65,16 +80,14 @@ def init_model(input_dim, num_channels, seed=0, l1_lambda=1e-4):
     if num_channels < 2:
         raise ValueError("need at least two output channels")
     rng = np.random.default_rng(seed)
-
-    def layer(n_in, n_out):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        w = rng.uniform(-bound, bound, size=(n_in, n_out)).astype(np.float32)
-        return w, np.zeros(n_out, dtype=np.float32)
-
-    w1, b1 = layer(input_dim, HIDDEN_WIDTH)
-    w2, b2 = layer(HIDDEN_WIDTH, HIDDEN_WIDTH)
-    w3, b3 = layer(HIDDEN_WIDTH, num_channels)
-    return FcnnModel(w1, b1, w2, b2, w3, b3, l1_lambda=l1_lambda)
+    params = []
+    for shape in _param_shapes(input_dim, num_channels):
+        if len(shape) == 2:   # weights, drawn in layer order
+            bound = np.sqrt(6.0 / sum(shape))
+            params.append(rng.uniform(-bound, bound, size=shape).astype(np.float32))
+        else:
+            params.append(np.zeros(shape, dtype=np.float32))
+    return FcnnModel(*params, l1_lambda=l1_lambda)
 
 
 def _softmax(logits):
@@ -155,9 +168,12 @@ def train(model, rows, epochs=200, batch_size=32, lr=1e-3,
     rng = np.random.default_rng(seed)
     tr, va, te = _split_indices(len(rows), rng)
 
-    params = [p.astype(np.float64) for p in model.params()]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # `params` are views into one float64 vector; Adam is element-wise, so it updates the vector
+    shapes = _param_shapes(model.input_dim, model.num_channels)
+    flat = np.concatenate([p.astype(np.float64).ravel() for p in model.params()])
+    params = _views(flat, shapes)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     step = 0
     train_losses, val_losses, val_accs = [], [], []
 
@@ -172,26 +188,27 @@ def train(model, rows, epochs=200, batch_size=32, lr=1e-3,
                     "loss diverged to NaN/inf; lower the learning rate")
             epoch_loss += loss * len(batch)
             step += 1
-            for j, g in enumerate(grads):
-                m[j] = beta1 * m[j] + (1 - beta1) * g
-                v[j] = beta2 * v[j] + (1 - beta2) * g * g
-                m_hat = m[j] / (1 - beta1 ** step)
-                v_hat = v[j] / (1 - beta2 ** step)
-                params[j] = params[j] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            grad = np.concatenate([g.ravel() for g in grads])
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat = m / (1 - beta1 ** step)
+            v_hat = v / (1 - beta2 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            # the export is float32: stop before a parameter would be written as inf
+            if not np.abs(flat).max() <= np.finfo(np.float32).max:
+                raise FloatingPointError(
+                    "parameters left the float32 range; lower the learning rate")
         train_losses.append(epoch_loss / len(order))
         vl, _ = loss_and_grads(model, x[va], y[va], params) if len(va) else (float("nan"), None)
         val_losses.append(float(vl))
         if len(va):
-            model_params_backup = model.params()
-            model.set_params(params)
-            preds = forward(model, x[va]).argmax(axis=1)
-            val_accs.append(float((preds == y[va]).mean()))
-            model.set_params(model_params_backup)
+            # accuracy of the float32 model that would be exported after this epoch
+            exported = FcnnModel(*_views(flat.astype(np.float32), shapes))
+            val_accs.append(float((forward(exported, x[va]).argmax(axis=1) == y[va]).mean()))
         else:
             val_accs.append(float("nan"))
 
-    if epochs > 0:
-        model.set_params(params)
+    model.set_params(params)
     if len(te):
         test_acc = float((forward(model, x[te]).argmax(axis=1) == y[te]).mean())
     else:
@@ -209,42 +226,29 @@ def predict_channel(model, window):
 
 def export_flat(model):
     """Compact little-endian binary: magic, version, dims, float32 tensors."""
-    header = struct.pack("<4sBII", FLAT_MAGIC, FLAT_VERSION,
-                         model.input_dim, model.num_channels)
+    header = _FLAT_HEADER.pack(FLAT_MAGIC, FLAT_VERSION, model.input_dim, model.num_channels)
     blobs = [np.ascontiguousarray(p, dtype=np.float32).tobytes() for p in model.params()]
     return header + b"".join(blobs)
 
 
 def import_flat(blob):
-    head_len = struct.calcsize("<4sBII")
-    if len(blob) < head_len:
+    if len(blob) < _FLAT_HEADER.size:
         raise ModelFormatError("truncated header")
-    magic, version, input_dim, n_ch = struct.unpack("<4sBII", blob[:head_len])
+    magic, version, input_dim, n_ch = _FLAT_HEADER.unpack_from(blob)
     if magic != FLAT_MAGIC:
         raise ModelFormatError(f"bad magic {magic!r}")
     if version != FLAT_VERSION:
         raise ModelFormatError(f"unsupported version {version}")
-    shapes = [(input_dim, HIDDEN_WIDTH), (HIDDEN_WIDTH,),
-              (HIDDEN_WIDTH, HIDDEN_WIDTH), (HIDDEN_WIDTH,),
-              (HIDDEN_WIDTH, n_ch), (n_ch,)]
-    need = head_len + 4 * sum(int(np.prod(s)) for s in shapes)
+    need = flat_size_bytes(input_dim, n_ch)
     if len(blob) != need:
         raise ModelFormatError(f"expected {need} bytes, got {len(blob)}")
-    offset = head_len
-    params = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        params.append(arr.copy())
-        offset += 4 * count
-    return FcnnModel(*params)
+    flat = np.frombuffer(blob, dtype="<f4", offset=_FLAT_HEADER.size).copy()
+    return FcnnModel(*_views(flat, _param_shapes(input_dim, n_ch)))
 
 
 def flat_size_bytes(input_dim, num_channels):
-    return struct.calcsize("<4sBII") + 4 * (
-        input_dim * HIDDEN_WIDTH + HIDDEN_WIDTH
-        + HIDDEN_WIDTH * HIDDEN_WIDTH + HIDDEN_WIDTH
-        + HIDDEN_WIDTH * num_channels + num_channels)
+    return _FLAT_HEADER.size + 4 * sum(
+        math.prod(shape) for shape in _param_shapes(input_dim, num_channels))
 
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .telemetry import TelemetryWindow, DEFAULT_WINDOW_SLOTS
-from .trace import ChannelSampler, RSSI_FLOOR_DBM, SNR_FLOOR_DB
+from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
+                    DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler)
 from . import predictor as predictor_mod
-
-DEFAULT_PAYLOAD_SCHEDULE = (30, 74, 118, 162, 206, 250)
 
 
 class Strategy:
@@ -86,15 +86,22 @@ class NodeSpec:
 class SimConfig:
     nodes: tuple
     payload_schedule: tuple = DEFAULT_PAYLOAD_SCHEDULE
-    packets_per_size: int = 50
+    packets_per_size: int = DEFAULT_BLOCK_LEN
     rng_seed: int = 0
     capture_threshold_db: float = 6.0
-    rssi_jitter_db: float = 1.0
-    snr_jitter_db: float = 0.5
+    rssi_jitter_db: float = DEFAULT_RSSI_JITTER_DB
+    snr_jitter_db: float = DEFAULT_SNR_JITTER_DB
     predictor_placement: str = "end_node"   # or "gateway"
     window_slots: int = DEFAULT_WINDOW_SLOTS
 
     def __post_init__(self):
+        # checked here: a run may never read a field (one node never meets the capture rule)
+        ints = (self.packets_per_size, self.rng_seed, self.window_slots, *self.payload_schedule)
+        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in ints):
+            raise TypeError("packets_per_size, seed, window_slots and sizes must be integers")
+        reals = (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db)
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
+            raise TypeError("capture_threshold_db and the jitters must be real numbers")
         if self.packets_per_size < 1:
             raise ValueError("packets_per_size must be >= 1")
         if self.predictor_placement not in ("end_node", "gateway"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import RSSI_FLOOR_DBM, SNR_FLOOR_DB
+from .trace import DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, RSSI_FLOOR_DBM, SNR_FLOOR_DB
 
 DEFAULT_WINDOW_SLOTS = 8
 RSSI_NORM_DBM = -120.0
@@ -77,10 +77,6 @@ class DatasetRow:
 class DatasetConfig:
     source: str = "A"
     ts: int = DEFAULT_WINDOW_SLOTS
-    payload_schedule: tuple = (30, 74, 118, 162, 206, 250)
-    packets_per_size: int = 50
-    rssi_jitter_db: float = 1.0
-    snr_jitter_db: float = 0.5
 
 
 def generate_labeled_dataset(trace, config, n_rows, seed):
@@ -88,7 +84,8 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
 
     Realized RSSI of a lost packet is the floor value, so channels that fail to
     deliver rarely win the argmax.  The node then actually transmits on the
-    labeled channel and its window advances with that outcome.
+    labeled channel and its window advances with that outcome.  Payload sizes and
+    link jitter follow the trace module's defaults.
     """
     if n_rows <= 0:
         raise ValueError("n_rows must be positive")
@@ -98,7 +95,7 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
     window = TelemetryWindow(ts=config.ts, num_freqs=len(freqs))
     rows = []
     for r in range(n_rows):
-        size = config.payload_schedule[(r // config.packets_per_size) % len(config.payload_schedule)]
+        size = DEFAULT_PAYLOAD_SCHEDULE[(r // DEFAULT_BLOCK_LEN) % len(DEFAULT_PAYLOAD_SCHEDULE)]
         features = window.snapshot()
         realized_rssi = np.empty(len(freqs))
         realized_snr = np.empty(len(freqs))
@@ -106,13 +103,8 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
             entry = trace.lookup(config.source, freq, size)
             rng = np.random.default_rng([seed, r, f_idx])
             delivered = rng.random() < entry.pdr
-            if delivered:
-                rssi = min(entry.mean_rssi + rng.normal(0.0, 1.0) * config.rssi_jitter_db, 0.0)
-                snr = entry.mean_snr + rng.normal(0.0, 1.0) * config.snr_jitter_db
-            else:
-                rssi, snr = RSSI_FLOOR_DBM, SNR_FLOOR_DB
-            realized_rssi[f_idx] = rssi
-            realized_snr[f_idx] = snr
+            realized_rssi[f_idx], realized_snr[f_idx] = (
+                entry.jittered(rng) if delivered else (RSSI_FLOOR_DBM, SNR_FLOOR_DB))
         label = int(np.argmax(realized_rssi))   # ties resolve to the lowest index
         rows.append(DatasetRow(features=tuple(features.tolist()), label=label))
         avail = np.zeros(len(freqs))

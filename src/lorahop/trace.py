@@ -18,6 +18,10 @@ import numpy as np
 
 RSSI_FLOOR_DBM = -120.0   # value assumed for packets the gateway never saw
 SNR_FLOOR_DB = 0.0
+DEFAULT_PAYLOAD_SCHEDULE = (30, 74, 118, 162, 206, 250)   # bundled trace sizes, bytes
+DEFAULT_BLOCK_LEN = 50   # transmissions per (source, frequency, size) cell of the trace
+DEFAULT_RSSI_JITTER_DB = 1.0
+DEFAULT_SNR_JITTER_DB = 0.5
 
 
 class TraceError(ValueError):
@@ -30,6 +34,12 @@ class TraceEntry:
     mean_snr: float
     pdr: float
     sample_count: int
+
+    def jittered(self, rng, rssi_jitter_db=DEFAULT_RSSI_JITTER_DB,
+                 snr_jitter_db=DEFAULT_SNR_JITTER_DB):
+        """(rssi, snr): the means plus Gaussian jitter, RSSI drawn first and clamped at 0 dBm."""
+        rssi = min(self.mean_rssi + rng.normal(0.0, 1.0) * rssi_jitter_db, 0.0)
+        return rssi, self.mean_snr + rng.normal(0.0, 1.0) * snr_jitter_db
 
 
 class ChannelTrace:
@@ -101,10 +111,11 @@ class ChannelSampler:
     Delivery per (source, frequency, size) follows the trace PDR exactly over a
     full block of `block_len` transmissions: the block holds round(pdr * L)
     successes in an order shuffled by the seeded generator.  RSSI/SNR are the
-    trace means plus Gaussian jitter, with RSSI clamped to stay below 0 dBm.
+    trace means plus Gaussian jitter (`TraceEntry.jittered`).
     """
 
-    def __init__(self, trace, seed, block_len=50, rssi_jitter_db=1.0, snr_jitter_db=0.5):
+    def __init__(self, trace, seed, block_len=DEFAULT_BLOCK_LEN,
+                 rssi_jitter_db=DEFAULT_RSSI_JITTER_DB, snr_jitter_db=DEFAULT_SNR_JITTER_DB):
         self.trace = trace
         self.block_len = int(block_len)
         self.rssi_jitter_db = float(rssi_jitter_db)
@@ -133,7 +144,6 @@ class ChannelSampler:
         cur = self._cursor[key]
         delivered = bool(pat[cur % self.block_len])
         self._cursor[key] = cur + 1
-        entry = self.trace.lookup(*key)
-        rssi = min(entry.mean_rssi + self._jitter_rng.normal(0.0, 1.0) * self.rssi_jitter_db, 0.0)
-        snr = entry.mean_snr + self._jitter_rng.normal(0.0, 1.0) * self.snr_jitter_db
-        return delivered, float(rssi), float(snr)
+        rssi, snr = self.trace.lookup(*key).jittered(
+            self._jitter_rng, self.rssi_jitter_db, self.snr_jitter_db)
+        return delivered, rssi, snr

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorahop import cli
+from lorahop import cli, predictor, sim
 from lorahop.core import Scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
@@ -187,6 +187,14 @@ MALFORMED_INPUTS = {
         "--in", _write_json(d / "study.json", {"distribution": [1, 2, 3, 4, 5]})],
     "out directory does not exist": lambda d: [
         "gen-dataset", "--rows", "5", "--out", str(d / "absent" / "ds.json")],
+    "capture threshold is a string": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+            "capture_threshold_db": "x"})],
+    "window_slots 2.5": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
+            "window_slots": 2.5})],
 }
 
 
@@ -195,7 +203,7 @@ def test_malformed_input_exits_2(tmp_path, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the diverging run overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # divergence is caught before overflow
 def test_train_exit_codes(tmp_path):
     dataset = tmp_path / "ds.json"
     assert run(["gen-dataset", "--rows", "50", "--seed", "1", "--out", str(dataset)]) == 0
@@ -288,3 +296,86 @@ def test_empty_payload_schedule_still_writes_events_header(tmp_path):
                 "--events", str(events)]) == 0
     assert events.read_text().splitlines() == [
         "slot,node,gateway,freq_mhz,size,rssi,snr,delivered,collided,hopped"]
+
+
+def test_sim_config_document_takes_sim_config_defaults():
+    nodes = [{"source": "A", "strategy": {"kind": "random_hop"}}]
+    bare = cli._sim_config_from_json({"nodes": nodes})
+    assert bare == sim.SimConfig(nodes=bare.nodes)
+    full = cli._sim_config_from_json({
+        "nodes": nodes, "payload_schedule": [74, 30], "packets_per_size": 3, "seed": 9,
+        "capture_threshold_db": 2.5, "rssi_jitter_db": 0.0, "snr_jitter_db": 2.0,
+        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1})
+    assert full == sim.SimConfig(
+        nodes=full.nodes, payload_schedule=(74, 30), packets_per_size=3, rng_seed=9,
+        capture_threshold_db=2.5, rssi_jitter_db=0.0, snr_jitter_db=2.0,
+        predictor_placement="gateway", window_slots=3)
+
+
+def test_in_place_impute_records_the_input_digest(tmp_path):
+    from lorahop import recommender
+    full = recommender.synthetic_ratings(12, 5, seed=1)
+    sparse = tmp_path / "sparse.csv"
+    recommender.save_matrix_csv(recommender.sparsify(full, 30, seed=1), sparse)
+    in_place = tmp_path / "in_place.csv"
+    in_place.write_bytes(sparse.read_bytes())
+    filled = tmp_path / "filled.csv"
+    assert run(["recommend", "impute", "--in", str(sparse), "--k", "3", "--out", str(filled)]) == 0
+    assert run(["recommend", "impute", "--in", str(in_place), "--k", "3",
+                "--out", str(in_place)]) == 0
+    assert in_place.read_bytes() == filled.read_bytes() != sparse.read_bytes()
+    digests = [json.loads(Path(f"{p}.manifest.json").read_text())["config_digest"]
+               for p in (filled, in_place)]
+    assert digests[0] == digests[1]
+
+
+# ts 1 over 3 channels: 5 features per row (3 availabilities, RSSI, SNR)
+FUZZ_DATASET = {
+    "metadata": {"ts": 1, "F": 3, "normalization": "v1"},
+    "rows": [{"features": [float(k == c), float(k == (c + 1) % 3), 0.0, 0.6, 0.8], "label": c}
+             for k, c in enumerate([0, 1, 2, 1, 0, 2])],
+}
+FUZZ_MODEL = predictor.export_flat(predictor.init_model(5, 3, seed=0))
+FUZZ_STUDY = {
+    "sparsities": [{"sparsity_pct": 10, "confusion": [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0]]}],
+    "distribution": [1, 2, 3, 4, 5],
+}
+
+
+@st.composite
+def mutated_bytes(draw, blob):
+    """blob after one to three cuts, byte replacements or insertions."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob)))
+        action = draw(st.sampled_from(["cut", "replace", "insert"]))
+        if action == "cut":
+            del blob[at:]
+        elif action == "replace" and at < len(blob):
+            blob[at] = draw(st.integers(0, 255))
+        else:
+            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dataset=mutated(FUZZ_DATASET), model=mutated_bytes(FUZZ_MODEL),
+       study=mutated(FUZZ_STUDY), export_format=st.sampled_from(["c_array", "flat"]))
+def test_fuzzed_datasets_models_and_reports_keep_the_exit_code_contract(
+        tmp_path, dataset, model, study, export_format):
+    model_path = tmp_path / "m.fhop"
+    model_path.write_bytes(model)
+    sim_config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model_path)}}],
+        "payload_schedule": [30], "packets_per_size": 4, "window_slots": 1})
+    codes = [
+        run(["train", "--epochs", "1", "--out", str(tmp_path / "t.fhop"),
+             "--dataset", _write_json(tmp_path / "ds.json", dataset)]),
+        run(["export", "--model", str(model_path), "--format", export_format,
+             "--out", str(tmp_path / "m.out")]),
+        run(["simulate", "--config", sim_config, "--out", str(tmp_path / "r.json")]),
+        run(["figdata", "--figure", "confusion", "--out-dir", str(tmp_path / "figs"),
+             "--in", _write_json(tmp_path / "study.json", study)]),
+    ]
+    assert set(codes) <= {0, 1, 2}

@@ -170,3 +170,81 @@ def test_train_rejects_non_finite_features():
     rows[7] = DatasetRow(features=(np.nan, 0.5, 1.0), label=1)
     with pytest.raises(ValueError, match="non-finite"):
         predictor.train(predictor.init_model(3, 2, seed=0), rows, epochs=2)
+
+
+def reference_train(model, rows, epochs, batch_size, lr, seed,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam kept per tensor, one update per tensor and step, and validation accuracy
+    on the float32 cast of the parameters: the loop that `train` must match bit for bit."""
+    x = np.asarray([r.features for r in rows], dtype=np.float64)
+    y = np.asarray([r.label for r in rows], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    tr, va, _ = predictor._split_indices(len(rows), rng)
+    params = [p.astype(np.float64) for p in model.params()]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
+    train_losses, val_losses, val_accs = [], [], []
+    for _ in range(epochs):
+        order = tr[rng.permutation(len(tr))]
+        epoch_loss = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = order[start:start + batch_size]
+            loss, grads = predictor.loss_and_grads(model, x[batch], y[batch], params)
+            epoch_loss += loss * len(batch)
+            step += 1
+            for j, g in enumerate(grads):
+                m[j] = beta1 * m[j] + (1 - beta1) * g
+                v[j] = beta2 * v[j] + (1 - beta2) * g * g
+                m_hat = m[j] / (1 - beta1 ** step)
+                v_hat = v[j] / (1 - beta2 ** step)
+                params[j] = params[j] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        train_losses.append(epoch_loss / len(order))
+        val_losses.append(float(predictor.loss_and_grads(model, x[va], y[va], params)[0]))
+        as_f32 = predictor.FcnnModel(*[p.astype(np.float32) for p in params])
+        val_accs.append(float((predictor.forward(as_f32, x[va]).argmax(axis=1) == y[va]).mean()))
+    return params, train_losses, val_losses, val_accs
+
+
+def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(8)
+    rows = [DatasetRow(features=tuple(rng.normal(size=6)), label=int(rng.integers(0, 3)))
+            for _ in range(90)]
+    # the float64 parameters of every step and validation, which the float32 export and
+    # the rounded losses could hide a last-bit difference in
+    seen = []
+    real_loss_and_grads = predictor.loss_and_grads
+
+    def spy(model, x, labels, params):
+        seen.append(np.concatenate([p.ravel() for p in params]))
+        return real_loss_and_grads(model, x, labels, params)
+
+    monkeypatch.setattr(predictor, "loss_and_grads", spy)
+    params, train_losses, val_losses, val_accs = reference_train(
+        predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3, batch_size=8,
+        lr=0.01, seed=2)
+    reference_seen, seen = seen, []
+    model = predictor.init_model(6, 3, seed=4, l1_lambda=1e-3)
+    report = predictor.train(model, rows, epochs=3, batch_size=8, lr=0.01, seed=2)
+    assert len(seen) == len(reference_seen) == 3 * (54 // 8 + 1 + 1)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, reference_seen))
+    assert report.train_loss == train_losses
+    assert report.val_loss == val_losses
+    assert report.val_accuracy == val_accs
+    for got, want in zip(model.params(), params):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want.astype(np.float32))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_train_fails_before_overflow_and_leaves_the_model_unchanged():
+    rng = np.random.default_rng(5)
+    rows = [DatasetRow(features=tuple(rng.normal(size=4)), label=int(rng.integers(0, 2)))
+            for _ in range(50)]
+    model = predictor.init_model(4, 2, seed=3)
+    arrays = model.params()
+    before = [p.copy() for p in arrays]
+    with pytest.raises(FloatingPointError, match="float32"):
+        predictor.train(model, rows, epochs=3, lr=1e300)
+    assert all(p is q for p, q in zip(arrays, model.params()))
+    assert all(np.array_equal(p, q) for p, q in zip(before, model.params()))

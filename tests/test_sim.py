@@ -119,3 +119,18 @@ def test_compare_strategies_formulas():
     assert table[0]["rssi_improvement_pct"] == pytest.approx(63.0, abs=0.05)
     assert table[0]["snr_improvement_pct"] == pytest.approx(44.6, abs=0.05)
     assert table[0]["pdr_delta"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("packets_per_size", 2.0), ("packets_per_size", True), ("rng_seed", "1"),
+    ("window_slots", 2.5), ("payload_schedule", (30, 74.0)), ("payload_schedule", (False,)),
+    ("capture_threshold_db", "x"), ("rssi_jitter_db", None), ("snr_jitter_db", True)])
+def test_sim_config_rejects_mistyped_fields(field, value):
+    with pytest.raises(TypeError):
+        sim.SimConfig(nodes=(), **{field: value})
+
+
+def test_sim_config_accepts_numpy_numbers_and_infinite_threshold():
+    config = fixed_config(seed=np.int64(3), capture_threshold_db=float("inf"),
+                          rssi_jitter_db=np.float32(0.5), payload_schedule=(np.int32(30),))
+    assert config.capture_threshold_db == float("inf")
