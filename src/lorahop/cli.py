@@ -218,8 +218,11 @@ def cmd_figdata(args):
     else:  # confusion
         report = json.loads(Path(args.infile).read_text())
         for entry in report["sparsities"]:
+            pct = entry["sparsity_pct"]
+            if isinstance(pct, bool) or not isinstance(pct, int) or not 0 <= pct <= 99:
+                raise ValueError(f"sparsity_pct must be an integer in 0..99, got {pct!r}")
             outputs.append(_write_csv(
-                out_dir / f"fig_confusion_sparsity{entry['sparsity_pct']}.csv",
+                out_dir / f"fig_confusion_sparsity{pct}.csv",
                 ["true\\pred"] + [str(v) for v in range(1, 6)],
                 [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
         outputs.append(_write_csv(out_dir / "fig_rating_distribution.csv", ["rating", "count"],

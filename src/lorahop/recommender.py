@@ -9,8 +9,6 @@ zero-filled alternative).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 MISSING = np.nan
@@ -21,11 +19,16 @@ def present_mask(matrix):
     return ~np.isnan(matrix)
 
 
+def _check_ratings(vals, what):
+    if ((vals < RATING_MIN) | (vals > RATING_MAX) | (vals != np.round(vals))).any():
+        raise ValueError(f"{what} must be integers in [1, 5]")
+
+
 def check_matrix(matrix):
     m = np.asarray(matrix, dtype=np.float64)
-    vals = m[present_mask(m)]
-    if vals.size and ((vals < RATING_MIN) | (vals > RATING_MAX) | (vals != np.round(vals))).any():
-        raise ValueError("present ratings must be integers in [1, 5]")
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"ratings matrix must be 2-D and non-empty, got shape {m.shape}")
+    _check_ratings(m[present_mask(m)], "present ratings")
     return m
 
 
@@ -86,31 +89,30 @@ def sparsify(full, sparsity_pct, seed):
     target = (m * n * sparsity_pct) // 100
     if target > m * n - m:
         raise ValueError("requested sparsity would empty at least one row")
-    rng = np.random.default_rng(seed)
+    perm = np.random.default_rng(seed).permutation(m * n)
+    # a cell goes if it is among the first n-1 draws of its row and among the
+    # first `target` such cells in draw order
+    rank_in_row = np.empty(m * n, dtype=np.intp)
+    rank_in_row[np.argsort(perm // n, kind="stable")] = np.arange(m * n) % n
     out = full.copy()
-    remaining = np.full(m, n)
-    removed = 0
-    for cell in rng.permutation(m * n):
-        if removed == target:
-            break
-        i, j = divmod(int(cell), n)
-        if remaining[i] > 1:
-            out[i, j] = MISSING
-            remaining[i] -= 1
-            removed += 1
+    out.flat[perm[rank_in_row < n - 1][:target]] = MISSING
     return out
 
 
 def _round_half_up(v):
-    return math.floor(v + 0.5)
+    return np.floor(v + 0.5)
 
 
 def impute(sparse, k_neighbors=20, missing_as_zero=False):
     """Fill missing cells with similarity-weighted neighbor averages.
 
     Neighbors for cell (i, j): rows with column j present and a defined
-    similarity to row i; the k most similar vote with weight = similarity.
-    Degenerate cells fall back to the rounded row mean.
+    similarity to row i, ranked by similarity, highest first, ties to the
+    lower row index; the first k vote with weight = similarity.  Each row's
+    neighbors are ranked once, then a whole column is filled per step.  The
+    weight and the weighted sum are numpy row sums over the k votes in rank
+    order, zero-padded, so the result does not depend on the BLAS build.
+    Cells with no neighbor or no positive weight fall back to the row mean.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -120,25 +122,27 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
         raise ValueError("every row needs at least one present rating")
     sim = similarity_matrix(sparse, missing_as_zero=missing_as_zero)
     np.fill_diagonal(sim, np.nan)
-    row_means = np.array([sparse[i, mask[i]].mean() for i in range(sparse.shape[0])])
+    row_means = np.nansum(sparse, axis=1) / mask.sum(axis=1)
+    n = sparse.shape[0]
+    k = min(k_neighbors, n)
+    order = np.argsort(-sim, axis=1, kind="stable")     # undefined (NaN) last
+    defined = np.count_nonzero(~np.isnan(sim), axis=1)  # leading defined ranks per row
 
     out = sparse.copy()
     for j in range(sparse.shape[1]):
-        holders = np.nonzero(mask[:, j])[0]
-        for i in np.nonzero(~mask[:, j])[0]:
-            sims = sim[i, holders]
-            valid = ~np.isnan(sims)
-            cand_rows = holders[valid]
-            cand_sims = sims[valid]
-            value = None
-            if cand_rows.size:
-                top = np.lexsort((cand_rows, -cand_sims))[:k_neighbors]
-                weight = cand_sims[top].sum()
-                if weight > 0:
-                    value = float(np.dot(cand_sims[top], sparse[cand_rows[top], j]) / weight)
-            if value is None:
-                value = float(row_means[i])
-            out[i, j] = min(max(_round_half_up(value), RATING_MIN), RATING_MAX)
+        missing = np.flatnonzero(~mask[:, j])
+        cand = mask[:, j][order[missing]] & (np.arange(n) < defined[missing, None])
+        taken = np.cumsum(cand, axis=1, dtype=np.int32)
+        row, rank = np.nonzero(cand & (taken <= k))
+        slot = taken[row, rank] - 1
+        voter = order[missing[row], rank]
+        sims, ratings = np.zeros((2, missing.size, k))
+        sims[row, slot] = sim[missing[row], voter]
+        ratings[row, slot] = sparse[voter, j]
+        weight = sims.sum(axis=1)
+        value = np.divide((sims * ratings).sum(axis=1), weight,
+                          out=row_means[missing], where=weight > 0)
+        out[missing, j] = np.clip(_round_half_up(value), RATING_MIN, RATING_MAX)
     return out
 
 
@@ -149,9 +153,11 @@ def evaluate(full_truth, imputed, mask):
     mask = np.asarray(mask, dtype=bool)
     if not (full_truth.shape == imputed.shape == mask.shape):
         raise ValueError("shape mismatch")
-    confusion = np.zeros((5, 5), dtype=np.int64)
-    for t, p in zip(full_truth[mask].astype(int), imputed[mask].astype(int)):
-        confusion[t - 1, p - 1] += 1
+    truth, pred = full_truth[mask], imputed[mask]
+    _check_ratings(truth, "true ratings")
+    _check_ratings(pred, "predicted ratings")
+    cells = (truth.astype(np.intp) - RATING_MIN) * 5 + (pred.astype(np.intp) - RATING_MIN)
+    confusion = np.bincount(cells, minlength=25).reshape(5, 5)
     row_sums = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), np.nan)

@@ -153,8 +153,17 @@ def test_manifest_contents(tmp_path):
 
 
 def _write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    return _write_text(path, json.dumps(doc))
+
+
+def _write_text(path, text):
+    path.write_text(text)
     return str(path)
+
+
+def _study_doc(sparsity_pct):
+    return {"sparsities": [{"sparsity_pct": sparsity_pct, "confusion": [[1, 0, 0, 0, 0]]}],
+            "distribution": [1, 2, 3, 4, 5]}
 
 
 def _scenario_doc():
@@ -191,6 +200,14 @@ MALFORMED_INPUTS = {
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
             "capture_threshold_db": "x"})],
+    "empty matrix CSV": lambda d: [
+        "recommend", "impute", "--in", _write_text(d / "m.csv", ""), "--out", str(d / "f.csv")],
+    "study report with a null sparsity": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_json(d / "study.json", _study_doc(None))],
+    "study report with a path as sparsity": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_json(d / "study.json", _study_doc("/../escaped"))],
     "window_slots 2.5": lambda d: [
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
@@ -379,3 +396,16 @@ def test_fuzzed_datasets_models_and_reports_keep_the_exit_code_contract(
              "--in", _write_json(tmp_path / "study.json", study)]),
     ]
     assert set(codes) <= {0, 1, 2}
+
+
+FUZZ_MATRIX_CSV = b"3,,5,1\n,2,2,\n4,4,,1\n1,,5,\n5,3,,2\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=mutated_bytes(FUZZ_MATRIX_CSV), missing_as_zero=st.booleans())
+def test_fuzzed_matrix_csvs_keep_the_exit_code_contract(tmp_path, matrix, missing_as_zero):
+    path = tmp_path / "m.csv"
+    path.write_bytes(matrix)
+    argv = ["recommend", "impute", "--in", str(path), "--k", "3", "--out", str(tmp_path / "f.csv")]
+    assert run(argv + ["--missing-as-zero"] * missing_as_zero) in {0, 1, 2}

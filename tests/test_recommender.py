@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,36 @@ def test_sparsify_deterministic():
     assert not np.array_equal(a, c, equal_nan=True)
 
 
+def _reference_sparsify(full, sparsity_pct, seed):
+    """The earlier per-cell sparsify, kept to check the vectorised one."""
+    m, n = full.shape
+    target = (m * n * sparsity_pct) // 100
+    out = full.copy()
+    remaining = np.full(m, n)
+    removed = 0
+    for cell in np.random.default_rng(seed).permutation(m * n):
+        if removed == target:
+            break
+        i, j = divmod(int(cell), n)
+        if remaining[i] > 1:
+            out[i, j] = rec.MISSING
+            remaining[i] -= 1
+            removed += 1
+    return out
+
+
+def test_sparsify_matches_per_cell_reference():
+    full = np.random.default_rng(8).integers(1, 6, size=(13, 7)).astype(float)
+    for pct in range(100):
+        if (13 * 7 * pct) // 100 > 13 * 7 - 13:
+            with pytest.raises(ValueError, match="empty at least one row"):
+                rec.sparsify(full, pct, seed=0)
+            continue
+        for seed in (0, [4, pct]):
+            assert np.array_equal(rec.sparsify(full, pct, seed),
+                                  _reference_sparsify(full, pct, seed), equal_nan=True)
+
+
 def test_sparsify_rejects_bad_input():
     full = np.ones((3, 2))
     with pytest.raises(ValueError):
@@ -111,6 +143,62 @@ def test_impute_recovers_identical_rows():
     assert filled[3, 2] == 1
 
 
+def _reference_impute_values(sparse, k_neighbors=20, missing_as_zero=False):
+    """Unrounded cell values of the earlier per-cell impute (NaN at present cells).
+
+    Its numerator is a BLAS dot product, so a value that is exactly a half in
+    exact arithmetic may land on either side of it.
+    """
+    mask = rec.present_mask(sparse)
+    sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+    np.fill_diagonal(sim, np.nan)
+    row_means = np.array([sparse[i, mask[i]].mean() for i in range(sparse.shape[0])])
+    values = np.full(sparse.shape, np.nan)
+    for j in range(sparse.shape[1]):
+        holders = np.nonzero(mask[:, j])[0]
+        for i in np.nonzero(~mask[:, j])[0]:
+            sims = sim[i, holders]
+            valid = ~np.isnan(sims)
+            cand_rows = holders[valid]
+            cand_sims = sims[valid]
+            value = None
+            if cand_rows.size:
+                top = np.lexsort((cand_rows, -cand_sims))[:k_neighbors]
+                weight = cand_sims[top].sum()
+                if weight > 0:
+                    value = float(np.dot(cand_sims[top], sparse[cand_rows[top], j]) / weight)
+            values[i, j] = float(row_means[i]) if value is None else value
+    return values
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 20, 61])   # 61 is more than the 60 rows
+def test_impute_matches_per_cell_reference(k, missing_as_zero):
+    for seed in range(3):
+        random = np.random.default_rng(seed).integers(1, 6, size=(60, 8)).astype(float)
+        for full in (rec.synthetic_ratings(60, 8, seed=seed), random):
+            for pct in (10, 30, 50, 70, 85):
+                sparse = rec.sparsify(full, pct, seed=[seed, pct])
+                filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+                values = _reference_impute_values(sparse, k, missing_as_zero)
+                missing = np.isnan(sparse)
+                assert np.array_equal(filled[~missing], sparse[~missing])
+                expect = np.clip(np.floor(values + 0.5), 1, 5)
+                # an exact half rounds by the last bits of the sum: either side is right
+                exact_half = np.abs(values - np.floor(values) - 0.5) < 1e-9
+                check = missing & ~exact_half
+                assert np.array_equal(filled[check], expect[check]), (seed, pct)
+
+
+def test_impute_exact_half_cell_rounds_by_fixed_numpy_sums():
+    # run_study(base_seed=11), sparsity 90, sub-seed 4: ten neighbours at
+    # similarity 1.0 and two at 0.976 average exactly 4.5 in exact arithmetic
+    sparse = rec.sparsify(rec.synthetic_ratings(500, 20, seed=11), 90, seed=[11, 90, 4])
+    value = _reference_impute_values(sparse)[390, 6]
+    assert math.isclose(value, 4.5, abs_tol=1e-9)
+    assert rec.impute(sparse)[390, 6] == 4
+
+
 def test_evaluate_confusion():
     truth = np.array([[1.0, 2.0], [3.0, 4.0]])
     imputed = np.array([[1.0, 3.0], [3.0, 4.0]])
@@ -122,6 +210,26 @@ def test_evaluate_confusion():
     assert per_class[0] == 1.0
     assert per_class[1] == 0.0
     assert np.isnan(per_class[3])
+
+
+def test_evaluate_rejects_ratings_outside_one_to_five():
+    mask = np.ones((1, 2), dtype=bool)
+    with pytest.raises(ValueError):
+        rec.evaluate([[0.0, 3.0]], [[5.0, 3.0]], mask)   # must not wrap to class 5
+    with pytest.raises(ValueError):
+        rec.evaluate([[1.0, 3.0]], [[6.0, 3.0]], mask)
+    with pytest.raises(ValueError):
+        rec.evaluate([[1.0, 3.0]], [[np.nan, 3.0]], mask)
+    with pytest.raises(ValueError):
+        rec.evaluate([[2.5, 3.0]], [[2.0, 3.0]], mask)
+    conf, _ = rec.evaluate([[0.0, 3.0]], [[5.0, 3.0]], np.array([[False, True]]))
+    assert conf.sum() == conf[2, 2] == 1   # unmasked cells are not checked
+
+
+@pytest.mark.parametrize("matrix", [[], [[]], [1.0, 2.0], [[[1.0]]]])
+def test_check_matrix_rejects_non_2d_or_empty(matrix):
+    with pytest.raises(ValueError, match="2-D and non-empty"):
+        rec.check_matrix(matrix)
 
 
 def test_synthetic_ratings_properties():
