@@ -120,8 +120,8 @@ def cmd_simulate(args):
 def cmd_gen_dataset(args):
     trace_obj = _load_trace(args)
     config = telemetry.DatasetConfig(source=args.source, ts=args.ts)
-    rows = telemetry.generate_labeled_dataset(trace_obj, config, args.rows, args.seed)
-    Path(args.out).write_text(telemetry.dataset_to_json(rows, config.ts,
+    dataset = telemetry.generate_labeled_dataset(trace_obj, config, args.rows, args.seed)
+    Path(args.out).write_text(telemetry.dataset_to_json(dataset, config.ts,
                                                         len(trace_obj.frequencies)))
     return (args.out, _digest(args.source, args.ts, args.rows, args.seed), [args.seed],
             [args.out])
@@ -129,10 +129,10 @@ def cmd_gen_dataset(args):
 
 def cmd_train(args):
     text = Path(args.dataset).read_text()
-    rows, meta = telemetry.dataset_from_json(text)
+    dataset, meta = telemetry.dataset_from_json(text)
     input_dim = telemetry.TelemetryWindow.feature_dim(meta["ts"], meta["F"])
     model = predictor.init_model(input_dim, meta["F"], seed=args.seed, l1_lambda=args.l1)
-    report = predictor.train(model, rows, epochs=args.epochs, batch_size=args.batch,
+    report = predictor.train(model, dataset, epochs=args.epochs, batch_size=args.batch,
                              lr=args.lr, seed=args.seed)
     Path(args.out).write_bytes(predictor.export_flat(model))
     curves_path = str(args.out) + ".train.json"
@@ -195,9 +195,7 @@ def cmd_recommend_study(args):
 def cmd_figdata(args):
     if args.figure != "model-sizes" and not args.infile:
         raise ValueError(f"--figure {args.figure} needs --in")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    tables = []   # (file name, header, rows): all read and checked before --out-dir is made
     if args.figure == "model-sizes":
         rows = []
         for n_ch in range(2, 10):
@@ -205,28 +203,28 @@ def cmd_figdata(args):
             model = predictor.init_model(input_dim, n_ch, seed=args.seed)
             c_text = predictor.export_c_array(model, "hopping_model")
             rows.append([n_ch, len(predictor.export_flat(model)), len(c_text.encode())])
-        outputs.append(_write_csv(out_dir / "fig_model_sizes.csv",
-                                  ["channels", "flat_bytes", "c_array_bytes"], rows))
+        tables.append(("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows))
     elif args.figure == "strategy-comparison":
         with open(args.infile, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for metric in ("rssi", "snr", "pdr"):
-            outputs.append(_write_csv(
-                out_dir / f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
-                [[r["size"], r["random_hop"], r["predictor_hop"]]
-                 for r in rows if r["metric"] == metric]))
+            tables.append((f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
+                           [[r["size"], r["random_hop"], r["predictor_hop"]]
+                            for r in rows if r["metric"] == metric]))
     else:  # confusion
         report = json.loads(Path(args.infile).read_text())
         for entry in report["sparsities"]:
             pct = entry["sparsity_pct"]
             if isinstance(pct, bool) or not isinstance(pct, int) or not 0 <= pct <= 99:
                 raise ValueError(f"sparsity_pct must be an integer in 0..99, got {pct!r}")
-            outputs.append(_write_csv(
-                out_dir / f"fig_confusion_sparsity{pct}.csv",
-                ["true\\pred"] + [str(v) for v in range(1, 6)],
-                [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
-        outputs.append(_write_csv(out_dir / "fig_rating_distribution.csv", ["rating", "count"],
-                                  enumerate(report["distribution"], start=1)))
+            tables.append((f"fig_confusion_sparsity{pct}.csv",
+                           ["true\\pred"] + [str(v) for v in range(1, 6)],
+                           [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
+        tables.append(("fig_rating_distribution.csv", ["rating", "count"],
+                       list(enumerate(report["distribution"], start=1))))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [_write_csv(out_dir / name, header, rows) for name, header, rows in tables]
     return (out_dir / f"figdata_{args.figure}",
             _digest(args.figure, args.infile, args.ts, args.seed), [args.seed], outputs)
 

@@ -111,8 +111,8 @@ def forward(model, features):
     return probs[0] if squeeze else probs
 
 
-def loss_and_grads(model, x, labels, params=None):
-    """Mean cross-entropy plus L1 penalty; analytic gradients via backprop."""
+def loss_and_grads(model, x, labels, params=None, grads=True):
+    """Mean cross-entropy plus L1 penalty; backprop gradients, or None if not `grads`."""
     if params is None:
         params = [p.astype(np.float64) for p in model.params()]
     w1, b1, w2, b2, w3, b3 = params
@@ -128,6 +128,8 @@ def loss_and_grads(model, x, labels, params=None):
     lam = model.l1_lambda
     ce = -np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)).mean()
     loss = ce + lam * sum(np.abs(w).sum() for w in (w1, w2, w3))
+    if not grads:
+        return loss, None
 
     d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0
@@ -154,19 +156,18 @@ def _split_indices(n, rng):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def train(model, rows, epochs=200, batch_size=32, lr=1e-3,
+def train(model, dataset, epochs=200, batch_size=32, lr=1e-3,
           beta1=0.9, beta2=0.999, eps=1e-8, seed=0):
-    """Adam on the training split; deterministic given the seed."""
-    if not rows:
+    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
+    if not len(dataset):
         raise ValueError("empty dataset")
-    x = np.asarray([r.features for r in rows], dtype=np.float64)
-    y = np.asarray([r.label for r in rows], dtype=np.int64)
+    x, y = dataset.features, dataset.labels
     if not np.isfinite(x).all():
         raise ValueError("non-finite input features")
     if y.max() >= model.num_channels:
         raise ValueError("label exceeds model output width")
     rng = np.random.default_rng(seed)
-    tr, va, te = _split_indices(len(rows), rng)
+    tr, va, te = _split_indices(len(dataset), rng)
 
     # `params` are views into one float64 vector; Adam is element-wise, so it updates the vector
     shapes = _param_shapes(model.input_dim, model.num_channels)
@@ -199,7 +200,8 @@ def train(model, rows, epochs=200, batch_size=32, lr=1e-3,
                 raise FloatingPointError(
                     "parameters left the float32 range; lower the learning rate")
         train_losses.append(epoch_loss / len(order))
-        vl, _ = loss_and_grads(model, x[va], y[va], params) if len(va) else (float("nan"), None)
+        vl, _ = (loss_and_grads(model, x[va], y[va], params, grads=False) if len(va)
+                 else (float("nan"), None))
         val_losses.append(float(vl))
         if len(va):
             # accuracy of the float32 model that would be exported after this epoch

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorahop import cli, predictor, sim
+from lorahop import cli, predictor, sim, trace
 from lorahop.core import Scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
@@ -208,6 +208,18 @@ MALFORMED_INPUTS = {
     "study report with a path as sparsity": lambda d: [
         "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
         "--in", _write_json(d / "study.json", _study_doc("/../escaped"))],
+    "negative dataset seed": lambda d: [
+        "gen-dataset", "--rows", "5", "--seed", "-1", "--out", str(d / "ds.json")],
+    "dataset window of 0 slots": lambda d: [
+        "gen-dataset", "--rows", "5", "--ts", "0", "--out", str(d / "ds.json")],
+    "dataset feature too large for a float": lambda d: [
+        "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
+            "metadata": {"ts": 1, "F": 2, "normalization": "v1"},
+            "rows": [{"features": [10**400, 0, 0, 0], "label": 0}]})],
+    "dataset label too large for int64": lambda d: [
+        "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
+            "metadata": {"ts": 0, "F": 10**30, "normalization": "v1"},
+            "rows": [{"features": [], "label": 10**25}]})],
     "window_slots 2.5": lambda d: [
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
@@ -218,6 +230,13 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+
+
+def test_rejected_figdata_input_leaves_no_output_directory(tmp_path):
+    figs = tmp_path / "figs"
+    assert run(["figdata", "--figure", "confusion", "--out-dir", str(figs),
+                "--in", _write_json(tmp_path / "study.json", _study_doc(None))]) == 2
+    assert not figs.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # divergence is caught before overflow
@@ -409,3 +428,25 @@ def test_fuzzed_matrix_csvs_keep_the_exit_code_contract(tmp_path, matrix, missin
     path.write_bytes(matrix)
     argv = ["recommend", "impute", "--in", str(path), "--k", "3", "--out", str(tmp_path / "f.csv")]
     assert run(argv + ["--missing-as-zero"] * missing_as_zero) in {0, 1, 2}
+
+
+FUZZ_TRACE_CSV = Path(trace.bundled_trace_path()).read_bytes()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace_csv=mutated_bytes(FUZZ_TRACE_CSV))
+def test_fuzzed_trace_csvs_keep_the_exit_code_contract(tmp_path, trace_csv):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(trace_csv)
+    sim_config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}},
+                  {"source": "C", "strategy": {"kind": "sensing_hop"}}],
+        "payload_schedule": [30, 250], "packets_per_size": 4})
+    codes = [
+        run(["gen-dataset", "--trace", str(path), "--rows", "20",
+             "--out", str(tmp_path / "ds.json")]),
+        run(["simulate", "--trace", str(path), "--config", sim_config,
+             "--out", str(tmp_path / "r.json")]),
+    ]
+    assert set(codes) <= {0, 1, 2}

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorahop import predictor, telemetry
-from lorahop.telemetry import DatasetRow
+from lorahop.telemetry import Dataset
 
 PARAM_NAMES = ["w1", "b1", "w2", "b2", "w3", "b3"]
+
+
+def dataset_of(pairs):
+    """A telemetry.Dataset from (features, label) pairs."""
+    features, labels = zip(*pairs)
+    return Dataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64))
 
 
 def numeric_grad_worst_error(model, x, y, eps=1e-3):
@@ -78,13 +84,13 @@ def test_l1_gradient_away_from_kinks():
 
 def test_training_learns_separable_data():
     rng = np.random.default_rng(0)
-    rows = []
+    pairs = []
     for _ in range(600):
         label = int(rng.integers(0, 3))
         center = np.zeros(6)
         center[label] = 2.0
-        rows.append(DatasetRow(features=tuple(center + rng.normal(0, 0.3, 6)),
-                               label=label))
+        pairs.append((center + rng.normal(0, 0.3, 6), label))
+    rows = dataset_of(pairs)
     m = predictor.init_model(6, 3, seed=1)
     report = predictor.train(m, rows, epochs=60, seed=1)
     assert report.test_accuracy > 0.9
@@ -94,8 +100,7 @@ def test_training_learns_separable_data():
 
 def test_training_deterministic():
     rng = np.random.default_rng(5)
-    rows = [DatasetRow(features=tuple(rng.normal(size=4)), label=int(rng.integers(0, 2)))
-            for _ in range(100)]
+    rows = dataset_of((rng.normal(size=4), int(rng.integers(0, 2))) for _ in range(100))
     m1 = predictor.init_model(4, 2, seed=7)
     r1 = predictor.train(m1, rows, epochs=5, seed=7)
     m2 = predictor.init_model(4, 2, seed=7)
@@ -106,7 +111,7 @@ def test_training_deterministic():
 
 def test_zero_epochs_leaves_model_unchanged():
     rng = np.random.default_rng(5)
-    rows = [DatasetRow(features=tuple(rng.normal(size=4)), label=0) for _ in range(50)]
+    rows = dataset_of((rng.normal(size=4), 0) for _ in range(50))
     m = predictor.init_model(4, 2, seed=3)
     before = [p.copy() for p in m.params()]
     predictor.train(m, rows, epochs=0, seed=0)
@@ -166,8 +171,9 @@ def test_flat_size_grows_per_channel():
 
 
 def test_train_rejects_non_finite_features():
-    rows = [DatasetRow(features=(0.1 * k, 0.5, 1.0), label=k % 2) for k in range(20)]
-    rows[7] = DatasetRow(features=(np.nan, 0.5, 1.0), label=1)
+    pairs = [((0.1 * k, 0.5, 1.0), k % 2) for k in range(20)]
+    pairs[7] = ((np.nan, 0.5, 1.0), 1)
+    rows = dataset_of(pairs)
     with pytest.raises(ValueError, match="non-finite"):
         predictor.train(predictor.init_model(3, 2, seed=0), rows, epochs=2)
 
@@ -176,8 +182,7 @@ def reference_train(model, rows, epochs, batch_size, lr, seed,
                     beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam kept per tensor, one update per tensor and step, and validation accuracy
     on the float32 cast of the parameters: the loop that `train` must match bit for bit."""
-    x = np.asarray([r.features for r in rows], dtype=np.float64)
-    y = np.asarray([r.label for r in rows], dtype=np.int64)
+    x, y = rows.features, rows.labels
     rng = np.random.default_rng(seed)
     tr, va, _ = predictor._split_indices(len(rows), rng)
     params = [p.astype(np.float64) for p in model.params()]
@@ -208,16 +213,15 @@ def reference_train(model, rows, epochs, batch_size, lr, seed,
 
 def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(8)
-    rows = [DatasetRow(features=tuple(rng.normal(size=6)), label=int(rng.integers(0, 3)))
-            for _ in range(90)]
+    rows = dataset_of((rng.normal(size=6), int(rng.integers(0, 3))) for _ in range(90))
     # the float64 parameters of every step and validation, which the float32 export and
     # the rounded losses could hide a last-bit difference in
     seen = []
     real_loss_and_grads = predictor.loss_and_grads
 
-    def spy(model, x, labels, params):
+    def spy(model, x, labels, params, **kwargs):
         seen.append(np.concatenate([p.ravel() for p in params]))
-        return real_loss_and_grads(model, x, labels, params)
+        return real_loss_and_grads(model, x, labels, params, **kwargs)
 
     monkeypatch.setattr(predictor, "loss_and_grads", spy)
     params, train_losses, val_losses, val_accs = reference_train(
@@ -239,8 +243,7 @@ def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_fails_before_overflow_and_leaves_the_model_unchanged():
     rng = np.random.default_rng(5)
-    rows = [DatasetRow(features=tuple(rng.normal(size=4)), label=int(rng.integers(0, 2)))
-            for _ in range(50)]
+    rows = dataset_of((rng.normal(size=4), int(rng.integers(0, 2))) for _ in range(50))
     model = predictor.init_model(4, 2, seed=3)
     arrays = model.params()
     before = [p.copy() for p in arrays]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -71,16 +72,16 @@ def test_dataset_deterministic(bundled_trace):
 def test_dataset_labels_in_range(bundled_trace):
     rows = telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(), 200, seed=0)
     nf = len(bundled_trace.frequencies)
-    for r in rows:
-        assert 0 <= r.label < nf
-        assert len(r.features) == TelemetryWindow.feature_dim(8, nf)
+    for features, label in zip(rows.features, rows.labels):
+        assert 0 <= label < nf
+        assert len(features) == TelemetryWindow.feature_dim(8, nf)
 
 
 def test_dataset_labels_favor_strong_channel(bundled_trace):
     # for node A, 869 MHz dominates on RSSI whenever it delivers (which is always)
     rows = telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(source="A"),
                                               500, seed=1)
-    labels = np.array([r.label for r in rows])
+    labels = rows.labels
     idx_869 = bundled_trace.frequencies.index(869.0)
     assert (labels == idx_869).mean() > 0.9
 
@@ -101,3 +102,86 @@ def test_dataset_json_validation():
     doc["rows"] = [{"features": [0.0, 0.0, 0.0], "label": 5}]
     with pytest.raises(ValueError):
         telemetry.dataset_from_json(json.dumps(doc))
+
+
+def _reference_dataset(trace_obj, config, n_rows, seed):
+    """The per-row loop that `generate_labeled_dataset` replaced: one `default_rng` per
+    (row, channel) and one live window.  Returns the (features, labels) arrays."""
+    freqs = trace_obj.frequencies
+    window = TelemetryWindow(ts=config.ts, num_freqs=len(freqs))
+    features, labels = [], []
+    for r in range(n_rows):
+        size = trace.DEFAULT_PAYLOAD_SCHEDULE[
+            (r // trace.DEFAULT_BLOCK_LEN) % len(trace.DEFAULT_PAYLOAD_SCHEDULE)]
+        features.append(window.snapshot())
+        realized_rssi = np.empty(len(freqs))
+        realized_snr = np.empty(len(freqs))
+        for f_idx, freq in enumerate(freqs):
+            entry = trace_obj.lookup(config.source, freq, size)
+            rng = np.random.default_rng([seed, r, f_idx])
+            delivered = rng.random() < entry.pdr
+            realized_rssi[f_idx], realized_snr[f_idx] = (
+                entry.jittered(rng) if delivered else (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB))
+        label = int(np.argmax(realized_rssi))
+        labels.append(label)
+        avail = np.zeros(len(freqs))
+        avail[label] = 1.0
+        window.record(avail, realized_rssi[label], realized_snr[label])
+    return np.array(features), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**33 + 5])
+@pytest.mark.parametrize("ts", [1, 3, 8])
+@pytest.mark.parametrize("source", ["A", "B", "C"])
+def test_dataset_matches_the_per_row_reference(bundled_trace, source, ts, seed):
+    cfg = DatasetConfig(source=source, ts=ts)
+    # a row never depends on later rows, so shorter datasets are prefixes of the reference
+    want_features, want_labels = _reference_dataset(bundled_trace, cfg, 300, seed)
+    for n_rows in (1, 51, 300):
+        got = telemetry.generate_labeled_dataset(bundled_trace, cfg, n_rows, seed)
+        assert len(got) == n_rows
+        assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
+        assert got.features.tobytes() == want_features[:n_rows].tobytes()
+        assert np.array_equal(got.labels, want_labels[:n_rows])
+
+
+# 0 and 7 take one entropy word (the pool is padded), 2**32 and 2**33 + 5 two (the pool
+# is exactly full), 2**64 + 3 and 2**128 + 1 more than the pool holds (the extra mixing)
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**33 + 5, 2**64 + 3, 2**128 + 1])
+def test_batched_seeding_matches_default_rng(seed):
+    n_rows, num_freqs = 5000, 3
+    states = telemetry._seed_states(seed, n_rows, num_freqs)
+    assert states.shape == (n_rows, num_freqs, 4) and states.dtype == np.uint64
+    sample = np.random.default_rng(seed % 1000)
+    triples = [(0, 0), (0, num_freqs - 1), (n_rows - 1, 0), (n_rows - 1, num_freqs - 1)]
+    triples += [(int(sample.integers(n_rows)), int(sample.integers(num_freqs)))
+                for _ in range(40)]
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    for r, f in triples:
+        seq = np.random.SeedSequence([seed, r, f])
+        assert np.array_equal(states[r, f], seq.generate_state(4, np.uint64)), (r, f)
+        bitgen.state = telemetry._pcg64_state(states[r, f].tolist())
+        want = np.random.default_rng([seed, r, f])
+        assert bitgen.state == want.bit_generator.state, (r, f)
+        assert ([rng.random(), rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)]
+                == [want.random(), want.normal(0.0, 1.0), want.normal(0.0, 1.0)]), (r, f)
+
+
+def test_dataset_rejects_negative_seed_and_empty_window(bundled_trace):
+    with pytest.raises(ValueError):
+        telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(), 5, seed=-1)
+    with pytest.raises(ValueError):
+        telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(ts=0), 5, seed=0)
+
+
+def test_dataset_ties_go_to_the_lowest_channel(bundled_trace):
+    # at PDR 0.2 every channel is often lost, and all three then tie at the RSSI floor
+    lossy = trace.ChannelTrace({key: dataclasses.replace(entry, pdr=0.2)
+                                for key, entry in bundled_trace.entries.items()})
+    cfg = DatasetConfig(source="B", ts=2)
+    got = telemetry.generate_labeled_dataset(lossy, cfg, 200, seed=5)
+    want_features, want_labels = _reference_dataset(lossy, cfg, 200, seed=5)
+    assert got.features.tobytes() == want_features.tobytes()
+    assert np.array_equal(got.labels, want_labels)
+    assert (want_labels == 0).sum() > (want_labels == 2).sum()
