@@ -119,19 +119,18 @@ def cmd_simulate(args):
 
 def cmd_gen_dataset(args):
     trace_obj = _load_trace(args)
-    config = telemetry.DatasetConfig(source=args.source, ts=args.ts)
-    dataset = telemetry.generate_labeled_dataset(trace_obj, config, args.rows, args.seed)
-    Path(args.out).write_text(telemetry.dataset_to_json(dataset, config.ts,
-                                                        len(trace_obj.frequencies)))
+    dataset = telemetry.generate_labeled_dataset(trace_obj, args.source, args.rows, args.seed,
+                                                 ts=args.ts)
+    Path(args.out).write_text(telemetry.dataset_to_json(dataset))
     return (args.out, _digest(args.source, args.ts, args.rows, args.seed), [args.seed],
             [args.out])
 
 
 def cmd_train(args):
     text = Path(args.dataset).read_text()
-    dataset, meta = telemetry.dataset_from_json(text)
-    input_dim = telemetry.TelemetryWindow.feature_dim(meta["ts"], meta["F"])
-    model = predictor.init_model(input_dim, meta["F"], seed=args.seed, l1_lambda=args.l1)
+    dataset = telemetry.dataset_from_json(text)
+    model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=args.seed,
+                                 l1_lambda=args.l1)
     report = predictor.train(model, dataset, epochs=args.epochs, batch_size=args.batch,
                              lr=args.lr, seed=args.seed)
     Path(args.out).write_bytes(predictor.export_flat(model))

@@ -132,20 +132,6 @@ class Schedule:
     z: np.ndarray
     delta: np.ndarray
 
-    @classmethod
-    def empty(cls, scenario):
-        n, g, f, t = (scenario.num_nodes, scenario.num_gateways,
-                      scenario.num_freqs, scenario.horizon)
-        return cls(
-            x=np.zeros((n, g, f, t), dtype=bool),
-            s=np.zeros((n, g, f, t), dtype=np.int64),
-            z=np.zeros((n, max(t - 1, 0)), dtype=bool),
-            delta=np.zeros((g, f, t), dtype=bool),
-        )
-
-    def copy(self):
-        return Schedule(self.x.copy(), self.s.copy(), self.z.copy(), self.delta.copy())
-
 
 def _check_shapes(scenario, schedule):
     n, g, f, t = (scenario.num_nodes, scenario.num_gateways,
@@ -199,10 +185,15 @@ def hop_count(scenario, schedule):
     return int(schedule.z.sum())
 
 
+def check_weights(alpha, beta):
+    """The objective weights must be finite and nonnegative; NaN is neither."""
+    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
+        raise ValueError(f"objective weights must be finite and nonnegative: {alpha}, {beta}")
+
+
 def objective(scenario, schedule, alpha, beta):
     """Weighted sum alpha * collisions + beta * hops."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("objective weights must be nonnegative")
+    check_weights(alpha, beta)
     return alpha * collision_count(scenario, schedule) + beta * hop_count(scenario, schedule)
 
 

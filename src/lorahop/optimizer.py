@@ -23,6 +23,8 @@ import numpy as np
 
 from . import core
 
+_ORACLE_CHUNK = 200_000   # choice vectors the oracle scores per numpy pass
+
 
 class Infeasible(Exception):
     def __init__(self, family, detail=""):
@@ -182,8 +184,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     schedule the oracle returns.  The search runs on an explicit stack, so
     its depth is not limited by the interpreter's recursion limit.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("weights must be nonnegative")
+    core.check_weights(alpha, beta)
     n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
     horizon = scenario.horizon
     n_ch = n_gw * f_n
@@ -385,7 +386,7 @@ def _symbols_by_enumeration(scenario, choices):
     return s
 
 
-def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000, chunk=200_000):
+def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000):
     """Exhaustive enumeration of all channel assignments; exact optimum.
 
     Choice vectors are enumerated in lexicographic order and stably sorted by
@@ -393,8 +394,7 @@ def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000, chunk=200_00
     lexicographic order, the same schedule `solve_exact` returns.
     Intended for tests only: refuses instances whose state count exceeds `cap`.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("weights must be nonnegative")
+    core.check_weights(alpha, beta)
     n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
     horizon = scenario.horizon
     n_ch = n_gw * f_n
@@ -410,8 +410,8 @@ def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000, chunk=200_00
     feasible_idx = []
     feasible_obj = []
 
-    for start in range(0, states, chunk):
-        idx = np.arange(start, min(start + chunk, states), dtype=np.int64)
+    for start in range(0, states, _ORACLE_CHUNK):
+        idx = np.arange(start, min(start + _ORACLE_CHUNK, states), dtype=np.int64)
         ch = _decode_choices(idx, positions, base).reshape(len(idx), horizon, n_nodes)
         ok = np.ones(len(idx), dtype=bool)
         collisions = np.zeros(len(idx), dtype=np.int64)

@@ -12,8 +12,7 @@ from pathlib import Path
 from . import predictor, sim, telemetry
 
 
-def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000,
-                 epochs=60, ts=telemetry.DEFAULT_WINDOW_SLOTS):
+def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs=60):
     """Dataset -> training -> flat export -> predictor-vs-random simulation."""
     for src in sources:
         if src not in trace_obj.sources:
@@ -23,12 +22,10 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000,
     outputs = []
     models = {}
     for src in sources:
-        cfg = telemetry.DatasetConfig(source=src, ts=ts)
-        dataset = telemetry.generate_labeled_dataset(trace_obj, cfg, rows, seed)
+        dataset = telemetry.generate_labeled_dataset(trace_obj, src, rows, seed)
         ds_path = out_dir / f"dataset_{src}.json"
-        ds_path.write_text(telemetry.dataset_to_json(dataset, ts, len(trace_obj.frequencies)))
-        model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(
-            ts, len(trace_obj.frequencies)), len(trace_obj.frequencies), seed=seed)
+        ds_path.write_text(telemetry.dataset_to_json(dataset))
+        model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=seed)
         predictor.train(model, dataset, epochs=epochs, seed=seed)
         model_path = out_dir / f"model_{src}.fhop"
         model_path.write_bytes(predictor.export_flat(model))
@@ -40,7 +37,7 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000,
         for src in sources:
             config = sim.SimConfig(nodes=(sim.NodeSpec(source=src,
                                                        strategy=strategy_for(src)),),
-                                   rng_seed=seed, window_slots=ts)
+                                   rng_seed=seed)
             reports.append(sim.run(config, trace_obj))
         return sim.SimReport(rows=[r for rep in reports for r in rep.rows],
                              events=[e for rep in reports for e in rep.events])

@@ -19,6 +19,7 @@ HIDDEN_WIDTH = 10
 FLAT_MAGIC = b"FHOP"
 FLAT_VERSION = 1
 _FLAT_HEADER = struct.Struct("<4sBII")
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ModelFormatError(ValueError):
@@ -156,9 +157,12 @@ def _split_indices(n, rng):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def train(model, dataset, epochs=200, batch_size=32, lr=1e-3,
-          beta1=0.9, beta2=0.999, eps=1e-8, seed=0):
+def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
+    if batch_size < 1 or epochs < 0:
+        raise ValueError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
     if not len(dataset):
         raise ValueError("empty dataset")
     x, y = dataset.features, dataset.labels
@@ -190,11 +194,11 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3,
             epoch_loss += loss * len(batch)
             step += 1
             grad = np.concatenate([g.ravel() for g in grads])
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1 ** step)
-            v_hat = v / (1 - beta2 ** step)
-            flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
+            v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - _ADAM_BETA1 ** step)
+            v_hat = v / (1 - _ADAM_BETA2 ** step)
+            flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
             # the export is float32: stop before a parameter would be written as inf
             if not np.abs(flat).max() <= np.finfo(np.float32).max:
                 raise FloatingPointError(

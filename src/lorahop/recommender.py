@@ -13,6 +13,8 @@ import numpy as np
 
 MISSING = np.nan
 RATING_MIN, RATING_MAX = 1, 5
+_ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
+_NOISE_PROB = 0.08    # share of synthetic cells moved by +/-1
 
 
 def present_mask(matrix):
@@ -30,10 +32,6 @@ def check_matrix(matrix):
         raise ValueError(f"ratings matrix must be 2-D and non-empty, got shape {m.shape}")
     _check_ratings(m[present_mask(m)], "present ratings")
     return m
-
-
-def sparsity(matrix):
-    return float(np.isnan(matrix).mean())
 
 
 def cosine(x, y, missing_as_zero=False):
@@ -171,7 +169,7 @@ def rating_distribution(matrix):
     return np.bincount(vals, minlength=6)[1:6]
 
 
-def synthetic_ratings(num_soils=500, num_plants=20, seed=0, archetypes=5, noise_prob=0.08):
+def synthetic_ratings(num_soils=500, num_plants=20, seed=0):
     """Low-rank synthetic soils-by-plants ratings matrix.
 
     Soils belong to archetypes sharing a plant rating profile; a small fraction
@@ -179,13 +177,13 @@ def synthetic_ratings(num_soils=500, num_plants=20, seed=0, archetypes=5, noise_
     appears in the profiles.
     """
     rng = np.random.default_rng(seed)
-    profiles = rng.integers(RATING_MIN, RATING_MAX + 1, size=(archetypes, num_plants))
+    profiles = rng.integers(RATING_MIN, RATING_MAX + 1, size=(_ARCHETYPES, num_plants))
     for v in range(RATING_MIN, RATING_MAX + 1):
         if v not in profiles:
-            profiles[rng.integers(archetypes), rng.integers(num_plants)] = v
-    clusters = rng.integers(0, archetypes, size=num_soils)
+            profiles[rng.integers(_ARCHETYPES), rng.integers(num_plants)] = v
+    clusters = rng.integers(0, _ARCHETYPES, size=num_soils)
     ratings = profiles[clusters].astype(np.float64)
-    flips = rng.random(ratings.shape) < noise_prob
+    flips = rng.random(ratings.shape) < _NOISE_PROB
     ratings[flips] += rng.choice([-1.0, 1.0], size=int(flips.sum()))
     return np.clip(ratings, RATING_MIN, RATING_MAX)
 

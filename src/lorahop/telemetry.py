@@ -4,7 +4,8 @@ Windows feed the channel predictor; `generate_labeled_dataset` replays a
 single node against a trace once per candidate channel (shared per-row seed)
 and labels each row with the channel that realized the highest RSSI.  It
 draws every (row, channel) outcome first and then builds all windows as one
-array, returned as a `Dataset` of feature and label arrays.
+array, returned as a `Dataset` of feature and label arrays that also records
+its window length and channel count.
 """
 
 from __future__ import annotations
@@ -72,22 +73,21 @@ class TelemetryWindow:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labelled windows: (n, d) float64 features and (n,) int64 labels, one row each."""
+    """Labelled windows of `ts` slots over `num_freqs` channels: (n, ts * (num_freqs + 2))
+    float64 features and (n,) int64 labels, one row each."""
     features: np.ndarray
     labels: np.ndarray
+    ts: int
+    num_freqs: int
 
     def __len__(self):
         return len(self.labels)
 
     def __eq__(self, other):
-        return (isinstance(other, Dataset) and np.array_equal(self.features, other.features)
+        return (isinstance(other, Dataset)
+                and (self.ts, self.num_freqs) == (other.ts, other.num_freqs)
+                and np.array_equal(self.features, other.features)
                 and np.array_equal(self.labels, other.labels))
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    source: str = "A"
-    ts: int = DEFAULT_WINDOW_SLOTS
 
 
 # numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding multiplier
@@ -146,7 +146,7 @@ def _pcg64_state(words):
             "has_uint32": 0, "uinteger": 0}
 
 
-def generate_labeled_dataset(trace, config, n_rows, seed):
+def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOTS):
     """Counterfactual replay: per row, try every channel from the same state.
 
     Row r tries channel f with `np.random.default_rng([seed, r, f])`.  Realized
@@ -158,11 +158,11 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
     """
     if n_rows <= 0:
         raise ValueError("n_rows must be positive")
-    if config.ts < 1:
+    if ts < 1:
         raise ValueError("ts must be positive")
     freqs = trace.frequencies
-    if config.source not in trace.sources:
-        raise ValueError(f"trace has no source {config.source!r}")
+    if source not in trace.sources:
+        raise ValueError(f"trace has no source {source!r}")
     states = _seed_states(seed, n_rows, len(freqs))
     entries = {}   # payload size -> trace entry per frequency, for the sizes the rows reach
     rssi = np.full((n_rows, len(freqs)), RSSI_FLOOR_DBM)
@@ -172,7 +172,7 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
     for r in range(n_rows):
         size = DEFAULT_PAYLOAD_SCHEDULE[(r // DEFAULT_BLOCK_LEN) % len(DEFAULT_PAYLOAD_SCHEDULE)]
         if size not in entries:
-            entries[size] = [trace.lookup(config.source, freq, size) for freq in freqs]
+            entries[size] = [trace.lookup(source, freq, size) for freq in freqs]
         for f, (entry, words) in enumerate(zip(entries[size], states[r].tolist())):
             bitgen.state = _pcg64_state(words)
             if rng.random() < entry.pdr:
@@ -180,7 +180,7 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
     labels = np.argmax(rssi, axis=1)   # ties resolve to the lowest index
 
     # slot ts + r holds row r's outcome on its label; slots 0..ts-1 are the cold start
-    ts, rows = config.ts, np.arange(n_rows)
+    rows = np.arange(n_rows)
     history = np.zeros((n_rows + ts, len(freqs) + 2))
     history[:ts, -2:] = RSSI_FLOOR_DBM, SNR_FLOOR_DB
     history[ts + rows, labels] = 1.0   # the node's own transmission counts toward availability
@@ -191,12 +191,13 @@ def generate_labeled_dataset(trace, config, n_rows, seed):
     features = np.concatenate([windows[:, :-2].transpose(0, 2, 1).reshape(n_rows, -1),
                                windows[:, -2] / RSSI_NORM_DBM, windows[:, -1] / SNR_NORM_DB],
                               axis=1)
-    return Dataset(features=features, labels=labels.astype(np.int64))
+    return Dataset(features=features, labels=labels.astype(np.int64), ts=ts,
+                   num_freqs=len(freqs))
 
 
-def dataset_to_json(dataset, ts, num_freqs):
+def dataset_to_json(dataset):
     doc = {
-        "metadata": {"ts": ts, "F": num_freqs, "normalization": "v1"},
+        "metadata": {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": "v1"},
         "rows": [{"features": features, "label": label} for features, label
                  in zip(dataset.features.tolist(), dataset.labels.tolist())],
     }
@@ -218,4 +219,5 @@ def dataset_from_json(text):
         labels = np.array(labels, dtype=np.int64)
     except OverflowError as exc:   # an integer beyond float64 or int64
         raise ValueError(f"dataset value out of range: {exc}") from None
-    return Dataset(features=features.reshape(len(labels), expected), labels=labels), meta
+    return Dataset(features=features.reshape(len(labels), expected), labels=labels,
+                   ts=meta["ts"], num_freqs=meta["F"])

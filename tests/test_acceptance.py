@@ -108,10 +108,9 @@ def test_criterion_4_predictor_beats_random(bundled_trace, tmp_path):
 def test_criterion_5_prediction_accuracy(bundled_trace):
     accs = []
     for seed in (0, 1, 2):
-        cfg = telemetry.DatasetConfig(source="A")
-        rows = telemetry.generate_labeled_dataset(bundled_trace, cfg, 5000, seed)
+        rows = telemetry.generate_labeled_dataset(bundled_trace, "A", 5000, seed)
         model = predictor.init_model(
-            telemetry.TelemetryWindow.feature_dim(cfg.ts, 3), 3, seed=seed)
+            telemetry.TelemetryWindow.feature_dim(telemetry.DEFAULT_WINDOW_SLOTS, 3), 3, seed=seed)
         report = predictor.train(model, rows, seed=seed)
         assert report.train_loss[-1] < 0.5 * report.train_loss[0]
         accs.append(report.test_accuracy)

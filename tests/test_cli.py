@@ -170,6 +170,17 @@ def _scenario_doc():
     return json.loads((SCENARIO_DIR / "three_nodes_two_freqs.json").read_text())
 
 
+def _optimize(d, *flags):
+    return ["optimize", "--scenario", str(SCENARIO_DIR / "tiny_single_node.json"),
+            "--out", str(d / "o.json"), *flags]
+
+
+def _train(d, *flags):
+    return ["train", "--out", str(d / "m.fhop"), *flags, "--dataset", _write_json(d / "ds.json", {
+        "metadata": {"ts": 1, "F": 2, "normalization": "v1"},
+        "rows": [{"features": [0.0, 1.0, 0.5, 0.5], "label": k % 2} for k in range(10)]})]
+
+
 # Inputs that must be reported as input errors (exit 2), each given a scratch directory.
 MALFORMED_INPUTS = {
     "missing predictor model file": lambda d: [
@@ -224,6 +235,19 @@ MALFORMED_INPUTS = {
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
             "window_slots": 2.5})],
+    "alpha nan": lambda d: _optimize(d, "--alpha", "nan"),
+    "alpha inf": lambda d: _optimize(d, "--alpha", "inf"),
+    "beta inf": lambda d: _optimize(d, "--beta", "inf"),
+    "negative alpha": lambda d: _optimize(d, "--alpha", "-1"),
+    "batch of -1": lambda d: _train(d, "--batch", "-1"),
+    "batch of 0": lambda d: _train(d, "--batch", "0"),
+    "negative epochs": lambda d: _train(d, "--epochs", "-3"),
+    "negative learning rate": lambda d: _train(d, "--lr", "-1"),
+    "learning rate nan": lambda d: _train(d, "--lr", "nan"),
+    "learning rate inf": lambda d: _train(d, "--lr", "inf"),
+    "pipeline with negative epochs": lambda d: [
+        "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A", "--rows", "20",
+        "--epochs", "-1"],
 }
 
 
@@ -431,22 +455,48 @@ def test_fuzzed_matrix_csvs_keep_the_exit_code_contract(tmp_path, matrix, missin
 
 
 FUZZ_TRACE_CSV = Path(trace.bundled_trace_path()).read_bytes()
+# values that are empty, non-numeric, non-finite, out of range or of the wrong column
+FUZZ_TRACE_CELLS = ["", "x", "nan", "inf", "-1e308", "1e308", "1e-300", "0.5", "869.0",
+                    "0", "-0", "1", "-200", "250"]
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(trace_csv=mutated_bytes(FUZZ_TRACE_CSV))
-def test_fuzzed_trace_csvs_keep_the_exit_code_contract(tmp_path, trace_csv):
+@st.composite
+def mutated_trace_cells(draw):
+    """The bundled trace with its header kept and one to three cells replaced."""
+    header, *lines = FUZZ_TRACE_CSV.decode().splitlines()
+    rows = [line.split(",") for line in lines]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FUZZ_TRACE_CELLS))
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+def _trace_exit_codes(tmp_path, trace_csv):
+    """Exit codes of gen-dataset and a two-node simulate on one trace CSV."""
     path = tmp_path / "trace.csv"
     path.write_bytes(trace_csv)
     sim_config = _write_json(tmp_path / "sim.json", {
         "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}},
                   {"source": "C", "strategy": {"kind": "sensing_hop"}}],
         "payload_schedule": [30, 250], "packets_per_size": 4})
-    codes = [
+    return [
         run(["gen-dataset", "--trace", str(path), "--rows", "20",
              "--out", str(tmp_path / "ds.json")]),
         run(["simulate", "--trace", str(path), "--config", sim_config,
              "--out", str(tmp_path / "r.json")]),
     ]
-    assert set(codes) <= {0, 1, 2}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace_csv=mutated_bytes(FUZZ_TRACE_CSV))
+def test_fuzzed_trace_csvs_keep_the_exit_code_contract(tmp_path, trace_csv):
+    assert set(_trace_exit_codes(tmp_path, trace_csv)) <= {0, 1, 2}
+
+
+# byte mutations seldom get past `load_trace`; well-formed CSVs with bad cells often do
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trace_csv=mutated_trace_cells())
+def test_trace_csvs_with_bad_cells_keep_the_exit_code_contract(tmp_path, trace_csv):
+    assert set(_trace_exit_codes(tmp_path, trace_csv.encode())) <= {0, 1, 2}

@@ -9,9 +9,10 @@ PARAM_NAMES = ["w1", "b1", "w2", "b2", "w3", "b3"]
 
 
 def dataset_of(pairs):
-    """A telemetry.Dataset from (features, label) pairs."""
+    """A telemetry.Dataset from (features, label) pairs; `train` reads only the arrays."""
     features, labels = zip(*pairs)
-    return Dataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64))
+    return Dataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64),
+                   ts=1, num_freqs=max(labels) + 1)
 
 
 def numeric_grad_worst_error(model, x, y, eps=1e-3):

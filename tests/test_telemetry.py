@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorahop import telemetry, trace
-from lorahop.telemetry import TelemetryWindow, DatasetConfig
+from lorahop.telemetry import TelemetryWindow
 
 
 def test_window_cold_start_padding():
@@ -61,16 +61,15 @@ def test_snapshot_dim_invariant(ts, nf, n_records):
 
 
 def test_dataset_deterministic(bundled_trace):
-    cfg = DatasetConfig(source="A")
-    a = telemetry.generate_labeled_dataset(bundled_trace, cfg, 50, seed=3)
-    b = telemetry.generate_labeled_dataset(bundled_trace, cfg, 50, seed=3)
+    a = telemetry.generate_labeled_dataset(bundled_trace, "A", 50, seed=3)
+    b = telemetry.generate_labeled_dataset(bundled_trace, "A", 50, seed=3)
     assert a == b
-    c = telemetry.generate_labeled_dataset(bundled_trace, cfg, 50, seed=4)
+    c = telemetry.generate_labeled_dataset(bundled_trace, "A", 50, seed=4)
     assert a != c
 
 
 def test_dataset_labels_in_range(bundled_trace):
-    rows = telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(), 200, seed=0)
+    rows = telemetry.generate_labeled_dataset(bundled_trace, "A", 200, seed=0)
     nf = len(bundled_trace.frequencies)
     for features, label in zip(rows.features, rows.labels):
         assert 0 <= label < nf
@@ -79,19 +78,30 @@ def test_dataset_labels_in_range(bundled_trace):
 
 def test_dataset_labels_favor_strong_channel(bundled_trace):
     # for node A, 869 MHz dominates on RSSI whenever it delivers (which is always)
-    rows = telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(source="A"),
-                                              500, seed=1)
+    rows = telemetry.generate_labeled_dataset(bundled_trace, "A", 500, seed=1)
     labels = rows.labels
     idx_869 = bundled_trace.frequencies.index(869.0)
     assert (labels == idx_869).mean() > 0.9
 
 
 def test_dataset_json_roundtrip(bundled_trace):
-    rows = telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(), 20, seed=0)
-    text = telemetry.dataset_to_json(rows, 8, 3)
-    back, meta = telemetry.dataset_from_json(text)
+    rows = telemetry.generate_labeled_dataset(bundled_trace, "A", 20, seed=0)
+    text = telemetry.dataset_to_json(rows)
+    back = telemetry.dataset_from_json(text)
+    meta = json.loads(text)["metadata"]
     assert back == rows
     assert meta["ts"] == 8 and meta["F"] == 3 and meta["normalization"] == "v1"
+
+
+def test_dataset_records_its_window_shape(bundled_trace):
+    rows = telemetry.generate_labeled_dataset(bundled_trace, "C", 30, seed=2, ts=3)
+    assert (rows.ts, rows.num_freqs) == (3, 3)
+    text = telemetry.dataset_to_json(rows)
+    meta = json.loads(text)["metadata"]
+    assert meta["ts"] == 3 and meta["F"] == 3
+    back = telemetry.dataset_from_json(text)
+    assert back == rows and (back.ts, back.num_freqs) == (3, 3)
+    assert back != dataclasses.replace(rows, ts=1)
 
 
 def test_dataset_json_validation():
@@ -104,11 +114,11 @@ def test_dataset_json_validation():
         telemetry.dataset_from_json(json.dumps(doc))
 
 
-def _reference_dataset(trace_obj, config, n_rows, seed):
+def _reference_dataset(trace_obj, source, ts, n_rows, seed):
     """The per-row loop that `generate_labeled_dataset` replaced: one `default_rng` per
     (row, channel) and one live window.  Returns the (features, labels) arrays."""
     freqs = trace_obj.frequencies
-    window = TelemetryWindow(ts=config.ts, num_freqs=len(freqs))
+    window = TelemetryWindow(ts=ts, num_freqs=len(freqs))
     features, labels = [], []
     for r in range(n_rows):
         size = trace.DEFAULT_PAYLOAD_SCHEDULE[
@@ -117,7 +127,7 @@ def _reference_dataset(trace_obj, config, n_rows, seed):
         realized_rssi = np.empty(len(freqs))
         realized_snr = np.empty(len(freqs))
         for f_idx, freq in enumerate(freqs):
-            entry = trace_obj.lookup(config.source, freq, size)
+            entry = trace_obj.lookup(source, freq, size)
             rng = np.random.default_rng([seed, r, f_idx])
             delivered = rng.random() < entry.pdr
             realized_rssi[f_idx], realized_snr[f_idx] = (
@@ -134,11 +144,10 @@ def _reference_dataset(trace_obj, config, n_rows, seed):
 @pytest.mark.parametrize("ts", [1, 3, 8])
 @pytest.mark.parametrize("source", ["A", "B", "C"])
 def test_dataset_matches_the_per_row_reference(bundled_trace, source, ts, seed):
-    cfg = DatasetConfig(source=source, ts=ts)
     # a row never depends on later rows, so shorter datasets are prefixes of the reference
-    want_features, want_labels = _reference_dataset(bundled_trace, cfg, 300, seed)
+    want_features, want_labels = _reference_dataset(bundled_trace, source, ts, 300, seed)
     for n_rows in (1, 51, 300):
-        got = telemetry.generate_labeled_dataset(bundled_trace, cfg, n_rows, seed)
+        got = telemetry.generate_labeled_dataset(bundled_trace, source, n_rows, seed, ts=ts)
         assert len(got) == n_rows
         assert got.features.dtype == np.float64 and got.labels.dtype == np.int64
         assert got.features.tobytes() == want_features[:n_rows].tobytes()
@@ -170,18 +179,17 @@ def test_batched_seeding_matches_default_rng(seed):
 
 def test_dataset_rejects_negative_seed_and_empty_window(bundled_trace):
     with pytest.raises(ValueError):
-        telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(), 5, seed=-1)
+        telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=-1)
     with pytest.raises(ValueError):
-        telemetry.generate_labeled_dataset(bundled_trace, DatasetConfig(ts=0), 5, seed=0)
+        telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=0, ts=0)
 
 
 def test_dataset_ties_go_to_the_lowest_channel(bundled_trace):
     # at PDR 0.2 every channel is often lost, and all three then tie at the RSSI floor
     lossy = trace.ChannelTrace({key: dataclasses.replace(entry, pdr=0.2)
                                 for key, entry in bundled_trace.entries.items()})
-    cfg = DatasetConfig(source="B", ts=2)
-    got = telemetry.generate_labeled_dataset(lossy, cfg, 200, seed=5)
-    want_features, want_labels = _reference_dataset(lossy, cfg, 200, seed=5)
+    got = telemetry.generate_labeled_dataset(lossy, "B", 200, seed=5, ts=2)
+    want_features, want_labels = _reference_dataset(lossy, "B", 2, 200, seed=5)
     assert got.features.tobytes() == want_features.tobytes()
     assert np.array_equal(got.labels, want_labels)
     assert (want_labels == 0).sum() > (want_labels == 2).sum()
