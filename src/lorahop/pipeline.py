@@ -17,6 +17,7 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     for src in sources:
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
+    predictor.check_train_args(rows, epochs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

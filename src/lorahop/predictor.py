@@ -92,9 +92,11 @@ def init_model(input_dim, num_channels, seed=0, l1_lambda=1e-4):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place: pass a temporary."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def forward(model, features):
@@ -112,14 +114,15 @@ def forward(model, features):
     return probs[0] if squeeze else probs
 
 
-def loss_and_grads(model, x, labels, params=None, grads=True):
-    """Mean cross-entropy plus L1 penalty; backprop gradients, or None if not `grads`."""
+def loss_and_grads(model, x, labels, params=None, grads=True, out=None):
+    """Mean cross-entropy plus L1 penalty; gradients (into `out` if given) or None."""
     if params is None:
         params = [p.astype(np.float64) for p in model.params()]
     w1, b1, w2, b2, w3, b3 = params
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
     n = x.shape[0]
+    rows = np.arange(n)
 
     a1 = x @ w1 + b1
     h1 = np.maximum(a1, 0.0)
@@ -127,25 +130,28 @@ def loss_and_grads(model, x, labels, params=None, grads=True):
     h2 = np.maximum(a2, 0.0)
     probs = _softmax(h2 @ w3 + b3)
     lam = model.l1_lambda
-    ce = -np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)).mean()
+    ce = -np.log(np.maximum(probs[rows, labels], 1e-300)).sum() / n
     loss = ce + lam * sum(np.abs(w).sum() for w in (w1, w2, w3))
     if not grads:
         return loss, None
 
-    d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
+    if out is None:
+        out = [np.empty(p.shape) for p in params]
+    dw1, db1, dw2, db2, dw3, db3 = out
+    d_logits = probs
+    d_logits[rows, labels] -= 1.0
     d_logits /= n
-    dw3 = h2.T @ d_logits + lam * np.sign(w3)
-    db3 = d_logits.sum(axis=0)
+    np.add(np.matmul(h2.T, d_logits, out=dw3), lam * np.sign(w3), out=dw3)
+    d_logits.sum(axis=0, out=db3)
     dh2 = d_logits @ w3.T
     dh2[a2 <= 0] = 0.0
-    dw2 = h1.T @ dh2 + lam * np.sign(w2)
-    db2 = dh2.sum(axis=0)
+    np.add(np.matmul(h1.T, dh2, out=dw2), lam * np.sign(w2), out=dw2)
+    dh2.sum(axis=0, out=db2)
     dh1 = dh2 @ w2.T
     dh1[a1 <= 0] = 0.0
-    dw1 = x.T @ dh1 + lam * np.sign(w1)
-    db1 = dh1.sum(axis=0)
-    return loss, [dw1, db1, dw2, db2, dw3, db3]
+    np.add(np.matmul(x.T, dh1, out=dw1), lam * np.sign(w1), out=dw1)
+    dh1.sum(axis=0, out=db1)
+    return loss, out
 
 
 def _split_indices(n, rng):
@@ -157,14 +163,19 @@ def _split_indices(n, rng):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
-    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
+def check_train_args(rows, epochs, batch_size=32, lr=1e-3):
+    """Raise ValueError unless `train` accepts these; the defaults are `train`'s."""
+    if rows < 1:
+        raise ValueError("empty dataset")
     if batch_size < 1 or epochs < 0:
         raise ValueError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
-    if not len(dataset):
-        raise ValueError("empty dataset")
+
+
+def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
+    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
+    check_train_args(len(dataset), epochs, batch_size, lr)
     x, y = dataset.features, dataset.labels
     if not np.isfinite(x).all():
         raise ValueError("non-finite input features")
@@ -173,34 +184,38 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     rng = np.random.default_rng(seed)
     tr, va, te = _split_indices(len(dataset), rng)
 
-    # `params` are views into one float64 vector; Adam is element-wise, so it updates the vector
+    # `params`, `grads`: views into float64 vectors; Adam updates `flat` in place via `s`, `t`
     shapes = _param_shapes(model.input_dim, model.num_channels)
     flat = np.concatenate([p.astype(np.float64).ravel() for p in model.params()])
     params = _views(flat, shapes)
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
+    grad, m, v, s, t = (np.zeros_like(flat) for _ in range(5))
+    grads = _views(grad, shapes)
     step = 0
     train_losses, val_losses, val_accs = [], [], []
 
     for _ in range(epochs):
         order = tr[rng.permutation(len(tr))]
+        x_ep, y_ep = x[order], y[order]
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            loss, grads = loss_and_grads(model, x[batch], y[batch], params)
+            x_b, y_b = x_ep[start:start + batch_size], y_ep[start:start + batch_size]
+            loss, _ = loss_and_grads(model, x_b, y_b, params, out=grads)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     "loss diverged to NaN/inf; lower the learning rate")
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * len(y_b)
             step += 1
-            grad = np.concatenate([g.ravel() for g in grads])
-            m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
-            v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
-            m_hat = m / (1 - _ADAM_BETA1 ** step)
-            v_hat = v / (1 - _ADAM_BETA2 ** step)
-            flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; flat -= lr*m_hat/(sqrt(v_hat)+eps)
+            m *= _ADAM_BETA1
+            m += np.multiply(1 - _ADAM_BETA1, grad, out=s)
+            v *= _ADAM_BETA2
+            v += np.multiply(np.multiply(1 - _ADAM_BETA2, grad, out=s), grad, out=s)
+            np.multiply(lr, np.divide(m, 1 - _ADAM_BETA1 ** step, out=s), out=s)
+            np.sqrt(np.divide(v, 1 - _ADAM_BETA2 ** step, out=t), out=t)
+            t += _ADAM_EPS
+            flat -= np.divide(s, t, out=s)
             # the export is float32: stop before a parameter would be written as inf
-            if not np.abs(flat).max() <= np.finfo(np.float32).max:
+            if not np.abs(flat, out=t).max() <= np.finfo(np.float32).max:
                 raise FloatingPointError(
                     "parameters left the float32 range; lower the learning rate")
         train_losses.append(epoch_loss / len(order))

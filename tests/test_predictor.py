@@ -83,6 +83,54 @@ def test_l1_gradient_away_from_kinks():
             assert np.allclose((g - g0)[far], 1e-2 * np.sign(p)[far])
 
 
+def reference_loss_and_grads(model, x, labels, params):
+    """The backward pass with a new array for every intermediate and gradient: the
+    arithmetic `loss_and_grads` must match bit for bit."""
+    w1, b1, w2, b2, w3, b3 = params
+    n, lam = len(x), model.l1_lambda
+    a1 = x @ w1 + b1
+    h1 = np.maximum(a1, 0.0)
+    a2 = h1 @ w2 + b2
+    h2 = np.maximum(a2, 0.0)
+    logits = h2 @ w3 + b3
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    ce = -np.log(np.clip(probs[np.arange(n), labels], 1e-300, None)).mean()
+    loss = ce + lam * sum(np.abs(w).sum() for w in (w1, w2, w3))
+    d_logits = probs.copy()
+    d_logits[np.arange(n), labels] -= 1.0
+    d_logits /= n
+    dh2 = d_logits @ w3.T
+    dh2[a2 <= 0] = 0.0
+    dh1 = dh2 @ w2.T
+    dh1[a1 <= 0] = 0.0
+    return loss, [x.T @ dh1 + lam * np.sign(w1), dh1.sum(axis=0),
+                  h1.T @ dh2 + lam * np.sign(w2), dh2.sum(axis=0),
+                  h2.T @ d_logits + lam * np.sign(w3), d_logits.sum(axis=0)]
+
+
+@pytest.mark.parametrize("n", [1, 32, 1000])
+def test_loss_and_grads_paths_are_bit_equal(n):
+    rng = np.random.default_rng(n)
+    model = predictor.init_model(40, 3, seed=n)
+    x = rng.normal(size=(n, 40))
+    y = rng.integers(0, 3, size=n)
+    params = [p.astype(np.float64) for p in model.params()]
+    want_loss, want = reference_loss_and_grads(model, x, y, params)
+    loss, grads = predictor.loss_and_grads(model, x, y, params)
+    # `out` views of one NaN-filled vector: every element must be written
+    flat = np.full(sum(p.size for p in params), np.nan)
+    views = predictor._views(flat, [p.shape for p in params])
+    out_loss, out_grads = predictor.loss_and_grads(model, x, y, params, out=views)
+    assert len(out_grads) == 6 and all(g is view for g, view in zip(out_grads, views))
+    only_loss, no_grads = predictor.loss_and_grads(model, x, y, params, grads=False)
+    assert no_grads is None
+    assert loss == out_loss == only_loss == want_loss
+    for got in (grads, out_grads):
+        assert all(g.dtype == np.float64 and g.tobytes() == w.tobytes()
+                   for g, w in zip(got, want))
+
+
 def test_training_learns_separable_data():
     rng = np.random.default_rng(0)
     pairs = []
@@ -212,7 +260,9 @@ def reference_train(model, rows, epochs, batch_size, lr, seed,
     return params, train_losses, val_losses, val_accs
 
 
-def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
+def train_beside_reference(batch_size):
+    """Run `train` and `reference_train` on one seeded dataset, assert that they match
+    bit for bit, and return the parameters each passed to `loss_and_grads`."""
     rng = np.random.default_rng(8)
     rows = dataset_of((rng.normal(size=6), int(rng.integers(0, 3))) for _ in range(90))
     # the float64 parameters of every step and validation, which the float32 export and
@@ -224,14 +274,16 @@ def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
         seen.append(np.concatenate([p.ravel() for p in params]))
         return real_loss_and_grads(model, x, labels, params, **kwargs)
 
-    monkeypatch.setattr(predictor, "loss_and_grads", spy)
-    params, train_losses, val_losses, val_accs = reference_train(
-        predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3, batch_size=8,
-        lr=0.01, seed=2)
-    reference_seen, seen = seen, []
-    model = predictor.init_model(6, 3, seed=4, l1_lambda=1e-3)
-    report = predictor.train(model, rows, epochs=3, batch_size=8, lr=0.01, seed=2)
-    assert len(seen) == len(reference_seen) == 3 * (54 // 8 + 1 + 1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(predictor, "loss_and_grads", spy)
+        params, train_losses, val_losses, val_accs = reference_train(
+            predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3,
+            batch_size=batch_size, lr=0.01, seed=2)
+        reference_seen, seen = seen, []
+        model = predictor.init_model(6, 3, seed=4, l1_lambda=1e-3)
+        report = predictor.train(model, rows, epochs=3, batch_size=batch_size, lr=0.01,
+                                 seed=2)
+    assert len(seen) == len(reference_seen)
     assert all(np.array_equal(a, b) for a, b in zip(seen, reference_seen))
     assert report.train_loss == train_losses
     assert report.val_loss == val_losses
@@ -239,6 +291,18 @@ def test_train_matches_per_tensor_adam_bit_for_bit(monkeypatch):
     for got, want in zip(model.params(), params):
         assert got.dtype == np.float32
         assert np.array_equal(got, want.astype(np.float32))
+    return seen, reference_seen
+
+
+def test_train_matches_per_tensor_adam_bit_for_bit():
+    seen, reference_seen = train_beside_reference(batch_size=8)
+    assert len(seen) == len(reference_seen) == 3 * (54 // 8 + 1 + 1)
+    # the edges of slicing batches from the gathered epoch: one row per batch, and one
+    # batch larger than the 54-row training split
+    seen, reference_seen = train_beside_reference(batch_size=1)
+    assert len(seen) == len(reference_seen) == 3 * (54 + 1)
+    seen, reference_seen = train_beside_reference(batch_size=60)
+    assert len(seen) == len(reference_seen) == 3 * (1 + 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
