@@ -13,6 +13,17 @@ before channel 0, 1, ...).  The objective is alpha * collisions + beta * hops
 over integer counts, weighed the same way in both.  The solver prunes a
 partial schedule when its lower bound (committed collisions and hops plus
 hops that nodes are forced to make later) reaches the incumbent.
+
+The solver also skips schedules that are relabellings of one it visits
+(lex-leader symmetry breaking, Margot 2010).  Nodes with equal demand are
+interchangeable, and so are channels on one gateway with equal frequency
+capacity; both swaps keep feasibility and the objective.  Two rules follow:
+a node's column of choices over the slots is never lexicographically smaller
+than that of the nearest earlier node with its demand, and a channel is
+first used only after the nearest earlier interchangeable channel has been.
+Swapping a pair that breaks a rule gives a lexicographically smaller vector
+that is just as good, so the first optimal choice vector keeps both rules
+and the tie rule still picks the schedule the oracle returns.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import numpy as np
 from . import core
 
 _ORACLE_CHUNK = 200_000   # choice vectors the oracle scores per numpy pass
+SYMMETRY = "symmetry"     # key of the lex-leader skips in SolveResult.prunes
 
 
 class Infeasible(Exception):
@@ -48,6 +60,7 @@ class SolveResult:
     objective_value: float
     nodes_explored: int
     proven_optimal: bool
+    prunes: dict            # pruned expansions per constraint family, plus SYMMETRY skips
 
 
 def _node_slot_bounds(scenario):
@@ -181,8 +194,16 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     with k_hi < horizon (a node with no decided slot counts when both hold).
     Pruning on bound >= incumbent keeps the first optimal leaf found, so ties
     resolve to the first optimal choice vector in lexicographic order, the
-    schedule the oracle returns.  The search runs on an explicit stack, so
-    its depth is not limited by the interpreter's recursion limit.
+    schedule the oracle returns.
+
+    Symmetry skips keep that rule (see the module docstring).  At (t, i), when
+    node i's column equals its predecessor j's on slots 0..t-1 (a flag set on
+    entering the position), values below j's choice at t are skipped, and a
+    channel is skipped while its predecessor is unused (per-channel use counts
+    kept next to `occ`).  Skipped values are not expansions; they are counted
+    under SYMMETRY in `prunes` and never name the family `Infeasible` reports.
+    The search runs on an explicit stack, so its depth is not limited by the
+    interpreter's recursion limit.
     """
     core.check_weights(alpha, beta)
     n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
@@ -200,10 +221,18 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
     # per node, whether staying idle / on one channel for the whole horizon is infeasible
     must_leave = [(k_lo >= 1, k_hi < horizon) for k_lo, k_hi in slot_bounds]
+    # nearest earlier interchangeable node / channel (-1: none); a node's slot
+    # bounds follow from its demand, a channel's users from its frequency capacity
+    node_pred = [max((j for j in range(i) if scenario.demand[j] == scenario.demand[i]),
+                     default=-1) for i in range(n_nodes)]
+    ch_pred = [max((d for d in range(c) if gw_of[d] == gw_of[c]
+                    and scenario.freq_capacity[d % f_n] == scenario.freq_capacity[c % f_n]),
+                   default=-1) for c in range(n_ch)]
 
     choices = [-1] * positions
     occ = [[0] * n_ch for _ in range(horizon)]          # users per channel-slot
     gw_load = [[0] * n_gw for _ in range(horizon)]
+    uses = [0] * n_ch                                   # positions per channel so far
     active_cnt = [0] * n_nodes
     node_hops = [0] * n_nodes
     # committed collisions, hops and forced future hops of the prefix [0, pos)
@@ -212,6 +241,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     forced = [0] * positions
     forced[0] = sum(1 for idle, busy in must_leave if idle and busy)
     next_choice = [-1] * positions
+    # col_eq[pos]: node i's column equals its predecessor's on slots 0..t-1
+    col_eq = [True] * positions
     prune_counts = {}
     explored = 0
     aborted = False
@@ -225,11 +256,16 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
         c = next_choice[pos]
         if c < n_ch:
             next_choice[pos] = c + 1
+            t, i = divmod(pos, n_nodes)
+            j = node_pred[i]
+            if (j >= 0 and col_eq[pos] and c < choices[pos - i + j]) \
+                    or (c >= 0 and ch_pred[c] >= 0 and uses[ch_pred[c]] == 0):
+                note_prune(SYMMETRY)
+                continue
             if explored >= budget:
                 aborted = True
                 break
             explored += 1
-            t, i = divmod(pos, n_nodes)
             k_lo, k_hi = slot_bounds[i]
             if c == -1:
                 # staying idle must leave enough future slots to reach k_lo
@@ -267,6 +303,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
 
             choices[pos] = c
             if c >= 0:
+                uses[c] += 1
                 occ[t][c] += 1
                 gw_load[t][gw_of[c]] += 1
                 active_cnt[i] += 1
@@ -284,6 +321,11 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
                 pos += 1
                 coll[pos], hops[pos], forced[pos] = new_coll, new_hops, new_forced
                 next_choice[pos] = -1
+                if pos >= n_nodes:
+                    i = pos % n_nodes
+                    j = node_pred[i]
+                    col_eq[pos] = j >= 0 and col_eq[pos - n_nodes] \
+                        and choices[pos - n_nodes] == choices[pos - n_nodes - i + j]
                 continue
             if ok:
                 # a leaf that survives the bound always improves on the incumbent
@@ -301,6 +343,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
         t, i = divmod(pos, n_nodes)
         c = choices[pos]
         if c >= 0:
+            uses[c] -= 1
             occ[t][c] -= 1
             gw_load[t][gw_of[c]] -= 1
             active_cnt[i] -= 1
@@ -311,7 +354,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     if best_choices is None:
         if aborted:
             raise BudgetExhausted(f"no feasible schedule within {budget} expansions")
-        family = max(prune_counts, key=prune_counts.get) if prune_counts \
+        families = {k: v for k, v in prune_counts.items() if k != SYMMETRY}
+        family = max(families, key=families.get) if families \
             else core.ConstraintFamily.DEMAND.value
         raise Infeasible(family)
     return SolveResult(
@@ -319,6 +363,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
         objective_value=float(best_obj),
         nodes_explored=explored,
         proven_optimal=not aborted,
+        prunes=prune_counts,
     )
 
 
@@ -449,5 +494,6 @@ def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000):
                 objective_value=float(obj_all[rank]),
                 nodes_explored=int(states),
                 proven_optimal=True,
+                prunes={},
             )
     raise Infeasible(core.ConstraintFamily.DEMAND.value, "exhaustive enumeration found no schedule")

@@ -18,6 +18,7 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
     predictor.check_train_args(rows, epochs)
+    telemetry.check_seed(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -107,13 +107,19 @@ def _hasher(hash_const, mult):
     return hashmix
 
 
+def check_seed(seed):
+    """The seed as an int; ValueError unless it is a non-negative integer."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return seed
+
+
 def _seed_states(seed, n_rows, num_freqs):
     """`SeedSequence([seed, r, f]).generate_state(4, np.uint64)` for every (r, f) at once,
     on uint64 arrays kept to 32 bits; shape (n_rows, num_freqs, 4).  Every pool word
     mixes in every entropy word, so all of them end up (n_rows, num_freqs)."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    seed = check_seed(seed)
     # the seed's 32-bit words, then r and f as a column and a row that broadcast to (r, f)
     entropy = [(seed >> k) & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
     entropy += [np.arange(n_rows, dtype=np.uint64)[:, None], np.arange(num_freqs, dtype=np.uint64)]

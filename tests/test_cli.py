@@ -142,8 +142,9 @@ def test_pipeline_unknown_source_exit_2(tmp_path):
                 "--rows", "10", "--epochs", "1"]) == 2
 
 
-@pytest.mark.parametrize("bad", [["--rows", "20", "--epochs", "-1"], ["--rows", "0"]],
-                         ids=["negative epochs", "no rows"])
+@pytest.mark.parametrize("bad", [["--rows", "20", "--epochs", "-1"], ["--rows", "0"],
+                                 ["--rows", "20", "--epochs", "1", "--seed", "-1"]],
+                         ids=["negative epochs", "no rows", "negative seed"])
 def test_rejected_pipeline_input_leaves_no_output_directory(tmp_path, bad):
     out_dir = tmp_path / "pipe"
     assert run(["pipeline", "--out-dir", str(out_dir), "--sources", "A", *bad]) == 2

@@ -164,13 +164,50 @@ def test_symbol_routes_agree():
         assert (by_flow is None) == (by_enum is None)
 
 
+def symmetric_scenario(rng, max_states=60_000):
+    """Random small instance whose demands and carrier capacities each take one of two values."""
+    while True:
+        n = int(rng.integers(2, 5))
+        g = int(rng.integers(1, 3))
+        f = int(rng.integers(1, 4))
+        t = int(rng.integers(1, 4))
+        if (g * f + 1) ** (n * t) > max_states:
+            continue
+        caps = rng.integers(2, 6, size=2)
+        fcap = tuple(int(rng.choice(caps)) for _ in range(f))
+        bmin = int(rng.integers(1, min(fcap) + 1))
+        gcap = tuple(int(rng.integers(1, n + 1)) for _ in range(g))
+        demands = rng.integers(0, max(fcap) * t + 2, size=2)
+        demand = tuple(int(rng.choice(demands)) for _ in range(n))
+        return core.Scenario(n, g, tuple(868.0 + 0.2 * k for k in range(f)), t, gcap, fcap,
+                             bmin, demand)
+
+
+SYMMETRIC_FIXTURES = [
+    # all demands and all capacities equal
+    core.Scenario(num_nodes=3, num_gateways=1, frequencies=(868.1, 868.3), horizon=2,
+                  gateway_capacity=(3,), freq_capacity=(6, 6), min_symbols=2, demand=(6, 6, 6)),
+    # twins that are not adjacent
+    core.Scenario(num_nodes=3, num_gateways=1, frequencies=(868.1, 868.3), horizon=2,
+                  gateway_capacity=(3,), freq_capacity=(6, 6), min_symbols=2, demand=(6, 4, 6)),
+    # two gateways, each with two equal-capacity carriers
+    core.Scenario(num_nodes=2, num_gateways=2, frequencies=(868.1, 868.3), horizon=2,
+                  gateway_capacity=(2, 2), freq_capacity=(5, 5), min_symbols=1, demand=(6, 6)),
+    # mixed capacities: only the outer carriers are twins
+    core.Scenario(num_nodes=2, num_gateways=1, frequencies=(868.1, 868.3, 868.5), horizon=3,
+                  gateway_capacity=(2,), freq_capacity=(4, 6, 4), min_symbols=2, demand=(8, 8)),
+]
+
+
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.1), (1, 0), (0, 1), (2.5, 0.5)])
 def test_solver_and_oracle_return_the_same_schedule(alpha, beta):
-    """Both routes break ties toward the first optimal choice vector in lexicographic order."""
-    rng = np.random.default_rng(42)
+    """Both routes break ties toward the first optimal choice vector in lexicographic order;
+    symmetry skips never drop it, nor the whole orbit of a feasible schedule."""
+    rng, sym_rng = np.random.default_rng(42), np.random.default_rng(17)
+    instances = [random_scenario(rng) for _ in range(200)] + SYMMETRIC_FIXTURES \
+        + [symmetric_scenario(sym_rng) for _ in range(100)]
     feasible = 0
-    for _ in range(200):
-        sc = random_scenario(rng)
+    for sc in instances:
         try:
             a = optimizer.solve_exact(sc, alpha, beta)
         except optimizer.Infeasible:
@@ -183,6 +220,48 @@ def test_solver_and_oracle_return_the_same_schedule(alpha, beta):
         assert np.array_equal(a.schedule.s, b.schedule.s)
         feasible += 1
     assert feasible > 0
+
+
+def ladder_rung(rung):
+    """The bench ladder's instance family: N nodes x T slots, 3 carriers, demand 6."""
+    n, t = (int(v) for v in rung.split("x"))
+    return core.Scenario(num_nodes=n, num_gateways=1, frequencies=(867.1, 867.3, 867.5),
+                         horizon=t, gateway_capacity=(n,), freq_capacity=(6, 6, 6),
+                         min_symbols=2, demand=(6,) * n)
+
+
+# (nodes expanded, optimum) per rung at the default budget; 6x4 is one past the bench ladder
+LADDER = {"3x3": (110, 0.0), "4x3": (486, 0.2), "5x3": (1684, 0.4), "4x4": (467, 0.4),
+          "5x4": (3775, 0.5), "6x4": (20406, 0.6)}
+
+
+@pytest.mark.parametrize("rung", LADDER)
+def test_ladder_rungs_are_proven_in_pinned_node_counts(rung):
+    nodes, optimum = LADDER[rung]
+    result = optimizer.solve_exact(ladder_rung(rung))
+    assert result.proven_optimal
+    assert result.nodes_explored == nodes
+    assert result.objective_value == pytest.approx(optimum)
+    assert result.prunes[optimizer.SYMMETRY] > 0
+
+
+def test_prunes_count_symmetry_skips_apart_from_the_constraint_families():
+    # distinct demands and one carrier: nothing is interchangeable
+    sc = core.Scenario(num_nodes=3, num_gateways=1, frequencies=(868.1,), horizon=3,
+                       gateway_capacity=(3,), freq_capacity=(6,), min_symbols=2,
+                       demand=(2, 4, 6))
+    result = optimizer.solve_exact(sc)
+    assert optimizer.SYMMETRY not in result.prunes
+    assert sum(result.prunes.values()) > 0
+    # three twins need a slot each, but the gateway takes one channel per slot over
+    # two slots: the skips (19) outnumber the gateway capacity prunes (10), yet
+    # that family is named
+    sc = core.Scenario(num_nodes=3, num_gateways=1, frequencies=(868.1, 868.3, 868.5),
+                       horizon=2, gateway_capacity=(1,), freq_capacity=(5, 5, 5),
+                       min_symbols=1, demand=(1, 1, 1))
+    with pytest.raises(optimizer.Infeasible) as exc:
+        optimizer.solve_exact(sc)
+    assert exc.value.family == core.ConstraintFamily.GATEWAY_CAPACITY.value
 
 
 def test_deep_instance_fails_cleanly(tmp_path):
