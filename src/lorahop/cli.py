@@ -112,8 +112,8 @@ def cmd_simulate(args):
     Path(args.out).write_text(report.to_json())
     if args.events:
         outputs.append(_write_csv(args.events, sim.EVENT_FIELDS, (
-            [int(v) if isinstance(v, bool) else v for v in e.to_dict().values()]
-            for e in report.events)))
+            [int(v) if isinstance(v, bool) else v for v in d.values()]
+            for d in report.event_dicts)))
     return args.out, _digest(text, args.seed), [config.rng_seed], outputs
 
 

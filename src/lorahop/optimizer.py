@@ -28,6 +28,7 @@ and the tie rule still picks the schedule the oracle returns.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,9 @@ def _max_flow(capacity, source, sink):
     while True:
         parent = [-1] * n
         parent[source] = source
-        queue = [source]
+        queue = deque([source])
         while queue and parent[sink] == -1:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in range(n):
                 if parent[v] == -1 and capacity[u][v] - flow[u][v] > 0:
                     parent[v] = u
@@ -117,7 +118,9 @@ def _symbols_by_flow(scenario, choices):
 
     Every active channel must carry at least B_min symbols; the slack above the
     minima is routed from nodes (supply = demand - k*B_min) to channel-slots
-    (residual capacity B_f - users*B_min) through a max-flow.
+    (residual capacity B_f - users*B_min) through a max-flow.  A node whose
+    supply exceeds what its own channel-slots can take, sum of
+    min(B_f - B_min, residual), fails before the flow is built.
     """
     n_nodes, horizon = scenario.num_nodes, scenario.horizon
     f_n = scenario.num_freqs
@@ -144,6 +147,11 @@ def _symbols_by_flow(scenario, choices):
         if cap < 0:
             return None
         cs_residual[(t, c)] = cap
+    reach = [0] * n_nodes
+    for i, t, c in active:
+        reach[i] += min(scenario.freq_capacity[c % f_n] - bmin, cs_residual[(t, c)])
+    if any(extra > r for extra, r in zip(supply, reach)):
+        return None
 
     # graph: 0 source, 1..N nodes, then channel-slots, then sink
     cs_index = {key: 1 + n_nodes + j for j, key in enumerate(cs_keys)}

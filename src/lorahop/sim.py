@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -104,6 +105,8 @@ class SimConfig:
             raise TypeError("capture_threshold_db and the jitters must be real numbers")
         if self.packets_per_size < 1:
             raise ValueError("packets_per_size must be >= 1")
+        if len(set(self.payload_schedule)) != len(self.payload_schedule):
+            raise ValueError("payload sizes must be distinct")   # rows are per (node, size)
         if self.predictor_placement not in ("end_node", "gateway"):
             raise ValueError("predictor_placement must be end_node or gateway")
 
@@ -172,10 +175,15 @@ class SimReport:
     def sizes(self):
         return sorted({r.size for r in self.rows})
 
+    @cached_property
+    def event_dicts(self):
+        """`SlotEvent.to_dict` of every event, built once for both the JSON and the CSV."""
+        return [e.to_dict() for e in self.events]
+
     def to_json(self):
         doc = {
             "rows": [dict(asdict(r), pdr=r.pdr) for r in self.rows],
-            "events": [e.to_dict() for e in self.events],
+            "events": self.event_dicts,
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -203,12 +211,12 @@ def run(config, trace):
         raise ValueError("node sources must be distinct")
     nodes = [_NodeState(spec, len(freqs), config.window_slots, config.rng_seed, k)
              for k, spec in enumerate(config.nodes)]
-    samplers = {
-        node.source: ChannelSampler(
-            trace, seed=[config.rng_seed, 0x5A, k], block_len=config.packets_per_size,
-            rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)
-        for k, node in enumerate(nodes)
-    }
+    paired = [(node, ChannelSampler(
+        trace, seed=[config.rng_seed, 0x5A, k], block_len=config.packets_per_size,
+        rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db))
+        for k, node in enumerate(nodes)]
+    record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries
+    threshold = config.capture_threshold_db
 
     events = []
     slot = 0
@@ -216,32 +224,35 @@ def run(config, trace):
         for _ in range(config.packets_per_size):
             slot += 1
             txs = []
+            by_freq = {}
             avail = np.zeros(len(freqs))
-            for node in nodes:
+            for node, sampler in paired:
                 f_idx = node.spec.strategy.choose(node, freqs, node.rng)
                 hopped = node.current_freq_idx is not None and f_idx != node.current_freq_idx
                 node.current_freq_idx = f_idx
                 avail[f_idx] += 1.0
-                delivered, rssi, snr = samplers[node.source].sample(
-                    node.source, freqs[f_idx], size)
-                txs.append(SlotEvent(slot, node.source, "GW0", freqs[f_idx], size,
-                                     rssi, snr, delivered, False, hopped))
+                freq = freqs[f_idx]
+                delivered, rssi, snr = sampler.sample(node.source, freq, size)
+                e = SlotEvent(slot, node.source, "GW0", freq, size,
+                              rssi, snr, delivered, False, hopped)
+                txs.append(e)
+                by_freq.setdefault(f_idx, []).append(e)
 
             # capture: strongest survives with enough margin, otherwise all lost
-            for freq in {e.freq_mhz for e in txs}:
-                group = [e for e in txs if e.freq_mhz == freq]
-                if len(group) < 2:
-                    continue
-                group.sort(key=lambda e: e.rssi, reverse=True)
-                margin = group[0].rssi - group[1].rssi
-                for j, e in enumerate(group):
-                    if j == 0 and margin >= config.capture_threshold_db:
+            if len(by_freq) < len(txs):
+                for group in by_freq.values():
+                    if len(group) < 2:
                         continue
-                    e.delivered = False
-                    e.collided = True
+                    group.sort(key=lambda e: e.rssi, reverse=True)
+                    margin = group[0].rssi - group[1].rssi
+                    for j, e in enumerate(group):
+                        if j == 0 and margin >= threshold:
+                            continue
+                        e.delivered = False
+                        e.collided = True
 
-            for node, e in zip(nodes, txs):
-                if config.predictor_placement == "end_node" or e.delivered:
+            for (node, _), e in zip(paired, txs):
+                if record_lost or e.delivered:
                     node.window.record(avail, *e.observed())
             events += txs
 

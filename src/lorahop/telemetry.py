@@ -49,7 +49,9 @@ class TelemetryWindow:
         return view
 
     def record(self, availability_vec, rssi, snr):
-        vec = np.asarray(availability_vec, dtype=np.float64)
+        vec = availability_vec
+        if not (isinstance(vec, np.ndarray) and vec.dtype == np.float64):
+            vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_freqs,):
             raise ValueError(f"availability vector must have length {self.num_freqs}")
         rows = self._rows

@@ -22,6 +22,7 @@ DEFAULT_PAYLOAD_SCHEDULE = (30, 74, 118, 162, 206, 250)   # bundled trace sizes,
 DEFAULT_BLOCK_LEN = 50   # transmissions per (source, frequency, size) cell of the trace
 DEFAULT_RSSI_JITTER_DB = 1.0
 DEFAULT_SNR_JITTER_DB = 0.5
+_JITTER_CHUNK = 1024   # standard normals a sampler draws from its generator at a time
 
 
 class TraceError(ValueError):
@@ -38,8 +39,13 @@ class TraceEntry:
     def jittered(self, rng, rssi_jitter_db=DEFAULT_RSSI_JITTER_DB,
                  snr_jitter_db=DEFAULT_SNR_JITTER_DB):
         """(rssi, snr): the means plus Gaussian jitter, RSSI drawn first and clamped at 0 dBm."""
-        rssi = min(self.mean_rssi + rng.normal(0.0, 1.0) * rssi_jitter_db, 0.0)
-        return rssi, self.mean_snr + rng.normal(0.0, 1.0) * snr_jitter_db
+        return self.with_noise(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
+                               rssi_jitter_db, snr_jitter_db)
+
+    def with_noise(self, z_rssi, z_snr, rssi_jitter_db, snr_jitter_db):
+        """(rssi, snr) for two standard normal draws: the jitter formula of `jittered`."""
+        return (min(self.mean_rssi + z_rssi * rssi_jitter_db, 0.0),
+                self.mean_snr + z_snr * snr_jitter_db)
 
 
 class ChannelTrace:
@@ -111,7 +117,9 @@ class ChannelSampler:
     Delivery per (source, frequency, size) follows the trace PDR exactly over a
     full block of `block_len` transmissions: the block holds round(pdr * L)
     successes in an order shuffled by the seeded generator.  RSSI/SNR are the
-    trace means plus Gaussian jitter (`TraceEntry.jittered`).
+    trace means plus Gaussian jitter (`TraceEntry.with_noise`); the jitter
+    generator is read in chunks of standard normals, two per call (RSSI, then
+    SNR), which is the same stream as one `normal(0, 1)` draw at a time.
     """
 
     def __init__(self, trace, seed, block_len=DEFAULT_BLOCK_LEN,
@@ -121,29 +129,33 @@ class ChannelSampler:
         self.rssi_jitter_db = float(rssi_jitter_db)
         self.snr_jitter_db = float(snr_jitter_db)
         self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-        self._patterns = {}
-        self._cursor = {}
-        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
+        self._keys = {}   # key -> [delivery pattern as 0/1 bytes, cursor, TraceEntry]
+        self._normals = _chunked_normals(np.random.default_rng(self._seed + [0xA5]))
 
-    def _pattern(self, key):
-        if key not in self._patterns:
-            entry = self.trace.lookup(*key)
-            n_ok = int(round(entry.pdr * self.block_len))
-            pat = np.zeros(self.block_len, dtype=bool)
-            pat[:n_ok] = True
-            rng = np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())])
-            rng.shuffle(pat)
-            self._patterns[key] = pat
-            self._cursor[key] = 0
-        return self._patterns[key]
+    def _start(self, key):
+        entry = self.trace.lookup(*key)
+        n_ok = int(round(entry.pdr * self.block_len))
+        pat = np.zeros(self.block_len, dtype=bool)
+        pat[:n_ok] = True
+        rng = np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())])
+        rng.shuffle(pat)
+        return [pat.tobytes(), 0, entry]
 
     def sample(self, source, freq_mhz, size_bytes):
         """One transmission attempt: (delivered, rssi_dbm, snr_db)."""
         key = (source, float(freq_mhz), int(size_bytes))
-        pat = self._pattern(key)
-        cur = self._cursor[key]
-        delivered = bool(pat[cur % self.block_len])
-        self._cursor[key] = cur + 1
-        rssi, snr = self.trace.lookup(*key).jittered(
-            self._jitter_rng, self.rssi_jitter_db, self.snr_jitter_db)
-        return delivered, rssi, snr
+        try:
+            state = self._keys[key]
+        except KeyError:
+            state = self._keys[key] = self._start(key)
+        pattern, cursor, entry = state
+        state[1] = cursor + 1
+        rssi, snr = entry.with_noise(next(self._normals), next(self._normals),
+                                     self.rssi_jitter_db, self.snr_jitter_db)
+        return pattern[cursor % self.block_len] == 1, rssi, snr
+
+
+def _chunked_normals(rng):
+    """rng's standard normals one at a time, drawn `_JITTER_CHUNK` per call to the generator."""
+    while True:
+        yield from rng.standard_normal(_JITTER_CHUNK).tolist()

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -240,6 +241,10 @@ MALFORMED_INPUTS = {
         "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
             "metadata": {"ts": 0, "F": 10**30, "normalization": "v1"},
             "rows": [{"features": [], "label": 10**25}]})],
+    "repeated payload size": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+            "payload_schedule": [30, 30], "packets_per_size": 10})],
     "window_slots 2.5": lambda d: [
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
@@ -355,6 +360,24 @@ def test_events_csv_and_report_share_rounded_link_values(tmp_path):
         rssi, snr = float(row["rssi"]), float(row["snr"])
         assert (rssi, snr) == (event["rssi"], event["snr"])
         assert (rssi, snr) == (round(rssi, 6), round(snr, 6))
+
+
+def test_simulate_writes_pinned_bytes(tmp_path):
+    """Three strategies contending for the three channels; both outputs pinned by SHA-256."""
+    config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}},
+                  {"source": "B", "strategy": {"kind": "random_hop"}},
+                  {"source": "C", "strategy": {"kind": "fixed", "freq": 869.0}}],
+        "packets_per_size": 40, "seed": 4})
+    out, events = tmp_path / "report.json", tmp_path / "events.csv"
+    assert run(["simulate", "--config", config, "--out", str(out),
+                "--events", str(events)]) == 0
+    report = json.loads(out.read_text())
+    assert sum(e["collided"] for e in report["events"]) > 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670"
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == \
+        "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941"
 
 
 def test_empty_payload_schedule_still_writes_events_header(tmp_path):

@@ -148,8 +148,9 @@ def test_solver_and_oracle_agree_on_infeasibility():
     assert checked == 60
 
 
-def test_symbol_routes_agree():
-    """The solver's max-flow symbol feasibility matches the oracle's enumeration."""
+def test_symbol_routes_agree(monkeypatch):
+    """The solver's max-flow symbol feasibility matches the oracle's enumeration, on random
+    choice vectors and on the leaves of searches, most of which fail before any flow."""
     rng = np.random.default_rng(99)
     for _ in range(80):
         sc = random_scenario(rng)
@@ -162,6 +163,21 @@ def test_symbol_routes_agree():
         by_flow = optimizer._symbols_by_flow(sc, flat)
         by_enum = optimizer._symbols_by_enumeration(sc, flat)
         assert (by_flow is None) == (by_enum is None)
+
+    leaves, flows = [], []
+    symbols_by_flow, max_flow = optimizer._symbols_by_flow, optimizer._max_flow
+    monkeypatch.setattr(optimizer, "_symbols_by_flow", lambda scenario, choices: (
+        leaves.append((scenario, list(choices))) or symbols_by_flow(scenario, choices)))
+    for rung in ("4x3", "5x3"):
+        optimizer.solve_exact(ladder_rung(rung))
+    monkeypatch.setattr(optimizer, "_max_flow", lambda *args: flows.append(1) or max_flow(*args))
+    failed_before_flow = 0
+    for sc, flat in leaves:
+        flows_before = len(flows)
+        by_flow = symbols_by_flow(sc, flat)
+        assert (by_flow is None) == (optimizer._symbols_by_enumeration(sc, flat) is None)
+        failed_before_flow += by_flow is None and len(flows) == flows_before
+    assert failed_before_flow > 0 and flows
 
 
 def symmetric_scenario(rng, max_states=60_000):

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,53 @@ def test_load_trace_rejects_non_finite_link_values(tmp_path, rssi, snr):
     p.write_text(",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n")
     with pytest.raises(trace.TraceError):
         trace.load_trace(p)
+
+
+class ReferenceSampler:
+    """`ChannelSampler` with a pattern and a cursor dict, a trace lookup per call and one
+    `normal(0, 1)` draw at a time: the outcomes `sample` must match value for value."""
+
+    def __init__(self, trace_obj, seed, block_len=trace.DEFAULT_BLOCK_LEN,
+                 rssi_jitter_db=trace.DEFAULT_RSSI_JITTER_DB,
+                 snr_jitter_db=trace.DEFAULT_SNR_JITTER_DB):
+        self.trace = trace_obj
+        self.block_len = block_len
+        self.rssi_jitter_db, self.snr_jitter_db = rssi_jitter_db, snr_jitter_db
+        self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+        self._patterns, self._cursor = {}, {}
+        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
+
+    def sample(self, source, freq_mhz, size_bytes):
+        key = (source, float(freq_mhz), int(size_bytes))
+        if key not in self._patterns:
+            entry = self.trace.lookup(*key)
+            pat = np.zeros(self.block_len, dtype=bool)
+            pat[:int(round(entry.pdr * self.block_len))] = True
+            np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())]).shuffle(pat)
+            self._patterns[key], self._cursor[key] = pat, 0
+        cur = self._cursor[key]
+        delivered = bool(self._patterns[key][cur % self.block_len])
+        self._cursor[key] = cur + 1
+        entry, rng = self.trace.lookup(*key), self._jitter_rng
+        rssi = min(entry.mean_rssi + rng.normal(0.0, 1.0) * self.rssi_jitter_db, 0.0)
+        return delivered, rssi, entry.mean_snr + rng.normal(0.0, 1.0) * self.snr_jitter_db
+
+
+@pytest.mark.parametrize("seed", [7, [4, 0x5A, 1]])
+@pytest.mark.parametrize("jitter", [{}, {"rssi_jitter_db": 0.0, "snr_jitter_db": 0.0}])
+def test_sampler_matches_reference_across_chunk_refills(bundled_trace, seed, jitter):
+    new = trace.ChannelSampler(bundled_trace, seed, block_len=40, **jitter)
+    ref = ReferenceSampler(bundled_trace, seed, block_len=40, **jitter)
+    keys = [("A", 868.0, 30), ("B", 869.0, 74), ("C", 870, 250), ("A", 870.0, 118)]
+    order = np.random.default_rng(0).integers(len(keys), size=1200)
+    delivered = 0
+    for n, k in enumerate(order):
+        if n == 700:   # mid-chunk: a missing key consumes no draw
+            for sampler in (new, ref):
+                with pytest.raises(trace.TraceError):
+                    sampler.sample("A", 871.0, 30)
+        got = new.sample(*keys[k])
+        assert got == ref.sample(*keys[k])
+        delivered += got[0]
+    assert 0 < delivered < len(order)
+
