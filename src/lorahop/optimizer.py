@@ -1,18 +1,15 @@
 """Exact solution of the channel-hopping schedule problem on desk-scale instances.
 
-Two independent routes are provided: a depth-first branch-and-bound search
-(`solve_exact`) and an exhaustive enumeration oracle (`enumerate_oracle`) used
-as ground truth in tests.  Both restrict each node to at most one (gateway,
-frequency) channel per slot; symbol counts are then a pure feasibility
-question (they do not enter the objective), settled by a small max-flow in the
-solver and by direct enumeration in the oracle.
+`solve_exact` is a depth-first branch-and-bound search that restricts each
+node to at most one (gateway, frequency) channel per slot.  Symbol counts are
+then a pure feasibility question (they do not enter the objective), settled at
+each leaf by a small max-flow.
 
-Both routes share one tie rule: among optimal schedules, the first choice
-vector in lexicographic order wins (positions slot-major, node-minor; idle
-before channel 0, 1, ...).  The objective is alpha * collisions + beta * hops
-over integer counts, weighed the same way in both.  The solver prunes a
-partial schedule when its lower bound (committed collisions and hops plus
-hops that nodes are forced to make later) reaches the incumbent.
+Tie rule: among optimal schedules, the first choice vector in lexicographic
+order wins (positions slot-major, node-minor; idle before channel 0, 1, ...).
+The objective is alpha * collisions + beta * hops over integer counts.  The
+solver prunes a partial schedule when its lower bound (committed collisions
+and hops plus hops that nodes are forced to make later) reaches the incumbent.
 
 The solver also skips schedules that are relabellings of one it visits
 (lex-leader symmetry breaking, Margot 2010).  Nodes with equal demand are
@@ -23,7 +20,7 @@ than that of the nearest earlier node with its demand, and a channel is
 first used only after the nearest earlier interchangeable channel has been.
 Swapping a pair that breaks a rule gives a lexicographically smaller vector
 that is just as good, so the first optimal choice vector keeps both rules
-and the tie rule still picks the schedule the oracle returns.
+and the tie rule still picks it.
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ import numpy as np
 
 from . import core
 
-_ORACLE_CHUNK = 200_000   # choice vectors the oracle scores per numpy pass
-SYMMETRY = "symmetry"     # key of the lex-leader skips in SolveResult.prunes
+SYMMETRY = "symmetry"   # key of the lex-leader skips in SolveResult.prunes
 
 
 class Infeasible(Exception):
@@ -47,12 +43,6 @@ class Infeasible(Exception):
 
 class BudgetExhausted(Exception):
     """Search budget ran out before any feasible schedule was found."""
-
-
-class EnumerationCapExceeded(Exception):
-    def __init__(self, states, cap):
-        self.states = states
-        super().__init__(f"state space too large to enumerate: {states} > cap {cap}")
 
 
 @dataclass
@@ -70,13 +60,11 @@ def _node_slot_bounds(scenario):
     bmax = max(scenario.freq_capacity)
     ranges = []
     for d in scenario.demand:
-        if d == 0:
-            ranges.append((0, 0))
-            continue
-        ks = [k for k in range(1, scenario.horizon + 1) if k * bmin <= d <= k * bmax]
-        if not ks:
+        # k active slots carry between k * bmin and k * bmax symbols
+        k_lo, k_hi = -(-d // bmax), min(scenario.horizon, d // bmin)
+        if k_lo > k_hi:
             return None
-        ranges.append((min(ks), max(ks)))
+        ranges.append((k_lo, k_hi))
     return ranges
 
 
@@ -192,17 +180,16 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
 
     Positions are filled slot by slot, node by node, each trying idle first
     and then channels 0, 1, ...; depth-first order is therefore the
-    lexicographic order of the choice vector, the order `enumerate_oracle`
-    scans.  Costs are integer (collisions, hops) counts weighed as
-    alpha * C + beta * H, exactly as the oracle weighs them.
+    lexicographic order of the choice vector.  Costs are integer (collisions,
+    hops) counts weighed as alpha * C + beta * H.  `budget` caps the
+    expansions and must not be negative.
 
     The lower bound of a partial schedule is its committed collisions and
     hops plus one forced hop per node that has not hopped yet and cannot keep
     its value for the whole horizon: idle with k_lo >= 1, or on a channel
     with k_hi < horizon (a node with no decided slot counts when both hold).
     Pruning on bound >= incumbent keeps the first optimal leaf found, so ties
-    resolve to the first optimal choice vector in lexicographic order, the
-    schedule the oracle returns.
+    resolve to the first optimal choice vector in lexicographic order.
 
     Symmetry skips keep that rule (see the module docstring).  At (t, i), when
     node i's column equals its predecessor j's on slots 0..t-1 (a flag set on
@@ -214,6 +201,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     interpreter's recursion limit.
     """
     core.check_weights(alpha, beta)
+    if budget < 0:
+        raise ValueError(f"budget must not be negative, got {budget}")
     n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
     horizon = scenario.horizon
     n_ch = n_gw * f_n
@@ -373,135 +362,3 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
         proven_optimal=not aborted,
         prunes=prune_counts,
     )
-
-
-def _decode_choices(indices, positions, base):
-    """Choice matrix for global state indices; value 0 = idle, v>0 = channel v-1."""
-    out = np.empty((len(indices), positions), dtype=np.int64)
-    rest = np.asarray(indices, dtype=np.int64).copy()
-    for p in range(positions - 1, -1, -1):
-        out[:, p] = rest % base
-        rest //= base
-    return out
-
-
-def _symbols_by_enumeration(scenario, choices):
-    """Direct recursive search over symbol counts (oracle route, no flow)."""
-    n_nodes, f_n = scenario.num_nodes, scenario.num_freqs
-    bmin = scenario.min_symbols
-    active = [(i, t, c) for t in range(scenario.horizon) for i in range(n_nodes)
-              if (c := choices[t * n_nodes + i]) >= 0]
-    rem = list(scenario.demand)
-    for i in range(n_nodes):
-        if rem[i] > 0 and not any(a[0] == i for a in active):
-            return None
-    cs_cap = {}
-    for i, t, c in active:
-        cs_cap[(t, c)] = scenario.freq_capacity[c % f_n]
-    # per node, suffix counts/capacity to window the residual demand
-    suffix_cnt = [[0] * n_nodes for _ in range(len(active) + 1)]
-    suffix_cap = [[0] * n_nodes for _ in range(len(active) + 1)]
-    for pos in range(len(active) - 1, -1, -1):
-        i, t, c = active[pos]
-        for j in range(n_nodes):
-            suffix_cnt[pos][j] = suffix_cnt[pos + 1][j] + (1 if j == i else 0)
-            suffix_cap[pos][j] = suffix_cap[pos + 1][j] + \
-                (scenario.freq_capacity[c % f_n] - bmin if j == i else 0)
-    assigned = {}
-
-    def recurse(pos):
-        if pos == len(active):
-            return all(r == 0 for r in rem)
-        i, t, c = active[pos]
-        cap_here = min(scenario.freq_capacity[c % f_n], cs_cap[(t, c)])
-        future_cnt = suffix_cnt[pos + 1][i]
-        future_cap = suffix_cap[pos + 1][i]
-        hi = min(cap_here, rem[i] - future_cnt * bmin)
-        lo = max(bmin, rem[i] - future_cnt * bmin - future_cap)
-        for s_val in range(hi, lo - 1, -1):
-            rem[i] -= s_val
-            cs_cap[(t, c)] -= s_val
-            if recurse(pos + 1):
-                assigned[(i, t, c)] = s_val
-                rem[i] += s_val
-                cs_cap[(t, c)] += s_val
-                return True
-            rem[i] += s_val
-            cs_cap[(t, c)] += s_val
-        return False
-
-    if not recurse(0):
-        return None
-    s = np.zeros((n_nodes, scenario.num_gateways, f_n, scenario.horizon), dtype=np.int64)
-    for (i, t, c), v in assigned.items():
-        g, f = divmod(c, f_n)
-        s[i, g, f, t] = v
-    return s
-
-
-def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000):
-    """Exhaustive enumeration of all channel assignments; exact optimum.
-
-    Choice vectors are enumerated in lexicographic order and stably sorted by
-    objective, so ties resolve to the first optimal choice vector in
-    lexicographic order, the same schedule `solve_exact` returns.
-    Intended for tests only: refuses instances whose state count exceeds `cap`.
-    """
-    core.check_weights(alpha, beta)
-    n_nodes, n_gw, f_n = scenario.num_nodes, scenario.num_gateways, scenario.num_freqs
-    horizon = scenario.horizon
-    n_ch = n_gw * f_n
-    base = n_ch + 1
-    positions = n_nodes * horizon
-    states = base ** positions
-    if states > cap:
-        raise EnumerationCapExceeded(states, cap)
-
-    bmin = scenario.min_symbols
-    bmax = max(scenario.freq_capacity)
-    demand = np.asarray(scenario.demand)
-    feasible_idx = []
-    feasible_obj = []
-
-    for start in range(0, states, _ORACLE_CHUNK):
-        idx = np.arange(start, min(start + _ORACLE_CHUNK, states), dtype=np.int64)
-        ch = _decode_choices(idx, positions, base).reshape(len(idx), horizon, n_nodes)
-        ok = np.ones(len(idx), dtype=bool)
-        collisions = np.zeros(len(idx), dtype=np.int64)
-        for k in range(n_ch):
-            occ_k = (ch == k + 1).sum(axis=2)
-            collisions += (occ_k * (occ_k - 1)).sum(axis=1)
-            ok &= (occ_k * bmin <= scenario.freq_capacity[k % f_n]).all(axis=1)
-            if horizon > 1:
-                ok &= ~((occ_k[:, :-1] >= 2) & (occ_k[:, 1:] != 1)).any(axis=1)
-        for g in range(n_gw):
-            load = np.zeros((len(idx), horizon), dtype=np.int64)
-            for f in range(f_n):
-                load += (ch == g * f_n + f + 1).sum(axis=2)
-            ok &= (load <= scenario.gateway_capacity[g]).all(axis=1)
-        active_per_node = (ch != 0).sum(axis=1)
-        ok &= (active_per_node * bmin <= demand).all(axis=1)
-        ok &= (demand <= active_per_node * bmax).all(axis=1)
-        hops = np.zeros(len(idx), dtype=np.int64)
-        if horizon > 1:
-            hops = (ch[:, 1:, :] != ch[:, :-1, :]).sum(axis=(1, 2))
-        obj = alpha * collisions + beta * hops
-        feasible_idx.append(idx[ok])
-        feasible_obj.append(obj[ok])
-
-    idx_all = np.concatenate(feasible_idx)
-    obj_all = np.concatenate(feasible_obj)
-    order = np.argsort(obj_all, kind="stable")
-    for rank in order:
-        choices = _decode_choices([idx_all[rank]], positions, base)[0] - 1
-        s = _symbols_by_enumeration(scenario, list(choices))
-        if s is not None:
-            sched = _schedule_from_choices(scenario, list(choices), s)
-            return SolveResult(
-                schedule=sched,
-                objective_value=float(obj_all[rank]),
-                nodes_explored=int(states),
-                proven_optimal=True,
-                prunes={},
-            )
-    raise Infeasible(core.ConstraintFamily.DEMAND.value, "exhaustive enumeration found no schedule")

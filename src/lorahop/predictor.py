@@ -114,10 +114,9 @@ def forward(model, features):
     return probs[0] if squeeze else probs
 
 
-def loss_and_grads(model, x, labels, params=None, grads=True, out=None):
-    """Mean cross-entropy plus L1 penalty; gradients (into `out` if given) or None."""
-    if params is None:
-        params = [p.astype(np.float64) for p in model.params()]
+def loss_and_grads(model, x, labels, params, grads=True, out=None):
+    """Mean cross-entropy plus L1 penalty at `params` (the model's six arrays as
+    float64); gradients (into `out` if given) or None."""
     w1, b1, w2, b2, w3, b3 = params
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
@@ -288,11 +287,3 @@ def export_c_array(model, symbol_name):
     lines.append(f"const unsigned int {symbol_name}_len = {len(blob)};")
     return "\n".join(lines) + "\n"
 
-
-def parse_c_array(text):
-    """Recover the byte payload from an `export_c_array` header."""
-    match = re.search(r"=\s*\{(.*?)\};", text, re.S)
-    if not match:
-        raise ModelFormatError("no byte array found")
-    tokens = [t.strip() for t in match.group(1).replace("\n", " ").split(",") if t.strip()]
-    return bytes(int(t, 16) for t in tokens)

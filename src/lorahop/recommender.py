@@ -34,30 +34,8 @@ def check_matrix(matrix):
     return m
 
 
-def cosine(x, y, missing_as_zero=False):
-    """Cosine similarity of two rating rows; None when undefined."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError("rows must have equal length")
-    if missing_as_zero:
-        xv = np.nan_to_num(x)
-        yv = np.nan_to_num(y)
-    else:
-        common = present_mask(x) & present_mask(y)
-        if not common.any():
-            return None
-        xv = x[common]
-        yv = y[common]
-    nx = np.linalg.norm(xv)
-    ny = np.linalg.norm(yv)
-    if nx == 0.0 or ny == 0.0:
-        return None
-    return float(np.dot(xv, yv) / (nx * ny))
-
-
 def similarity_matrix(matrix, missing_as_zero=False):
-    """Pairwise row similarities; NaN where undefined.  Vectorized."""
+    """Pairwise cosine similarities of the rows; NaN where undefined."""
     m = np.asarray(matrix, dtype=np.float64)
     mask = present_mask(m).astype(np.float64)
     z = np.nan_to_num(m)
@@ -209,7 +187,10 @@ def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
             confusions += confusion
             per_seed_acc.append(float(np.diag(confusion).sum() / confusion.sum()))
             per_class_acc.append(per_class)
-        mean_per_class = np.nanmean(np.vstack(per_class_acc), axis=0)
+        per_class_acc = np.vstack(per_class_acc)
+        seeds_with_class = np.count_nonzero(~np.isnan(per_class_acc), axis=0)
+        mean_per_class = np.divide(np.nansum(per_class_acc, axis=0), seeds_with_class,
+                                   out=np.full(5, np.nan), where=seeds_with_class > 0)
         report["sparsities"].append({
             "sparsity_pct": pct,
             "confusion": confusions.tolist(),

@@ -165,12 +165,6 @@ class SimReport:
     rows: list
     events: list
 
-    def row(self, node, size):
-        for r in self.rows:
-            if r.node == node and r.size == size:
-                return r
-        raise KeyError((node, size))
-
     @property
     def sizes(self):
         return sorted({r.size for r in self.rows})

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, RSSI_FLOOR_DBM, SNR_FLOOR_DB
+from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
+                    DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB)
 
 DEFAULT_WINDOW_SLOTS = 8
 RSSI_NORM_DBM = -120.0
@@ -184,7 +185,9 @@ def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOT
         for f, (entry, words) in enumerate(zip(entries[size], states[r].tolist())):
             bitgen.state = _pcg64_state(words)
             if rng.random() < entry.pdr:
-                rssi[r, f], snr[r, f] = entry.jittered(rng)
+                rssi[r, f], snr[r, f] = entry.with_noise(
+                    rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
+                    DEFAULT_RSSI_JITTER_DB, DEFAULT_SNR_JITTER_DB)
     labels = np.argmax(rssi, axis=1)   # ties resolve to the lowest index
 
     # slot ts + r holds row r's outcome on its label; slots 0..ts-1 are the cold start

@@ -36,14 +36,9 @@ class TraceEntry:
     pdr: float
     sample_count: int
 
-    def jittered(self, rng, rssi_jitter_db=DEFAULT_RSSI_JITTER_DB,
-                 snr_jitter_db=DEFAULT_SNR_JITTER_DB):
-        """(rssi, snr): the means plus Gaussian jitter, RSSI drawn first and clamped at 0 dBm."""
-        return self.with_noise(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
-                               rssi_jitter_db, snr_jitter_db)
-
     def with_noise(self, z_rssi, z_snr, rssi_jitter_db, snr_jitter_db):
-        """(rssi, snr) for two standard normal draws: the jitter formula of `jittered`."""
+        """(rssi, snr): the means plus two standard normal draws scaled by the jitters,
+        RSSI clamped at 0 dBm.  Callers draw the RSSI normal first."""
         return (min(self.mean_rssi + z_rssi * rssi_jitter_db, 0.0),
                 self.mean_snr + z_snr * snr_jitter_db)
 

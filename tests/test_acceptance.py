@@ -13,6 +13,7 @@ import pytest
 from lorahop import cli, core, optimizer, predictor, recommender, sim, telemetry, trace
 from lorahop.pipeline import run_pipeline
 from conftest import random_scenario
+from oracle import enumerate_oracle, parse_c_array, report_row
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
 
@@ -28,7 +29,7 @@ def test_criterion_1_oracle_equivalence():
         except optimizer.Infeasible:
             solver_obj = None
         try:
-            oracle_obj = optimizer.enumerate_oracle(sc).objective_value
+            oracle_obj = enumerate_oracle(sc).objective_value
         except optimizer.Infeasible:
             oracle_obj = None
         assert (solver_obj is None) == (oracle_obj is None)
@@ -78,7 +79,7 @@ def test_criterion_3_trace_fidelity(bundled_trace):
                 rng_seed=1, rssi_jitter_db=0.0, snr_jitter_db=0.0)
             report = sim.run(config, bundled_trace)
             for size in report.sizes:
-                row = report.row(source, size)
+                row = report_row(report, source, size)
                 entry = bundled_trace.lookup(source, freq, size)
                 assert abs(row.mean_rssi - entry.mean_rssi) < 1e-9
                 assert abs(row.mean_snr - entry.mean_snr) < 1e-9
@@ -154,7 +155,7 @@ def test_criterion_7_serialization():
         back = predictor.import_flat(blob)
         assert all(np.array_equal(p, q) for p, q in zip(model.params(), back.params()))
         assert predictor.export_flat(back) == blob
-        assert predictor.parse_c_array(predictor.export_c_array(model, "m")) == blob
+        assert parse_c_array(predictor.export_c_array(model, "m")) == blob
 
     sizes = []
     for num_channels in range(2, 10):

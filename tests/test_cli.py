@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lorahop import cli, predictor, sim, trace
 from lorahop.core import Scenario
+from oracle import enumerate_oracle, parse_c_array
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
 
@@ -29,12 +30,11 @@ def test_optimize_trivial_scenario(tmp_path):
 
 
 def test_optimize_matches_oracle(tmp_path):
-    from lorahop import optimizer
     path = SCENARIO_DIR / "three_nodes_two_freqs.json"
     out = tmp_path / "result.json"
     assert run(["optimize", "--scenario", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    oracle = optimizer.enumerate_oracle(Scenario.from_json(path.read_text()))
+    oracle = enumerate_oracle(Scenario.from_json(path.read_text()))
     assert doc["objective_value"] == pytest.approx(oracle.objective_value)
 
 
@@ -89,8 +89,7 @@ def test_gen_dataset_and_train_and_export(tmp_path):
     c_file = tmp_path / "model.h"
     assert run(["export", "--model", str(model), "--format", "c_array",
                 "--out", str(c_file)]) == 0
-    from lorahop import predictor
-    assert predictor.parse_c_array(c_file.read_text()) == model.read_bytes()
+    assert parse_c_array(c_file.read_text()) == model.read_bytes()
 
 
 def test_recommend_generate_and_impute(tmp_path):
@@ -253,6 +252,7 @@ MALFORMED_INPUTS = {
     "alpha inf": lambda d: _optimize(d, "--alpha", "inf"),
     "beta inf": lambda d: _optimize(d, "--beta", "inf"),
     "negative alpha": lambda d: _optimize(d, "--alpha", "-1"),
+    "negative budget": lambda d: _optimize(d, "--budget", "-5"),
     "batch of -1": lambda d: _train(d, "--batch", "-1"),
     "batch of 0": lambda d: _train(d, "--batch", "0"),
     "negative epochs": lambda d: _train(d, "--epochs", "-3"),

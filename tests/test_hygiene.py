@@ -1,7 +1,8 @@
 """Static checks over the package source, standing in for a linter.
 
 Every import is from the standard library, numpy or lorahop itself (the
-package has no other runtime dependency), and every imported name is used.
+package has no other runtime dependency), every imported name is used, and
+every top-level function and class has a caller outside the tests.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lorahop"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lorahop"
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "lorahop"}
 
 
@@ -41,3 +44,16 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted({name for _, name in _imports(tree)} - used)
     assert not unused, f"{path.name} imports unused {unused}"
+
+
+def test_every_top_level_definition_is_used_outside_the_tests():
+    """Code that only tests call belongs under tests/ (see tests/oracle.py)."""
+    loaded = set()
+    for path in MODULES + BENCH:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unused = [f"{path.name}:{node.name}" for path in MODULES
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in loaded]
+    assert not unused, f"defined in src/lorahop but used only by tests, if at all: {unused}"

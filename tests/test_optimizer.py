@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lorahop import cli, core, optimizer
 
 from conftest import random_scenario
+from oracle import EnumerationCapExceeded, _symbols_by_enumeration, enumerate_oracle
 
 
 def scenario(**kw):
@@ -12,6 +15,20 @@ def scenario(**kw):
                 demand=(8,))
     base.update(kw)
     return core.Scenario(**base)
+
+
+def test_node_slot_bounds_match_the_brute_force_definition():
+    """Per node, the range of k in 1..horizon with k * B_min <= demand <= k * max(B_f);
+    (0, 0) for zero demand, None when some node has no such k."""
+    for horizon, bmin, bmax, d in itertools.product(range(1, 8), range(1, 7), range(1, 9),
+                                                    range(40)):
+        if bmax < bmin:
+            continue
+        sc = scenario(horizon=horizon, frequencies=(868.1, 868.3),
+                      freq_capacity=(bmin, bmax), min_symbols=bmin, demand=(d,))
+        ks = [k for k in range(1, horizon + 1) if k * bmin <= d <= k * bmax]
+        want = [(0, 0)] if d == 0 else [(min(ks), max(ks))] if ks else None
+        assert optimizer._node_slot_bounds(sc) == want, (horizon, bmin, bmax, d)
 
 
 def test_single_node_optimum_is_zero():
@@ -59,8 +76,11 @@ def test_budget_exhaustion():
                        horizon=3, gateway_capacity=(3, 3), freq_capacity=(6, 6),
                        min_symbols=1, demand=(5, 5, 5))
     # too few expansions to reach any feasible leaf
-    with pytest.raises(optimizer.BudgetExhausted):
-        optimizer.solve_exact(sc, budget=5)
+    for budget in (0, 5):
+        with pytest.raises(optimizer.BudgetExhausted):
+            optimizer.solve_exact(sc, budget=budget)
+    with pytest.raises(ValueError):
+        optimizer.solve_exact(sc, budget=-1)
     # one expansion short of the full search: an incumbent but no proof
     full = optimizer.solve_exact(sc)
     assert full.proven_optimal
@@ -73,8 +93,8 @@ def test_oracle_cap():
     sc = core.Scenario(num_nodes=3, num_gateways=2, frequencies=(868.1, 868.3),
                        horizon=3, gateway_capacity=(3, 3), freq_capacity=(6, 6),
                        min_symbols=1, demand=(5, 5, 5))
-    with pytest.raises(optimizer.EnumerationCapExceeded):
-        optimizer.enumerate_oracle(sc, cap=1000)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_oracle(sc, cap=1000)
 
 
 def test_hop_penalty_prefers_staying_put():
@@ -125,7 +145,7 @@ def test_oracle_matches_solver_on_fixed_instances():
     ]
     for sc in fixtures:
         a = optimizer.solve_exact(sc)
-        b = optimizer.enumerate_oracle(sc)
+        b = enumerate_oracle(sc)
         assert a.objective_value == pytest.approx(b.objective_value)
 
 
@@ -140,7 +160,7 @@ def test_solver_and_oracle_agree_on_infeasibility():
         except optimizer.Infeasible:
             solver_feasible = False
         try:
-            optimizer.enumerate_oracle(sc)
+            enumerate_oracle(sc)
         except optimizer.Infeasible:
             oracle_feasible = False
         assert solver_feasible == oracle_feasible
@@ -161,7 +181,7 @@ def test_symbol_routes_agree(monkeypatch):
         ]
         flat = [choices[t][i] for t in range(sc.horizon) for i in range(sc.num_nodes)]
         by_flow = optimizer._symbols_by_flow(sc, flat)
-        by_enum = optimizer._symbols_by_enumeration(sc, flat)
+        by_enum = _symbols_by_enumeration(sc, flat)
         assert (by_flow is None) == (by_enum is None)
 
     leaves, flows = [], []
@@ -175,7 +195,7 @@ def test_symbol_routes_agree(monkeypatch):
     for sc, flat in leaves:
         flows_before = len(flows)
         by_flow = symbols_by_flow(sc, flat)
-        assert (by_flow is None) == (optimizer._symbols_by_enumeration(sc, flat) is None)
+        assert (by_flow is None) == (_symbols_by_enumeration(sc, flat) is None)
         failed_before_flow += by_flow is None and len(flows) == flows_before
     assert failed_before_flow > 0 and flows
 
@@ -228,9 +248,9 @@ def test_solver_and_oracle_return_the_same_schedule(alpha, beta):
             a = optimizer.solve_exact(sc, alpha, beta)
         except optimizer.Infeasible:
             with pytest.raises(optimizer.Infeasible):
-                optimizer.enumerate_oracle(sc, alpha, beta)
+                enumerate_oracle(sc, alpha, beta)
             continue
-        b = optimizer.enumerate_oracle(sc, alpha, beta)
+        b = enumerate_oracle(sc, alpha, beta)
         assert a.objective_value == b.objective_value
         assert np.array_equal(a.schedule.x, b.schedule.x)
         assert np.array_equal(a.schedule.s, b.schedule.s)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorahop import predictor, telemetry
 from lorahop.telemetry import Dataset
+from oracle import parse_c_array
 
 PARAM_NAMES = ["w1", "b1", "w2", "b2", "w3", "b3"]
 
@@ -203,7 +204,7 @@ def test_c_array_roundtrip():
     blob = predictor.export_flat(m)
     text = predictor.export_c_array(m, "hop_model")
     assert "hop_model" in text and "hop_model_len" in text
-    assert predictor.parse_c_array(text) == blob
+    assert parse_c_array(text) == blob
     with pytest.raises(ValueError):
         predictor.export_c_array(m, "bad name")
 

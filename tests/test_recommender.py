@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorahop import recommender as rec
+from oracle import cosine
 
 
 def test_cosine_basic():
-    assert rec.cosine([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-    assert rec.cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert rec.cosine([1, 2], [2, 4]) == pytest.approx(1.0)
+    assert cosine([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
+    assert cosine([1, 2], [2, 4]) == pytest.approx(1.0)
 
 
 def test_cosine_common_support_vs_zero_fill():
     x = [5.0, np.nan, 1.0]
     y = [5.0, 3.0, np.nan]
     # common support is just the first coordinate -> perfectly aligned
-    assert rec.cosine(x, y) == pytest.approx(1.0)
-    zero = rec.cosine(x, y, missing_as_zero=True)
+    assert cosine(x, y) == pytest.approx(1.0)
+    zero = cosine(x, y, missing_as_zero=True)
     assert zero == pytest.approx(25.0 / (np.sqrt(26) * np.sqrt(34)))
 
 
 def test_cosine_undefined_cases():
-    assert rec.cosine([np.nan, 1.0], [2.0, np.nan]) is None
-    assert rec.cosine([0.0, 0.0], [1.0, 1.0]) is None
+    assert cosine([np.nan, 1.0], [2.0, np.nan]) is None
+    assert cosine([0.0, 0.0], [1.0, 1.0]) is None
 
 
 def test_similarity_matrix_matches_pairwise():
@@ -35,7 +36,7 @@ def test_similarity_matrix_matches_pairwise():
     sim = rec.similarity_matrix(m)
     for i in range(8):
         for j in range(8):
-            expect = rec.cosine(m[i], m[j])
+            expect = cosine(m[i], m[j])
             if expect is None:
                 assert np.isnan(sim[i, j])
             else:
@@ -260,6 +261,13 @@ def test_run_study_shape():
         assert np.asarray(entry["confusion"]).shape == (5, 5)
         assert len(entry["per_seed_accuracy"]) == 2
         assert 0.0 <= entry["mean_accuracy"] <= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_study_reports_a_class_no_seed_removed_as_none():
+    # one soil: at 10% sparsity no seed removes a cell rated 1
+    report = rec.run_study(num_soils=1)
+    assert report["sparsities"][0]["per_class_accuracy"] == [None, 0.0, 1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("k", [0, -1])

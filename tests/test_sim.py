@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorahop import sim, trace
+from oracle import report_row
 
 
 def fixed_config(source="A", freq=869.0, seed=0, **kw):
@@ -16,7 +17,7 @@ def test_fixed_node_trace_fidelity_no_jitter(bundled_trace):
     config = fixed_config(rssi_jitter_db=0.0, snr_jitter_db=0.0)
     report = sim.run(config, bundled_trace)
     for size in report.sizes:
-        row = report.row("A", size)
+        row = report_row(report, "A", size)
         entry = bundled_trace.lookup("A", 869.0, size)
         assert row.mean_rssi == pytest.approx(entry.mean_rssi, abs=1e-9)
         assert row.mean_snr == pytest.approx(entry.mean_snr, abs=1e-9)
@@ -28,7 +29,7 @@ def test_pdr_exact_under_jitter(bundled_trace):
     # jitter moves RSSI/SNR but never delivery counts
     report = sim.run(fixed_config(source="C", freq=868.0, seed=11), bundled_trace)
     for size in report.sizes:
-        row = report.row("C", size)
+        row = report_row(report, "C", size)
         entry = bundled_trace.lookup("C", 868.0, size)
         assert row.delivered == round(entry.pdr * 50)
 

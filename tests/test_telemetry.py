@@ -129,9 +129,12 @@ def _reference_dataset(trace_obj, source, ts, n_rows, seed):
         for f_idx, freq in enumerate(freqs):
             entry = trace_obj.lookup(source, freq, size)
             rng = np.random.default_rng([seed, r, f_idx])
-            delivered = rng.random() < entry.pdr
-            realized_rssi[f_idx], realized_snr[f_idx] = (
-                entry.jittered(rng) if delivered else (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB))
+            if rng.random() < entry.pdr:
+                realized_rssi[f_idx], realized_snr[f_idx] = entry.with_noise(
+                    rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
+                    trace.DEFAULT_RSSI_JITTER_DB, trace.DEFAULT_SNR_JITTER_DB)
+            else:
+                realized_rssi[f_idx], realized_snr[f_idx] = trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB
         label = int(np.argmax(realized_rssi))
         labels.append(label)
         avail = np.zeros(len(freqs))
