@@ -58,6 +58,8 @@ def cmd_optimize(args):
     scenario = core.Scenario.from_json(text)
     result = optimizer.solve_exact(scenario, alpha=args.alpha, beta=args.beta,
                                    budget=args.budget)
+    if violations := core.validate(scenario, result.schedule):   # a solver bug: no exit code
+        raise AssertionError(f"solver returned an invalid schedule: {violations[0]}")
     doc = {
         "objective_value": result.objective_value,
         "proven_optimal": result.proven_optimal,

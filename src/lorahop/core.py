@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -54,9 +55,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-        object.__setattr__(self, "gateway_capacity", tuple(int(v) for v in self.gateway_capacity))
-        object.__setattr__(self, "freq_capacity", tuple(int(v) for v in self.freq_capacity))
-        object.__setattr__(self, "demand", tuple(int(v) for v in self.demand))
+        for name in ("num_nodes", "num_gateways", "horizon", "min_symbols"):
+            object.__setattr__(self, name, integers(name, (getattr(self, name),))[0])
+        for name in ("gateway_capacity", "freq_capacity", "demand"):
+            object.__setattr__(self, name, integers(name, tuple(getattr(self, name))))
         if self.num_nodes < 1 or self.num_gateways < 1 or self.horizon < 1:
             raise ValueError("num_nodes, num_gateways and horizon must be positive")
         if len(self.frequencies) < 1:
@@ -183,6 +185,13 @@ def hop_count(scenario, schedule):
     """Total hop flags over all nodes and slot boundaries."""
     _check_shapes(scenario, schedule)
     return int(schedule.z.sum())
+
+
+def integers(what, values):
+    """The one rule for integer config values: `Integral` (numpy too), not `bool`; as ints."""
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
+        raise TypeError(f"{what} must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def check_weights(alpha, beta):

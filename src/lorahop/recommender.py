@@ -42,15 +42,14 @@ def similarity_matrix(matrix, missing_as_zero=False):
     num = z @ z.T
     if missing_as_zero:
         norms = np.linalg.norm(z, axis=1)
-        denom = np.outer(norms, norms)
+        denom = np.outer(norms, norms) * (mask @ mask.T > 0)   # 0 for disjoint support
     else:
         sq = z * z
         nx = sq @ mask.T          # |x|^2 over the common support with each y
-        denom = np.sqrt(nx * nx.T)
-    overlap = mask @ mask.T
+        denom = np.sqrt(nx * nx.T)   # 0 (or NaN, from inf * 0) without common support
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = num / denom
-    sim[(denom == 0) | (overlap == 0)] = np.nan
+    sim[denom == 0] = np.nan
     return sim
 
 
@@ -85,10 +84,11 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     Neighbors for cell (i, j): rows with column j present and a defined
     similarity to row i, ranked by similarity, highest first, ties to the
     lower row index; the first k vote with weight = similarity.  Each row's
-    neighbors are ranked once, then a whole column is filled per step.  The
-    weight and the weighted sum are numpy row sums over the k votes in rank
-    order, zero-padded, so the result does not depend on the BLAS build.
-    Cells with no neighbor or no positive weight fall back to the row mean.
+    neighbors get unique integer ranks once; per column, a partition of the
+    holders' ranks picks the k best, sorted back into rank order.  Weight and
+    weighted sum are zero-padded numpy row sums over them in that order, so
+    the result does not depend on the BLAS build.  Cells with no neighbor or
+    no positive weight take the row mean.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -102,16 +102,21 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     n = sparse.shape[0]
     k = min(k_neighbors, n)
     order = np.argsort(-sim, axis=1, kind="stable")     # undefined (NaN) last
-    defined = np.count_nonzero(~np.isnan(sim), axis=1)  # leading defined ranks per row
+    rank = np.empty((n, n), dtype=np.int32)             # rank[i, r]: place of r in order[i]
+    rank[np.arange(n)[:, None], order] = np.arange(n, dtype=np.int32)
+    rank[np.isnan(sim)] = n                             # an undefined similarity never votes
 
     out = sparse.copy()
     for j in range(sparse.shape[1]):
         missing = np.flatnonzero(~mask[:, j])
-        cand = mask[:, j][order[missing]] & (np.arange(n) < defined[missing, None])
-        taken = np.cumsum(cand, axis=1, dtype=np.int32)
-        row, rank = np.nonzero(cand & (taken <= k))
-        slot = taken[row, rank] - 1
-        voter = order[missing[row], rank]
+        if not missing.size:
+            continue
+        ranks = rank[np.ix_(missing, np.flatnonzero(mask[:, j]))]
+        if ranks.shape[1] > k:
+            ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
+        ranks.sort(axis=1)
+        row, slot = np.nonzero(ranks < n)
+        voter = order[missing[row], ranks[row, slot]]
         sims, ratings = np.zeros((2, missing.size, k))
         sims[row, slot] = sim[missing[row], voter]
         ratings[row, slot] = sparse[voter, j]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
+from .core import integers
 from .telemetry import TelemetryWindow, DEFAULT_WINDOW_SLOTS
 from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
                     DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler)
@@ -97,12 +98,14 @@ class SimConfig:
 
     def __post_init__(self):
         # checked here: a run may never read a field (one node never meets the capture rule)
-        ints = (self.packets_per_size, self.rng_seed, self.window_slots, *self.payload_schedule)
-        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in ints):
-            raise TypeError("packets_per_size, seed, window_slots and sizes must be integers")
+        integers("packets_per_size, seed, window_slots and sizes",
+                 (self.packets_per_size, self.rng_seed, self.window_slots, *self.payload_schedule))
         reals = (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db)
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
             raise TypeError("capture_threshold_db and the jitters must be real numbers")
+        if not (0 <= self.rssi_jitter_db < np.inf and 0 <= self.snr_jitter_db < np.inf
+                and not np.isnan(self.capture_threshold_db)):   # an infinite threshold is valid
+            raise ValueError("jitters must be finite and >= 0, capture_threshold_db not NaN")
         if self.packets_per_size < 1:
             raise ValueError("packets_per_size must be >= 1")
         if len(set(self.payload_schedule)) != len(self.payload_schedule):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorahop import cli, predictor, sim, trace
+from lorahop import cli, optimizer, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
 
@@ -42,6 +42,22 @@ def test_optimize_malformed_scenario_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["optimize", "--scenario", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_optimize_raises_on_an_invalid_solver_schedule(tmp_path, monkeypatch):
+    solve = optimizer.solve_exact
+
+    def broken(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        result.schedule.s[result.schedule.x] += 1   # every active channel over-delivers
+        return result
+
+    monkeypatch.setattr(optimizer, "solve_exact", broken)
+    out = tmp_path / "o.json"
+    with pytest.raises(AssertionError, match="invalid schedule"):
+        run(["optimize", "--scenario", str(SCENARIO_DIR / "three_nodes_two_freqs.json"),
+             "--out", str(out)])
+    assert not out.exists()
 
 
 def test_optimize_infeasible_exit_1(tmp_path):
@@ -248,6 +264,26 @@ MALFORMED_INPUTS = {
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
             "window_slots": 2.5})],
+    "demand 2.7": lambda d: [
+        "optimize", "--out", str(d / "o.json"), "--scenario",
+        _write_json(d / "scenario.json", {**_scenario_doc(), "demand": [2.7, 4, 4]})],
+    "freq_capacity 6.9": lambda d: [
+        "optimize", "--out", str(d / "o.json"), "--scenario",
+        _write_json(d / "scenario.json", {**_scenario_doc(), "freq_capacity": [6.9, 8]})],
+    "gateway_capacity true": lambda d: [
+        "optimize", "--out", str(d / "o.json"), "--scenario",
+        _write_json(d / "scenario.json", {**_scenario_doc(), "gateway_capacity": True})],
+    "min_symbols 1.5": lambda d: [
+        "optimize", "--out", str(d / "o.json"), "--scenario",
+        _write_json(d / "scenario.json", {**_scenario_doc(), "min_symbols": 1.5})],
+    "jitter nan": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+            "rssi_jitter_db": float("nan")})],
+    "capture threshold nan": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+            "capture_threshold_db": float("nan")})],
     "alpha nan": lambda d: _optimize(d, "--alpha", "nan"),
     "alpha inf": lambda d: _optimize(d, "--alpha", "inf"),
     "beta inf": lambda d: _optimize(d, "--beta", "inf"),
@@ -532,3 +568,26 @@ def test_fuzzed_trace_csvs_keep_the_exit_code_contract(tmp_path, trace_csv):
 @given(trace_csv=mutated_trace_cells())
 def test_trace_csvs_with_bad_cells_keep_the_exit_code_contract(tmp_path, trace_csv):
     assert set(_trace_exit_codes(tmp_path, trace_csv.encode())) <= {0, 1, 2}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_recommend_study_writes_pinned_bytes(tmp_path):
+    out = tmp_path / "study.json"
+    assert run(["recommend", "study", "--sparsities", "10,50,90", "--seeds", "2",
+                "--out", str(out)]) == 0
+    assert _sha256(out) == "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"
+
+
+@pytest.mark.parametrize("flags,digest", [
+    ([], "69678702cf118a2cf184e5a5ed450f7f6fa8903fef245c51d74b3b39050a23db"),
+    (["--missing-as-zero"], "1730cc79e5e3a06d7981fb6a42c12ff8bf43192868e6c3d9549ce4c749d98154")])
+def test_recommend_impute_writes_pinned_bytes(tmp_path, flags, digest):
+    sparse = recommender.sparsify(recommender.synthetic_ratings(200, 12, seed=5), 60, seed=5)
+    sparse_path, filled = tmp_path / "sparse.csv", tmp_path / "filled.csv"
+    recommender.save_matrix_csv(sparse, sparse_path)
+    assert run(["recommend", "impute", "--in", str(sparse_path), "--k", "7", *flags,
+                "--out", str(filled)]) == 0
+    assert _sha256(filled) == digest

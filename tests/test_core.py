@@ -43,6 +43,28 @@ def test_scenario_rejects_bad_fields(field, value):
         core.Scenario.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_nodes", 2.0),
+    ("horizon", True),
+    ("gateway_capacity", (True,)),
+    ("freq_capacity", (9.9,)),
+    ("min_symbols", 1.5),
+    ("demand", (2.7, 2)),
+])
+def test_scenario_rejects_non_integers(field, value):
+    doc = json.loads(two_node_scenario().to_json())
+    doc[field] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(TypeError):
+        core.Scenario.from_json(json.dumps(doc))
+
+
+def test_scenario_accepts_numpy_integers():
+    sc = core.Scenario(np.int64(2), np.int32(1), (868.1,), np.int64(2), (np.int64(2),),
+                       (np.int16(10),), np.int64(1), tuple(np.arange(2, 4)))
+    assert sc == core.Scenario(2, 1, (868.1,), 2, (2,), (10,), 1, (2, 3))
+    assert core.Scenario.from_json(sc.to_json()) == sc
+
+
 def test_collision_count_pairs():
     # two nodes sharing one channel in one slot collide once each: 2 ordered pairs
     sc = two_node_scenario()

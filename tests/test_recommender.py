@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -33,14 +34,23 @@ def test_similarity_matrix_matches_pairwise():
     m = rng.integers(1, 6, size=(8, 6)).astype(float)
     m[rng.random((8, 6)) < 0.3] = rec.MISSING
     m[:, 0] = 3.0   # keep every row nonempty
-    sim = rec.similarity_matrix(m)
-    for i in range(8):
-        for j in range(8):
-            expect = cosine(m[i], m[j])
-            if expect is None:
-                assert np.isnan(sim[i, j])
-            else:
-                assert sim[i, j] == pytest.approx(expect)
+    for missing_as_zero in (False, True):
+        sim = rec.similarity_matrix(m, missing_as_zero=missing_as_zero)
+        for i in range(8):
+            for j in range(8):
+                expect = cosine(m[i], m[j], missing_as_zero=missing_as_zero)
+                if expect is None:
+                    assert np.isnan(sim[i, j])
+                else:
+                    assert sim[i, j] == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+def test_similarity_matrix_is_undefined_for_disjoint_support(missing_as_zero):
+    m = np.array([[1.0, rec.MISSING], [rec.MISSING, 2.0], [3.0, 4.0]])
+    sim = rec.similarity_matrix(m, missing_as_zero=missing_as_zero)
+    assert np.isnan(sim[0, 1]) and np.isnan(sim[1, 0])
+    assert not np.isnan(sim[[0, 1, 2], [2, 2, 0]]).any()
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,6 +182,19 @@ def _reference_impute_values(sparse, k_neighbors=20, missing_as_zero=False):
     return values
 
 
+def _assert_impute_matches_reference(sparse, k, missing_as_zero):
+    filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+    values = _reference_impute_values(sparse, k, missing_as_zero)
+    missing = np.isnan(sparse)
+    assert np.array_equal(filled[~missing], sparse[~missing])
+    expect = np.clip(np.floor(values + 0.5), 1, 5)
+    # an exact half rounds by the last bits of the sum: either side is right
+    exact_half = np.abs(values - np.floor(values) - 0.5) < 1e-9
+    check = missing & ~exact_half
+    assert np.array_equal(filled[check], expect[check])
+    return filled
+
+
 @pytest.mark.parametrize("missing_as_zero", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 20, 61])   # 61 is more than the 60 rows
 def test_impute_matches_per_cell_reference(k, missing_as_zero):
@@ -180,15 +203,33 @@ def test_impute_matches_per_cell_reference(k, missing_as_zero):
         for full in (rec.synthetic_ratings(60, 8, seed=seed), random):
             for pct in (10, 30, 50, 70, 85):
                 sparse = rec.sparsify(full, pct, seed=[seed, pct])
-                filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
-                values = _reference_impute_values(sparse, k, missing_as_zero)
-                missing = np.isnan(sparse)
-                assert np.array_equal(filled[~missing], sparse[~missing])
-                expect = np.clip(np.floor(values + 0.5), 1, 5)
-                # an exact half rounds by the last bits of the sum: either side is right
-                exact_half = np.abs(values - np.floor(values) - 0.5) < 1e-9
-                check = missing & ~exact_half
-                assert np.array_equal(filled[check], expect[check]), (seed, pct)
+                _assert_impute_matches_reference(sparse, k, missing_as_zero)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+def test_impute_falls_back_to_the_row_mean_when_no_holder_has_a_similarity(missing_as_zero):
+    # no two rows share a present column, so every similarity is undefined
+    sparse = np.array([[1, np.nan, np.nan],
+                       [np.nan, 3, 5],
+                       [np.nan, 4, 2]])
+    filled = _assert_impute_matches_reference(sparse, 2, missing_as_zero)
+    assert filled[0, 1] == filled[0, 2] == 1
+    assert (filled[1, 0], filled[2, 0]) == (4, 3)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])   # column 1 has 2 holders; 10 is more than the 6 rows
+def test_impute_edge_columns_match_per_cell_reference(k, missing_as_zero):
+    nan = np.nan
+    sparse = np.array([[3, 4, nan, 1],
+                       [3, nan, 2, 1],
+                       [4, nan, 5, 2],
+                       [2, 5, nan, nan],
+                       [5, nan, 1, 4],
+                       [1, nan, 3, nan]])   # column 0 has no missing cell
+    filled = _assert_impute_matches_reference(sparse, k, missing_as_zero)
+    assert np.array_equal(filled[:, 0], sparse[:, 0])
+    assert not np.isnan(filled).any()
 
 
 def test_impute_exact_half_cell_rounds_by_fixed_numpy_sums():
@@ -198,6 +239,22 @@ def test_impute_exact_half_cell_rounds_by_fixed_numpy_sums():
     value = _reference_impute_values(sparse)[390, 6]
     assert math.isclose(value, 4.5, abs_tol=1e-9)
     assert rec.impute(sparse)[390, 6] == 4
+
+
+@pytest.mark.parametrize("extra", [0, 30])   # holders outside the top 3: none, or many
+@pytest.mark.parametrize("holders", list(itertools.permutations([1, 2, 3])))
+def test_impute_sums_votes_in_rank_order(monkeypatch, holders, extra):
+    # in rank order, (0.3*1 + 0.2*5 + 0.1*2) / 0.6 rounds to 3; most other orders give 2
+    n = 4 + extra
+    sparse = np.full((n, 2), 3.0)
+    sparse[0, 1] = rec.MISSING
+    sim = np.full((n, n), 0.5)
+    sim[0, 4:] = sim[4:, 0] = 0.05
+    for row, s, r in zip(holders, (0.3, 0.2, 0.1), (1, 5, 2)):
+        sim[0, row] = sim[row, 0] = s
+        sparse[row, 1] = r
+    monkeypatch.setattr(rec, "similarity_matrix", lambda m, missing_as_zero=False: sim.copy())
+    assert rec.impute(sparse, k_neighbors=3)[0, 1] == 3
 
 
 def test_evaluate_confusion():

@@ -131,6 +131,14 @@ def test_sim_config_rejects_mistyped_fields(field, value):
         sim.SimConfig(nodes=(), **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rssi_jitter_db", float("nan")), ("snr_jitter_db", float("inf")), ("rssi_jitter_db", -0.5),
+    ("capture_threshold_db", float("nan"))])
+def test_sim_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError):
+        sim.SimConfig(nodes=(), **{field: value})
+
+
 def test_sim_config_accepts_numpy_numbers_and_infinite_threshold():
     config = fixed_config(seed=np.int64(3), capture_threshold_db=float("inf"),
                           rssi_jitter_db=np.float32(0.5), payload_schedule=(np.int32(30),))
