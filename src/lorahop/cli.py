@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -137,11 +138,15 @@ def cmd_train(args):
                              lr=args.lr, seed=args.seed)
     Path(args.out).write_bytes(predictor.export_flat(model))
     curves_path = str(args.out) + ".train.json"
+
+    def nan_to_null(value):   # NaN marks a split too small to hold a row (under 5 rows)
+        return None if math.isnan(value) else value
+
     Path(curves_path).write_text(json.dumps({
         "train_loss": report.train_loss,
-        "val_loss": report.val_loss,
-        "val_accuracy": report.val_accuracy,
-        "test_accuracy": report.test_accuracy,
+        "val_loss": [nan_to_null(v) for v in report.val_loss],
+        "val_accuracy": [nan_to_null(v) for v in report.val_accuracy],
+        "test_accuracy": nan_to_null(report.test_accuracy),
         "split_sizes": list(report.split_sizes),
     }, sort_keys=True))
     return (args.out, _digest(text, args.epochs, args.batch, args.lr, args.l1, args.seed),

@@ -182,7 +182,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     and then channels 0, 1, ...; depth-first order is therefore the
     lexicographic order of the choice vector.  Costs are integer (collisions,
     hops) counts weighed as alpha * C + beta * H.  `budget` caps the
-    expansions and must not be negative.
+    expansions and must not be negative; a budget below the number of
+    positions raises `BudgetExhausted` before any search state is built.
 
     The lower bound of a partial schedule is its committed collisions and
     hops plus one forced hop per node that has not hopped yet and cannot keep
@@ -212,6 +213,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     if slot_bounds is None:
         raise Infeasible(core.ConstraintFamily.DEMAND.value,
                          "demand not expressible within the horizon and symbol bounds")
+    if budget < positions:   # a leaf takes one expansion per position: build nothing
+        raise BudgetExhausted(f"no feasible schedule within {budget} expansions")
 
     gw_of = [c // f_n for c in range(n_ch)]
     gw_cap = scenario.gateway_capacity

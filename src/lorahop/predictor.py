@@ -100,17 +100,22 @@ def _softmax(logits):
 
 
 def forward(model, features):
-    """Softmax class probabilities for one feature vector or a batch."""
+    """Softmax class probabilities for one feature vector or a batch.
+
+    The model's arrays may be float32, as stored, or float64: the features are
+    float64, so every layer computes in float64 either way, with the same bits.
+    """
     x = np.asarray(features, dtype=np.float64)
     squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"expected {model.input_dim} features, got {x.shape[1]}")
+    if squeeze:
+        x = x.reshape(1, -1)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(f"expected {model.input_dim} features, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input features")
-    h1 = np.maximum(x @ model.w1.astype(np.float64) + model.b1, 0.0)
-    h2 = np.maximum(h1 @ model.w2.astype(np.float64) + model.b2, 0.0)
-    probs = _softmax(h2 @ model.w3.astype(np.float64) + model.b3)
+    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+    probs = _softmax(h2 @ model.w3 + model.b3)
     return probs[0] if squeeze else probs
 
 
@@ -240,8 +245,7 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
 
 def predict_channel(model, window):
     """Argmax channel for a telemetry window; ties go to the lowest index."""
-    probs = forward(model, window.snapshot())
-    return int(np.argmax(probs))
+    return int(forward(model, window.snapshot()).argmax())
 
 
 def export_flat(model):

@@ -62,15 +62,18 @@ class SensingHopStrategy(Strategy):
         window = node.window
         if len(window) == 0:
             return node.current_freq_idx if node.current_freq_idx is not None else 0
-        last = window.availability[-1]
-        return int(np.argmin(last))
+        return int(window.availability[-1].argmin())
 
 
 class PredictorHopStrategy(Strategy):
+    """The model's argmax channel for the node's window; the model is kept as float64,
+    converted once here rather than on every `forward`."""
+
     kind = "predictor_hop"
 
     def __init__(self, model):
-        self.model = model
+        self.model = predictor_mod.FcnnModel(*(np.asarray(p, dtype=np.float64)
+                                               for p in model.params()))
 
     def choose(self, node, freqs, rng):
         if self.model.num_channels != len(freqs):

@@ -22,22 +22,35 @@ from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JI
 DEFAULT_WINDOW_SLOTS = 8
 RSSI_NORM_DBM = -120.0
 SNR_NORM_DB = 10.0
+_SPARE_ROWS = 64   # buffer rows beyond a window: its rows move to the front once per 65 records
 
 
 class TelemetryWindow:
-    """Ring of the last `ts` slots of per-frequency availability, RSSI and SNR."""
+    """The last `ts` slots of per-frequency availability, RSSI and SNR.
+
+    Rows are appended to three buffers (availability, RSSI, SNR) that hold
+    `_SPARE_ROWS` rows beyond the window; when they are full, the window's
+    last ts - 1 rows move to the front.  So `record` writes one row, and
+    `snapshot` joins one slice of each buffer.  RSSI and SNR are stored
+    normalised, as `snapshot` returns them.
+    """
 
     def __init__(self, ts=DEFAULT_WINDOW_SLOTS, num_freqs=1):
         if ts < 1 or num_freqs < 1:
             raise ValueError("ts and num_freqs must be positive")
         self.ts = int(ts)
         self.num_freqs = int(num_freqs)
-        # one row per slot, oldest first: availability per frequency, RSSI, SNR;
-        # rows not recorded yet hold the cold-start values
-        self._rows = np.zeros((self.ts, self.num_freqs + 2))
-        self._rows[:, -2] = RSSI_FLOOR_DBM
-        self._rows[:, -1] = SNR_FLOOR_DB
+        # rows [_end - ts, _end) are the window, oldest first; rows not recorded
+        # yet hold the cold-start values
+        rows = self.ts + _SPARE_ROWS
+        self._avail = np.zeros((rows, self.num_freqs))
+        self._rssi = np.full(rows, RSSI_FLOOR_DBM / RSSI_NORM_DBM)
+        self._snr = np.full(rows, SNR_FLOOR_DB / SNR_NORM_DB)
+        self._end = self.ts
         self._filled = 0
+        # slices of this read-only alias of `_avail` are read-only views
+        self._avail_readonly = self._avail.view()
+        self._avail_readonly.flags.writeable = False
 
     def __len__(self):
         return self._filled
@@ -45,9 +58,7 @@ class TelemetryWindow:
     @property
     def availability(self):
         """Read-only (len, num_freqs) view of the recorded availability, oldest first."""
-        view = self._rows[self.ts - self._filled:, :self.num_freqs]
-        view.flags.writeable = False
-        return view
+        return self._avail_readonly[self._end - self._filled:self._end]
 
     def record(self, availability_vec, rssi, snr):
         vec = availability_vec
@@ -55,19 +66,24 @@ class TelemetryWindow:
             vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_freqs,):
             raise ValueError(f"availability vector must have length {self.num_freqs}")
-        rows = self._rows
-        rows[:-1] = rows[1:]
-        rows[-1, :self.num_freqs] = vec
-        rows[-1, -2] = rssi
-        rows[-1, -1] = snr
+        end = self._end
+        if end == len(self._rssi):
+            keep = self.ts - 1
+            for buf in (self._avail, self._rssi, self._snr):
+                buf[:keep] = buf[end - keep:end]
+            end = keep
+        self._avail[end] = vec
+        self._rssi[end] = float(rssi) / RSSI_NORM_DBM
+        self._snr[end] = float(snr) / SNR_NORM_DB
+        self._end = end + 1
         self._filled = min(self._filled + 1, self.ts)
         return self
 
     def snapshot(self):
         """Flatten to ts*(F+2) features, oldest first, cold-start slots padded."""
-        rows = self._rows
-        return np.concatenate([rows[:, :self.num_freqs].ravel(),
-                               rows[:, -2] / RSSI_NORM_DBM, rows[:, -1] / SNR_NORM_DB])
+        start, end = self._end - self.ts, self._end
+        return np.concatenate([self._avail[start:end].ravel(), self._rssi[start:end],
+                               self._snr[start:end]])
 
     @staticmethod
     def feature_dim(ts, num_freqs):

@@ -2,12 +2,14 @@ import copy
 import csv
 import hashlib
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorahop import cli, optimizer, predictor, recommender, sim, trace
+from lorahop import cli, core, optimizer, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
 
@@ -66,6 +68,19 @@ def test_optimize_infeasible_exit_1(tmp_path):
     bad = tmp_path / "infeasible.json"
     bad.write_text(json.dumps(doc))
     assert run(["optimize", "--scenario", str(bad), "--out", str(tmp_path / "o.json")]) == 1
+
+
+def test_optimize_with_a_budget_below_the_positions_exits_1_at_once(tmp_path):
+    """3 nodes x 10^6 slots on 3 carriers: the search state alone takes seconds to build."""
+    path = _write_json(tmp_path / "long.json", {
+        "num_nodes": 3, "num_gateways": 1, "frequencies": [867.1, 867.3, 867.5],
+        "horizon": 10**6, "gateway_capacity": [3], "freq_capacity": [6, 6, 6],
+        "min_symbols": 2, "demand": [6, 6, 6]})
+    started = time.perf_counter()
+    assert run(["optimize", "--scenario", path, "--budget", "10",
+                "--out", str(tmp_path / "o.json")]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_simulate_and_events(tmp_path):
@@ -313,6 +328,28 @@ def test_rejected_figdata_input_leaves_no_output_directory(tmp_path):
     assert not figs.exists()
 
 
+def _strict_json(path):
+    """The JSON document at `path`; a bare NaN or Infinity, which strict parsers reject, fails."""
+    def reject(name):
+        raise ValueError(f"{path} holds a bare {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("rows", [4, 5])
+def test_train_curves_are_strict_json_on_tiny_datasets(tmp_path, rows):
+    """Under 5 rows there is no validation or test split: its figures are written as null."""
+    dataset, model = tmp_path / "ds.json", tmp_path / "m.fhop"
+    assert run(["gen-dataset", "--rows", str(rows), "--seed", "1", "--out", str(dataset)]) == 0
+    assert run(["train", "--dataset", str(dataset), "--epochs", "2", "--out", str(model)]) == 0
+    curves = _strict_json(f"{model}.train.json")
+    missing = rows < 5
+    assert curves["split_sizes"] == ([4, 0, 0] if missing else [3, 1, 1])
+    assert (curves["test_accuracy"] is None) == missing
+    for name in ("val_loss", "val_accuracy"):
+        assert len(curves[name]) == 2
+        assert all((v is None) == missing for v in curves[name])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # divergence is caught before overflow
 def test_train_exit_codes(tmp_path):
     dataset = tmp_path / "ds.json"
@@ -369,13 +406,26 @@ def mutated(draw, doc):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(scenario=mutated(_scenario_doc()), config=mutated(FUZZ_SIM_CONFIG))
 def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, scenario, config):
-    codes = [
-        run(["optimize", "--budget", "2000", "--out", str(tmp_path / "o.json"),
-             "--scenario", _write_json(tmp_path / "scenario.json", scenario)]),
-        run(["simulate", "--out", str(tmp_path / "r.json"), "--events", str(tmp_path / "e.csv"),
-             "--config", _write_json(tmp_path / "sim.json", config)]),
-    ]
-    assert set(codes) <= {0, 1, 2}
+    """Exit 0, 1 or 2, and exit 0 only with valid outputs: strict JSON, and a schedule
+    that passes `core.validate` against the scenario file as written."""
+    scenario_path = _write_json(tmp_path / "scenario.json", scenario)
+    optimized = run(["optimize", "--budget", "2000", "--out", str(tmp_path / "o.json"),
+                     "--scenario", scenario_path])
+    simulated = run(["simulate", "--out", str(tmp_path / "r.json"),
+                     "--events", str(tmp_path / "e.csv"),
+                     "--config", _write_json(tmp_path / "sim.json", config)])
+    assert {optimized, simulated} <= {0, 1, 2}
+    if optimized == 0:
+        doc = _strict_json(tmp_path / "o.json")
+        _strict_json(tmp_path / "o.json.manifest.json")
+        x = np.asarray(doc["x"], dtype=bool)
+        schedule = core.Schedule(x=x, s=np.asarray(doc["s"], dtype=np.int64),
+                                 z=np.asarray(doc["z"], dtype=bool),
+                                 delta=core.collision_triggers_from_x(x))
+        assert core.validate(Scenario.from_json(Path(scenario_path).read_text()), schedule) == []
+    if simulated == 0:
+        _strict_json(tmp_path / "r.json")
+        _strict_json(tmp_path / "r.json.manifest.json")
 
 
 def test_events_csv_and_report_share_rounded_link_values(tmp_path):
@@ -414,6 +464,28 @@ def test_simulate_writes_pinned_bytes(tmp_path):
         "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670"
     assert hashlib.sha256(events.read_bytes()).hexdigest() == \
         "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941"
+
+
+def test_simulate_predictor_hop_writes_pinned_bytes(tmp_path):
+    """A trained predictor node that hops, beside a sensing and a random node; both outputs
+    pinned by SHA-256, so the per-slot `forward` and window path keep every byte."""
+    dataset, model = tmp_path / "ds.json", tmp_path / "model.fhop"
+    assert run(["gen-dataset", "--source", "C", "--rows", "300", "--seed", "1",
+                "--out", str(dataset)]) == 0
+    assert run(["train", "--dataset", str(dataset), "--epochs", "20", "--seed", "1",
+                "--out", str(model)]) == 0
+    config = _write_json(tmp_path / "sim.json", {
+        "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": str(model)}},
+                  {"source": "A", "strategy": {"kind": "sensing_hop"}},
+                  {"source": "B", "strategy": {"kind": "random_hop"}}],
+        "packets_per_size": 40, "seed": 4})
+    out, events = tmp_path / "report.json", tmp_path / "events.csv"
+    assert run(["simulate", "--config", config, "--out", str(out),
+                "--events", str(events)]) == 0
+    report = json.loads(out.read_text())
+    assert sum(e["hopped"] for e in report["events"] if e["node"] == "C") > 0
+    assert _sha256(out) == "77c6da564319cdce6693e28b1231587a1419a5a16d12da3340dba11195487fa1"
+    assert _sha256(events) == "2aadc33dd2dcd2ef83b0e015ed87d18e456212c6b80c6bc1257539086ebdf372"
 
 
 def test_empty_payload_schedule_still_writes_events_header(tmp_path):
@@ -507,6 +579,12 @@ def test_fuzzed_datasets_models_and_reports_keep_the_exit_code_contract(
              "--in", _write_json(tmp_path / "study.json", study)]),
     ]
     assert set(codes) <= {0, 1, 2}
+    # a dataset cut below 5 rows has no validation or test split
+    json_outputs = [["t.fhop.train.json", "t.fhop.manifest.json"], ["m.out.manifest.json"],
+                    ["r.json", "r.json.manifest.json"], ["figs/figdata_confusion.manifest.json"]]
+    for code, names in zip(codes, json_outputs):
+        for name in names if code == 0 else ():
+            _strict_json(tmp_path / name)
 
 
 FUZZ_MATRIX_CSV = b"3,,5,1\n,2,2,\n4,4,,1\n1,,5,\n5,3,,2\n"

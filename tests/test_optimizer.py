@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +89,27 @@ def test_budget_exhaustion():
     result = optimizer.solve_exact(sc, budget=full.nodes_explored - 1)
     assert not result.proven_optimal
     assert core.validate(sc, result.schedule) == []
+
+
+def test_budget_below_the_positions_is_exhausted_before_the_search():
+    # 2 nodes x 3 slots with no demand: the all-idle leaf is the first, after one
+    # expansion per position
+    sc = core.Scenario(num_nodes=2, num_gateways=1, frequencies=(868.1,), horizon=3,
+                       gateway_capacity=(2,), freq_capacity=(6,), min_symbols=1, demand=(0, 0))
+    with pytest.raises(optimizer.BudgetExhausted):
+        optimizer.solve_exact(sc, budget=5)
+    result = optimizer.solve_exact(sc, budget=6)
+    assert result.objective_value == 0.0 and not result.schedule.x.any()
+    # a long horizon stops before its per-position state (hundreds of MB) is built
+    long_horizon = dataclasses.replace(sc, horizon=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(optimizer.BudgetExhausted):
+            optimizer.solve_exact(long_horizon, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_oracle_cap():

@@ -60,6 +60,65 @@ def test_snapshot_dim_invariant(ts, nf, n_records):
     assert w.snapshot().shape == (TelemetryWindow.feature_dim(ts, nf),)
 
 
+class ShiftingWindow:
+    """Reference window: one (ts, F+2) array of raw values, shifted one row per record."""
+
+    def __init__(self, ts, num_freqs):
+        self.ts, self.num_freqs = ts, num_freqs
+        self._rows = np.zeros((ts, num_freqs + 2))
+        self._rows[:, -2] = trace.RSSI_FLOOR_DBM
+        self._rows[:, -1] = trace.SNR_FLOOR_DB
+        self._filled = 0
+
+    def __len__(self):
+        return self._filled
+
+    @property
+    def availability(self):
+        view = self._rows[self.ts - self._filled:, :self.num_freqs]
+        view.flags.writeable = False
+        return view
+
+    def record(self, availability_vec, rssi, snr):
+        rows = self._rows
+        rows[:-1] = rows[1:]
+        rows[-1, :self.num_freqs] = np.asarray(availability_vec, dtype=np.float64)
+        rows[-1, -2] = rssi
+        rows[-1, -1] = snr
+        self._filled = min(self._filled + 1, self.ts)
+
+    def snapshot(self):
+        rows = self._rows
+        return np.concatenate([rows[:, :self.num_freqs].ravel(),
+                               rows[:, -2] / telemetry.RSSI_NORM_DBM,
+                               rows[:, -1] / telemetry.SNR_NORM_DB])
+
+
+def test_window_matches_the_shifting_reference_across_compactions():
+    rng = np.random.default_rng(11)
+    n_records = 3 * (telemetry._SPARE_ROWS + 1) + 20
+    # link values as the simulator passes them, and as other callers may
+    as_types = (float, int, np.float64, np.float32)
+    for ts in range(1, 10):
+        for nf in range(1, 5):
+            window, reference = TelemetryWindow(ts=ts, num_freqs=nf), ShiftingWindow(ts, nf)
+            for k in range(n_records + 1):
+                assert window.snapshot().tobytes() == reference.snapshot().tobytes()
+                got, want = window.availability, reference.availability
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not got.flags.writeable
+                assert len(window) == len(reference)
+                if k == n_records:
+                    break
+                avail = rng.integers(0, 4, nf).astype(np.float64)
+                if k % 3 == 0:
+                    avail = avail.tolist()
+                to_type = as_types[k % len(as_types)]
+                rssi, snr = to_type(-140 * rng.random()), to_type(rng.uniform(-20, 15))
+                window.record(avail, rssi, snr)
+                reference.record(avail, rssi, snr)
+
+
 def test_dataset_deterministic(bundled_trace):
     a = telemetry.generate_labeled_dataset(bundled_trace, "A", 50, seed=3)
     b = telemetry.generate_labeled_dataset(bundled_trace, "A", 50, seed=3)
