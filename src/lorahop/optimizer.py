@@ -192,6 +192,13 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     Pruning on bound >= incumbent keeps the first optimal leaf found, so ties
     resolve to the first optimal choice vector in lexicographic order.
 
+    Once the later slots alone cannot carry node i's demand, each value it
+    takes is checked for symbol reach: its channel-slots so far give at most
+    B_f - (users - 1) * B_min each, every later slot at most max(B_f).  Users
+    only grow as later nodes choose, so a reach below the demand proves that
+    no leaf below is feasible; these prunes count under freq_capacity, the
+    family of the leaf check.
+
     Symmetry skips keep that rule (see the module docstring).  At (t, i), when
     node i's column equals its predecessor j's on slots 0..t-1 (a flag set on
     entering the position), values below j's choice at t are skipped, and a
@@ -218,7 +225,9 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
 
     gw_of = [c // f_n for c in range(n_ch)]
     gw_cap = scenario.gateway_capacity
-    max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
+    demand, bmin, bmax = scenario.demand, scenario.min_symbols, max(scenario.freq_capacity)
+    cap_of = [scenario.freq_capacity[c % f_n] for c in range(n_ch)]
+    max_users = [cap // bmin for cap in cap_of]
     # per node, whether staying idle / on one channel for the whole horizon is infeasible
     must_leave = [(k_lo >= 1, k_hi < horizon) for k_lo, k_hi in slot_bounds]
     # nearest earlier interchangeable node / channel (-1: none); a node's slot
@@ -310,7 +319,18 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
             if hop:
                 node_hops[i] += 1
             ok = True
-            if i == n_nodes - 1 and t > 0:
+            if (horizon - t - 1) * bmax < demand[i]:
+                # symbol reach: each of the node's channel-slots so far keeps B_min
+                # for every other user, each later slot gives at most max(B_f)
+                reach = (horizon - t - 1) * bmax
+                for p in range(i, pos + 1, n_nodes):
+                    ch = choices[p]
+                    if ch >= 0:
+                        reach += cap_of[ch] - (occ[p // n_nodes][ch] - 1) * bmin
+                if reach < demand[i]:
+                    note_prune(core.ConstraintFamily.FREQ_CAPACITY.value)
+                    ok = False
+            if ok and i == n_nodes - 1 and t > 0:
                 # every channel collided in the previous slot must keep one node
                 for ch in range(n_ch):
                     if occ[t - 1][ch] >= 2 and occ[t][ch] != 1:

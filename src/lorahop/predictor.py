@@ -104,6 +104,9 @@ def forward(model, features):
 
     The model's arrays may be float32, as stored, or float64: the features are
     float64, so every layer computes in float64 either way, with the same bits.
+    A float32 model pays numpy's slower mixed-dtype matmul at every layer, so
+    a caller that runs one window at a time should convert the model to
+    float64 once, as `sim.PredictorHopStrategy` does.
     """
     x = np.asarray(features, dtype=np.float64)
     squeeze = x.ndim == 1

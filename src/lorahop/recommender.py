@@ -67,8 +67,11 @@ def sparsify(full, sparsity_pct, seed):
     perm = np.random.default_rng(seed).permutation(m * n)
     # a cell goes if it is among the first n-1 draws of its row and among the
     # first `target` such cells in draw order
+    rows = perm // n
+    if m <= 1 << 16:
+        rows = rows.astype(np.uint16)   # the stable sort of 16-bit keys is a radix sort
     rank_in_row = np.empty(m * n, dtype=np.intp)
-    rank_in_row[np.argsort(perm // n, kind="stable")] = np.arange(m * n) % n
+    rank_in_row[np.argsort(rows, kind="stable")] = np.arange(m * n) % n
     out = full.copy()
     out.flat[perm[rank_in_row < n - 1][:target]] = MISSING
     return out
@@ -83,12 +86,18 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
 
     Neighbors for cell (i, j): rows with column j present and a defined
     similarity to row i, ranked by similarity, highest first, ties to the
-    lower row index; the first k vote with weight = similarity.  Each row's
-    neighbors get unique integer ranks once; per column, a partition of the
-    holders' ranks picks the k best, sorted back into rank order.  Weight and
-    weighted sum are zero-padded numpy row sums over them in that order, so
-    the result does not depend on the BLAS build.  Cells with no neighbor or
-    no positive weight take the row mean.
+    lower row index; the first k vote with weight = similarity.
+
+    That order is kept as one integer key per pair: key[i, r] = (first << bits)
+    | r, where `first` is the place in row i's sorted similarities of the
+    first value equal to sim[i, r], and the low `bits` hold r.  Keys are unique
+    per row and sort like the order above, whatever order the (unstable) sort
+    gave equal values; an undefined similarity gets `never` = n << bits, above
+    every defined key, and never votes.  Per column, a partition of the
+    holders' keys picks the k best, sorted back into order; the voter is the
+    key's low bits.  Weight and weighted sum are zero-padded numpy row sums
+    over them in that order, so the result does not depend on the BLAS build.
+    Cells with no neighbor or no positive weight take the row mean.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -101,22 +110,38 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     row_means = np.nansum(sparse, axis=1) / mask.sum(axis=1)
     n = sparse.shape[0]
     k = min(k_neighbors, n)
-    order = np.argsort(-sim, axis=1, kind="stable")     # undefined (NaN) last
-    rank = np.empty((n, n), dtype=np.int32)             # rank[i, r]: place of r in order[i]
-    rank[np.arange(n)[:, None], order] = np.arange(n, dtype=np.int32)
-    rank[np.isnan(sim)] = n                             # an undefined similarity never votes
+    bits = (n - 1).bit_length()
+    low, never = (1 << bits) - 1, n << bits
+    itype = np.int32 if n <= 1 << 15 else np.int64   # never < 2**31 up to n = 32,768
+    # buffers are dropped as soon as they are used: the live set stays under
+    # the peak of similarity_matrix
+    undefined = np.isnan(sim)
+    vals = np.negative(sim)
+    vals[undefined] = np.inf                          # undefined sorts last
+    o = np.argsort(vals, axis=1).astype(itype)        # ties in any order
+    vals.sort(axis=1)
+    first = np.tile(np.arange(n, dtype=itype), (n, 1))
+    first[:, 1:][vals[:, 1:] == vals[:, :-1]] = 0
+    del vals
+    np.maximum.accumulate(first, axis=1, out=first)   # first place of each value
+    first <<= bits
+    first |= o
+    key = np.empty_like(first)
+    np.put_along_axis(key, o, first, axis=1)
+    del o, first
+    key[undefined] = never
 
     out = sparse.copy()
     for j in range(sparse.shape[1]):
         missing = np.flatnonzero(~mask[:, j])
         if not missing.size:
             continue
-        ranks = rank[np.ix_(missing, np.flatnonzero(mask[:, j]))]
-        if ranks.shape[1] > k:
-            ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
-        ranks.sort(axis=1)
-        row, slot = np.nonzero(ranks < n)
-        voter = order[missing[row], ranks[row, slot]]
+        keys = key[missing][:, mask[:, j]]
+        if keys.shape[1] > k:
+            keys = np.partition(keys, k - 1, axis=1)[:, :k]
+        keys.sort(axis=1)
+        row, slot = np.nonzero(keys < never)
+        voter = keys[row, slot] & low
         sims, ratings = np.zeros((2, missing.size, k))
         sims[row, slot] = sim[missing[row], voter]
         ratings[row, slot] = sparse[voter, j]

@@ -3,8 +3,8 @@
 Each helper here is a second, independent way to compute something `lorahop`
 computes once: the exhaustive schedule oracle for `optimizer.solve_exact`, a
 recursive symbol search for its max-flow check, a per-pair cosine for
-`recommender.similarity_matrix`, a parser for `predictor.export_c_array`
-headers, and a row lookup on simulator reports.
+`recommender.similarity_matrix`, a stable-sort `recommender.impute`, a parser
+for `predictor.export_c_array` headers, and a row lookup on simulator reports.
 """
 
 import re
@@ -176,6 +176,47 @@ def cosine(x, y, missing_as_zero=False):
         return None
     return float(np.dot(xv, yv) / (nx * ny))
 
+
+
+def stable_order_impute(sparse, k_neighbors=20, missing_as_zero=False):
+    """`recommender.impute` with its neighbour order from a stable argsort.
+
+    Each row's neighbours are ordered by `np.argsort(-sim, kind="stable")`
+    (highest similarity first, ties to the lower row, undefined last) and
+    inverted into unique ranks; the column step is the same, so the output
+    must be byte-equal to `impute`'s.
+    """
+    sparse = recommender.check_matrix(sparse)
+    mask = recommender.present_mask(sparse)
+    sim = recommender.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+    np.fill_diagonal(sim, np.nan)
+    row_means = np.nansum(sparse, axis=1) / mask.sum(axis=1)
+    n = sparse.shape[0]
+    k = min(k_neighbors, n)
+    order = np.argsort(-sim, axis=1, kind="stable")
+    rank = np.empty((n, n), dtype=np.int64)             # rank[i, r]: place of r in order[i]
+    rank[np.arange(n)[:, None], order] = np.arange(n)
+    rank[np.isnan(sim)] = n                             # an undefined similarity never votes
+    out = sparse.copy()
+    for j in range(sparse.shape[1]):
+        missing = np.flatnonzero(~mask[:, j])
+        if not missing.size:
+            continue
+        ranks = rank[np.ix_(missing, np.flatnonzero(mask[:, j]))]
+        if ranks.shape[1] > k:
+            ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
+        ranks.sort(axis=1)
+        row, slot = np.nonzero(ranks < n)
+        voter = order[missing[row], ranks[row, slot]]
+        sims, ratings = np.zeros((2, missing.size, k))
+        sims[row, slot] = sim[missing[row], voter]
+        ratings[row, slot] = sparse[voter, j]
+        weight = sims.sum(axis=1)
+        value = np.divide((sims * ratings).sum(axis=1), weight,
+                          out=row_means[missing], where=weight > 0)
+        out[missing, j] = np.clip(np.floor(value + 0.5), recommender.RATING_MIN,
+                                  recommender.RATING_MAX)
+    return out
 
 def parse_c_array(text):
     """Recover the byte payload from an `export_c_array` header."""

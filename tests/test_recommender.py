@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorahop import recommender as rec
-from oracle import cosine
+from oracle import cosine, stable_order_impute
 
 
 def test_cosine_basic():
@@ -111,6 +112,14 @@ def test_sparsify_matches_per_cell_reference():
         for seed in (0, [4, pct]):
             assert np.array_equal(rec.sparsify(full, pct, seed),
                                   _reference_sparsify(full, pct, seed), equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])   # last radix-sorted size, first above
+def test_sparsify_matches_per_cell_reference_around_the_16_bit_row_limit(rows):
+    full = np.full((rows, 2), 3.0)
+    for pct in (20, 50):   # 50 takes one cell from every row
+        assert np.array_equal(rec.sparsify(full, pct, seed=pct),
+                              _reference_sparsify(full, pct, seed=pct), equal_nan=True)
 
 
 def test_sparsify_rejects_bad_input():
@@ -255,6 +264,90 @@ def test_impute_sums_votes_in_rank_order(monkeypatch, holders, extra):
         sparse[row, 1] = r
     monkeypatch.setattr(rec, "similarity_matrix", lambda m, missing_as_zero=False: sim.copy())
     assert rec.impute(sparse, k_neighbors=3)[0, 1] == 3
+
+
+def _assert_impute_is_byte_equal_to_stable_order(sparse, k, missing_as_zero):
+    filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+    expect = stable_order_impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+    assert filled.tobytes() == expect.tobytes()
+
+
+def _ties_cut_by_k(sparse, k, missing_as_zero):
+    """Missing cells whose k-th and (k+1)-th best defined holder similarities are equal."""
+    mask = rec.present_mask(sparse)
+    sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+    np.fill_diagonal(sim, np.nan)
+    cuts = 0
+    for j in range(sparse.shape[1]):
+        for i in np.flatnonzero(~mask[:, j]):
+            sims = np.sort(sim[i, mask[:, j]])[::-1]
+            sims = sims[~np.isnan(sims)]
+            cuts += sims.size > k and sims[k - 1] == sims[k]
+    return cuts
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 64, 65])   # the key's row bits grow from 6 to 7 at 65
+def test_impute_is_byte_equal_to_the_stable_order_reference(n, missing_as_zero):
+    for seed in range(3):
+        random = np.random.default_rng(seed).integers(1, 6, size=(n, 8)).astype(float)
+        for full in (rec.synthetic_ratings(n, 8, seed=seed), random):
+            for pct in (0, 30, 60, 85):
+                sparse = rec.sparsify(full, pct, seed=[seed, pct])
+                for k in (1, 3, 20, n + 1):
+                    _assert_impute_is_byte_equal_to_stable_order(sparse, k, missing_as_zero)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+def test_impute_keeps_the_tie_order_where_k_cuts_a_group_of_equal_similarities(
+        missing_as_zero):
+    # ratings 1 and 2 at high sparsity: many rows share one present column with
+    # row i, so many holders tie at similarity 1.0 with different ratings
+    cuts = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        full = rng.integers(1, 3, size=(65, 6)).astype(float)
+        for pct in (50, 70, 80):
+            sparse = rec.sparsify(full, pct, seed=[seed, pct])
+            for k in (1, 2, 5):
+                cuts += _ties_cut_by_k(sparse, k, missing_as_zero)
+                _assert_impute_is_byte_equal_to_stable_order(sparse, k, missing_as_zero)
+    assert cuts > 100
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("k", [1, 4, 20])
+def test_impute_rows_with_every_similarity_undefined_match_the_stable_order(
+        k, missing_as_zero):
+    rng = np.random.default_rng(5)
+    sparse = rng.integers(1, 6, size=(12, 7)).astype(float)
+    sparse[:, 5:] = rec.MISSING
+    sparse[:, :5][rng.random((12, 5)) < 0.3] = rec.MISSING
+    sparse[:, 0] = 2.0
+    sparse[3] = sparse[7] = rec.MISSING
+    sparse[3, 5], sparse[7, 6] = 4.0, 1.0   # each alone in its column: no similarity is defined
+    sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+    np.fill_diagonal(sim, np.nan)
+    assert np.isnan(sim[[3, 7]]).all()
+    _assert_impute_is_byte_equal_to_stable_order(sparse, k, missing_as_zero)
+    filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+    assert (filled[3] == 4).all() and (filled[7] == 1).all()
+
+
+@pytest.mark.parametrize("pct", [10, 90])
+def test_impute_peak_memory_stays_within_that_of_similarity_matrix(pct):
+    # the study's matrix: the neighbour keys must not outgrow the similarity pass
+    sparse = rec.sparsify(rec.synthetic_ratings(500, 20, seed=0), pct, seed=[0, pct, 0])
+    tracemalloc.start()
+    try:
+        rec.similarity_matrix(sparse)
+        _, similarity_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rec.impute(sparse)
+        _, impute_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert impute_peak <= similarity_peak + 64 * 1024
 
 
 def test_evaluate_confusion():
