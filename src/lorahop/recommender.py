@@ -65,15 +65,14 @@ def sparsify(full, sparsity_pct, seed):
     if target > m * n - m:
         raise ValueError("requested sparsity would empty at least one row")
     perm = np.random.default_rng(seed).permutation(m * n)
-    # a cell goes if it is among the first n-1 draws of its row and among the
+    # a cell goes if it is not the last-drawn cell of its row and is among the
     # first `target` such cells in draw order
-    rows = perm // n
-    if m <= 1 << 16:
-        rows = rows.astype(np.uint16)   # the stable sort of 16-bit keys is a radix sort
-    rank_in_row = np.empty(m * n, dtype=np.intp)
-    rank_in_row[np.argsort(rows, kind="stable")] = np.arange(m * n) % n
+    drawn = np.empty_like(perm)
+    drawn[perm] = np.arange(m * n)
+    keep = np.zeros(m * n, dtype=bool)
+    keep[drawn.reshape(m, n).argmax(axis=1) + n * np.arange(m)] = True
     out = full.copy()
-    out.flat[perm[rank_in_row < n - 1][:target]] = MISSING
+    out.flat[perm[~keep[perm]][:target]] = MISSING
     return out
 
 

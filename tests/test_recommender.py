@@ -114,8 +114,8 @@ def test_sparsify_matches_per_cell_reference():
                                   _reference_sparsify(full, pct, seed), equal_nan=True)
 
 
-@pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])   # last radix-sorted size, first above
-def test_sparsify_matches_per_cell_reference_around_the_16_bit_row_limit(rows):
+@pytest.mark.parametrize("rows", [1 << 16, (1 << 16) + 1])
+def test_sparsify_matches_per_cell_reference_on_tall_matrices(rows):
     full = np.full((rows, 2), 3.0)
     for pct in (20, 50):   # 50 takes one cell from every row
         assert np.array_equal(rec.sparsify(full, pct, seed=pct),
