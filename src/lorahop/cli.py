@@ -1,12 +1,13 @@
-"""Command-line entry point.
+"""Command-line entry point: argument parsing, dispatch, the run manifest and exit codes.
 
 Subcommands: optimize, simulate, gen-dataset, train, export, pipeline,
-recommend (generate/impute/study), figdata.  Every command writes its primary
-output plus a sidecar run manifest (<out>.manifest.json) with the command
-line, an input digest, seeds, version and wall-clock duration.  Exit codes:
-0 success; 1 domain failure (infeasible instance, search budget exhausted,
-diverged training); 2 input error (unreadable or unwritable file, malformed
-or out-of-range input).
+recommend (generate/impute/study), figdata.  Each `cmd_*` calls the library
+modules and returns its output paths; `main` then writes the run manifest
+(command, config digest, seeds, version, outputs, duration) next to `--out`,
+or in `--out-dir` as `<command>[_<figure>].manifest.json`.  Exit codes: 0
+success; 1 domain failure (infeasible instance, search budget exhausted,
+diverged training); 2 input error (unreadable or unwritable file, malformed or
+out-of-range input).
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
-def _digest(*parts):
+def _config_digest(args):
+    """SHA-256 over every parsed argument but the outputs; input files by their bytes."""
     h = hashlib.sha256()
-    for p in parts:
-        if isinstance(p, bytes):
-            h.update(p)
-        else:
-            h.update(str(p).encode())
-        h.update(b"\x00")
+    for name, value in sorted(vars(args).items()):
+        if name in ("out", "out_dir", "events", "func"):
+            continue
+        if name in ("scenario", "config", "trace", "dataset", "model", "infile") and value:
+            value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+        h.update(f"{name}={value!r}\x00".encode())
     return h.hexdigest()
 
 
@@ -51,12 +53,8 @@ def _write_csv(path, header, rows):
     return path
 
 
-# Each cmd_* does its command's work and returns
-# (manifest base path, config digest, seeds, output paths); `main` writes the manifest.
-
 def cmd_optimize(args):
-    text = Path(args.scenario).read_text()
-    scenario = core.Scenario.from_json(text)
+    scenario = core.Scenario.from_json(Path(args.scenario).read_text())
     result = optimizer.solve_exact(scenario, alpha=args.alpha, beta=args.beta,
                                    budget=args.budget)
     if violations := core.validate(scenario, result.schedule):   # a solver bug: no exit code
@@ -72,52 +70,18 @@ def cmd_optimize(args):
         "z": result.schedule.z.astype(int).tolist(),
     }
     Path(args.out).write_text(json.dumps(doc, sort_keys=True))
-    return args.out, _digest(text, args.alpha, args.beta, args.budget), [], [args.out]
-
-
-def _strategy_from_spec(spec):
-    kind = spec["kind"]
-    if kind == "fixed":
-        return sim.FixedStrategy(spec["freq"])
-    if kind == "random_hop":
-        return sim.RandomHopStrategy()
-    if kind == "sensing_hop":
-        return sim.SensingHopStrategy()
-    if kind == "predictor_hop":
-        model = predictor.import_flat(Path(spec["model"]).read_bytes())
-        return sim.PredictorHopStrategy(model)
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-# config document keys: SimConfig's field names, with "seed" for rng_seed
-_SIM_DOC_KEYS = ("payload_schedule", "packets_per_size", "seed", "capture_threshold_db",
-                "rssi_jitter_db", "snr_jitter_db", "predictor_placement", "window_slots")
-
-
-def _sim_config_from_json(doc):
-    """SimConfig from a config document; keys the document lacks keep SimConfig's defaults."""
-    nodes = tuple(sim.NodeSpec(source=n["source"], strategy=_strategy_from_spec(n["strategy"]))
-                  for n in doc["nodes"])
-    given = {("rng_seed" if k == "seed" else k): doc[k] for k in _SIM_DOC_KEYS if k in doc}
-    if "payload_schedule" in given:
-        given["payload_schedule"] = tuple(given["payload_schedule"])
-    return sim.SimConfig(nodes=nodes, **given)
+    return [args.out]
 
 
 def cmd_simulate(args):
     trace_obj = _load_trace(args)
-    text = Path(args.config).read_text()
-    config = _sim_config_from_json(json.loads(text))
-    if args.seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.seed)
-    report = sim.run(config, trace_obj)
-    outputs = [args.out]
+    config = sim.SimConfig.from_json(Path(args.config).read_text())
+    args.seed = config.rng_seed if args.seed is None else args.seed   # the manifest's seed
+    report = sim.run(dataclasses.replace(config, rng_seed=args.seed), trace_obj)
     Path(args.out).write_text(report.to_json())
-    if args.events:
-        outputs.append(_write_csv(args.events, sim.EVENT_FIELDS, (
-            [int(v) if isinstance(v, bool) else v for v in d.values()]
-            for d in report.event_dicts)))
-    return args.out, _digest(text, args.seed), [config.rng_seed], outputs
+    if not args.events:
+        return [args.out]
+    return [args.out, _write_csv(args.events, sim.EVENT_FIELDS, report.event_rows())]
 
 
 def cmd_gen_dataset(args):
@@ -125,13 +89,11 @@ def cmd_gen_dataset(args):
     dataset = telemetry.generate_labeled_dataset(trace_obj, args.source, args.rows, args.seed,
                                                  ts=args.ts)
     Path(args.out).write_text(telemetry.dataset_to_json(dataset))
-    return (args.out, _digest(args.source, args.ts, args.rows, args.seed), [args.seed],
-            [args.out])
+    return [args.out]
 
 
 def cmd_train(args):
-    text = Path(args.dataset).read_text()
-    dataset = telemetry.dataset_from_json(text)
+    dataset = telemetry.dataset_from_json(Path(args.dataset).read_text())
     model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=args.seed,
                                  l1_lambda=args.l1)
     report = predictor.train(model, dataset, epochs=args.epochs, batch_size=args.batch,
@@ -149,41 +111,36 @@ def cmd_train(args):
         "test_accuracy": nan_to_null(report.test_accuracy),
         "split_sizes": list(report.split_sizes),
     }, sort_keys=True))
-    return (args.out, _digest(text, args.epochs, args.batch, args.lr, args.l1, args.seed),
-            [args.seed], [args.out, curves_path])
+    return [args.out, curves_path]
 
 
 def cmd_export(args):
-    blob = Path(args.model).read_bytes()
-    model = predictor.import_flat(blob)
+    model = predictor.import_flat(Path(args.model).read_bytes())
     if args.format == "c_array":
         Path(args.out).write_text(predictor.export_c_array(model, args.symbol))
     else:
         Path(args.out).write_bytes(predictor.export_flat(model))
-    return args.out, _digest(blob, args.format, args.symbol), [], [args.out]
+    return [args.out]
 
 
 def cmd_pipeline(args):
     _, outputs = pipeline.run_pipeline(_load_trace(args), args.out_dir, args.seed,
                                        sources=tuple(args.sources.split(",")),
                                        rows=args.rows, epochs=args.epochs)
-    return (Path(args.out_dir) / "pipeline",
-            _digest(args.sources, args.rows, args.epochs, args.seed), [args.seed], outputs)
+    return outputs
 
 
 def cmd_recommend_generate(args):
     matrix = recommender.synthetic_ratings(args.soils, args.plants, seed=args.seed)
     recommender.save_matrix_csv(matrix, args.out)
-    return args.out, _digest(args.soils, args.plants, args.seed), [args.seed], [args.out]
+    return [args.out]
 
 
 def cmd_recommend_impute(args):
-    # digest the input before --out is written: the two may be one file
-    digest = _digest(Path(args.infile).read_bytes(), args.k, args.missing_as_zero)
     matrix = recommender.load_matrix_csv(args.infile)
     filled = recommender.impute(matrix, k_neighbors=args.k, missing_as_zero=args.missing_as_zero)
     recommender.save_matrix_csv(filled, args.out)
-    return args.out, digest, [], [args.out]
+    return [args.out]
 
 
 def cmd_recommend_study(args):
@@ -193,9 +150,7 @@ def cmd_recommend_study(args):
                                    k_neighbors=args.k, base_seed=args.seed,
                                    missing_as_zero=args.missing_as_zero)
     Path(args.out).write_text(json.dumps(report, sort_keys=True))
-    return (args.out, _digest(args.soils, args.plants, args.sparsities, args.seeds,
-                              args.k, args.seed, args.missing_as_zero),
-            [args.seed], [args.out])
+    return [args.out]
 
 
 def cmd_figdata(args):
@@ -212,17 +167,16 @@ def cmd_figdata(args):
         tables.append(("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows))
     elif args.figure == "strategy-comparison":
         with open(args.infile, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            header, *rows = csv.reader(fh)
+        if tuple(header) != sim.COMPARISON_FIELDS:
+            raise ValueError(f"{args.infile} is not a comparison table: header {header}")
         for metric in ("rssi", "snr", "pdr"):
             tables.append((f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
-                           [[r["size"], r["random_hop"], r["predictor_hop"]]
-                            for r in rows if r["metric"] == metric]))
+                           [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric]))
     else:  # confusion
         report = json.loads(Path(args.infile).read_text())
         for entry in report["sparsities"]:
-            pct = entry["sparsity_pct"]
-            if isinstance(pct, bool) or not isinstance(pct, int) or not 0 <= pct <= 99:
-                raise ValueError(f"sparsity_pct must be an integer in 0..99, got {pct!r}")
+            pct = recommender.check_sparsity(entry["sparsity_pct"])
             tables.append((f"fig_confusion_sparsity{pct}.csv",
                            ["true\\pred"] + [str(v) for v in range(1, 6)],
                            [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
@@ -230,9 +184,7 @@ def cmd_figdata(args):
                        list(enumerate(report["distribution"], start=1))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [_write_csv(out_dir / name, header, rows) for name, header, rows in tables]
-    return (out_dir / f"figdata_{args.figure}",
-            _digest(args.figure, args.infile, args.ts, args.seed), [args.seed], outputs)
+    return [_write_csv(out_dir / name, header, rows) for name, header, rows in tables]
 
 
 def build_parser():
@@ -332,20 +284,23 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    command = " ".join(filter(None, (args.command, getattr(args, "rec_command", None))))
+    given = vars(args)
+    command = " ".join(filter(None, (args.command, given.get("rec_command"))))
+    base = args.out if "out" in given else Path(args.out_dir) / "_".join(
+        filter(None, (args.command, given.get("figure"))))
     started = time.monotonic()
     try:
-        manifest_base, digest, seeds, outputs = args.func(args)
+        digest = _config_digest(args)   # before the run: an input may also be the output
+        outputs = args.func(args)
         manifest = {
             "command": command,
             "config_digest": digest,
-            "seeds": seeds,
+            "seeds": [args.seed] if "seed" in given else [],
             "tool_version": __version__,
             "outputs": [str(o) for o in outputs],
             "duration_s": round(time.monotonic() - started, 3),
         }
-        Path(f"{manifest_base}.manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True))
+        Path(f"{base}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     except (optimizer.Infeasible, optimizer.BudgetExhausted, FloatingPointError) as exc:
         print(f"{command} failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

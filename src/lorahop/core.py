@@ -200,12 +200,6 @@ def check_weights(alpha, beta):
         raise ValueError(f"objective weights must be finite and nonnegative: {alpha}, {beta}")
 
 
-def objective(scenario, schedule, alpha, beta):
-    """Weighted sum alpha * collisions + beta * hops."""
-    check_weights(alpha, beta)
-    return alpha * collision_count(scenario, schedule) + beta * hop_count(scenario, schedule)
-
-
 def validate(scenario, schedule):
     """Check all eight constraint families; returns violations as data."""
     _check_shapes(scenario, schedule)

@@ -107,8 +107,8 @@ def _symbols_by_flow(scenario, choices):
     Every active channel must carry at least B_min symbols; the slack above the
     minima is routed from nodes (supply = demand - k*B_min) to channel-slots
     (residual capacity B_f - users*B_min) through a max-flow.  A node whose
-    supply exceeds what its own channel-slots can take, sum of
-    min(B_f - B_min, residual), fails before the flow is built.
+    supply exceeds the residuals of its own channel-slots fails before the flow
+    is built: the search's symbol-reach rule applied to final occupancies.
     """
     n_nodes, horizon = scenario.num_nodes, scenario.horizon
     f_n = scenario.num_freqs
@@ -137,7 +137,7 @@ def _symbols_by_flow(scenario, choices):
         cs_residual[(t, c)] = cap
     reach = [0] * n_nodes
     for i, t, c in active:
-        reach[i] += min(scenario.freq_capacity[c % f_n] - bmin, cs_residual[(t, c)])
+        reach[i] += cs_residual[(t, c)]
     if any(extra > r for extra, r in zip(supply, reach)):
         return None
 

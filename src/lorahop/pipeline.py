@@ -13,7 +13,10 @@ from . import predictor, sim, telemetry
 
 
 def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs=60):
-    """Dataset -> training -> flat export -> predictor-vs-random simulation."""
+    """Dataset -> training -> flat export -> predictor-vs-random simulation.
+
+    Returns the `comparison.csv` rows (`sim.compare_strategies`) and the output paths.
+    """
     for src in sources:
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
@@ -55,13 +58,7 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     comp_path = out_dir / "comparison.csv"
     with open(comp_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["size", "metric", "random_hop", "predictor_hop", "improvement"])
-        for row in comparison:
-            writer.writerow([row["size"], "rssi", row["rssi_b"], row["rssi_a"],
-                             row["rssi_improvement_pct"]])
-            writer.writerow([row["size"], "snr", row["snr_b"], row["snr_a"],
-                             row["snr_improvement_pct"]])
-            writer.writerow([row["size"], "pdr", row["pdr_b"], row["pdr_a"],
-                             row["pdr_delta"]])
+        writer.writerow(sim.COMPARISON_FIELDS)
+        writer.writerows(comparison)
     outputs += [rand_path, pred_path, comp_path]
     return comparison, outputs

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import integers
+
 MISSING = np.nan
 RATING_MIN, RATING_MAX = 1, 5
 _ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
@@ -53,13 +55,20 @@ def similarity_matrix(matrix, missing_as_zero=False):
     return sim
 
 
+def check_sparsity(sparsity_pct):
+    """The one sparsity rule: an integer percentage (`core.integers`) in 0..99, as an int."""
+    pct, = integers("sparsity_pct", (sparsity_pct,))
+    if not 0 <= pct <= 99:
+        raise ValueError(f"sparsity_pct must be in 0..99, got {pct}")
+    return pct
+
+
 def sparsify(full, sparsity_pct, seed):
     """Remove exactly floor(m*n*pct/100) random cells, keeping every row nonempty."""
     full = check_matrix(full)
     if np.isnan(full).any():
         raise ValueError("input matrix must be complete")
-    if not 0 <= sparsity_pct <= 99:
-        raise ValueError("sparsity_pct must be in 0..99")
+    sparsity_pct = check_sparsity(sparsity_pct)
     m, n = full.shape
     target = (m * n * sparsity_pct) // 100
     if target > m * n - m:

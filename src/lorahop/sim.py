@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
@@ -100,6 +101,7 @@ class SimConfig:
     window_slots: int = DEFAULT_WINDOW_SLOTS
 
     def __post_init__(self):
+        object.__setattr__(self, "payload_schedule", tuple(self.payload_schedule))
         # checked here: a run may never read a field (one node never meets the capture rule)
         integers("packets_per_size, seed, window_slots and sizes",
                  (self.packets_per_size, self.rng_seed, self.window_slots, *self.payload_schedule))
@@ -115,6 +117,31 @@ class SimConfig:
             raise ValueError("payload sizes must be distinct")   # rows are per (node, size)
         if self.predictor_placement not in ("end_node", "gateway"):
             raise ValueError("predictor_placement must be end_node or gateway")
+
+    @classmethod
+    def from_json(cls, text):
+        """SimConfig from a config document: "nodes" and the other field names, "seed" for
+        `rng_seed`; a field the document lacks keeps its default."""
+        doc = json.loads(text)
+
+        def strategy(spec):
+            kind = spec["kind"]
+            if kind == "fixed":
+                return FixedStrategy(spec["freq"])
+            if kind == "random_hop":
+                return RandomHopStrategy()
+            if kind == "sensing_hop":
+                return SensingHopStrategy()
+            if kind == "predictor_hop":
+                return PredictorHopStrategy(
+                    predictor_mod.import_flat(Path(spec["model"]).read_bytes()))
+            raise ValueError(f"unknown strategy kind {kind!r}")
+
+        nodes = tuple(NodeSpec(source=n["source"], strategy=strategy(n["strategy"]))
+                      for n in doc["nodes"])
+        keys = {("seed" if f.name == "rng_seed" else f.name): f.name
+                for f in fields(cls) if f.name != "nodes"}
+        return cls(nodes=nodes, **{name: doc[key] for key, name in keys.items() if key in doc})
 
 
 @dataclass(slots=True)
@@ -179,6 +206,11 @@ class SimReport:
     def event_dicts(self):
         """`SlotEvent.to_dict` of every event, built once for both the JSON and the CSV."""
         return [e.to_dict() for e in self.events]
+
+    def event_rows(self):
+        """The events CSV rows, columns `EVENT_FIELDS`, booleans written as 0/1."""
+        for d in self.event_dicts:
+            yield [int(v) if isinstance(v, bool) else v for v in d.values()]
 
     def to_json(self):
         doc = {
@@ -277,15 +309,18 @@ def run(config, trace):
     return SimReport(rows=rows, events=events)
 
 
-def compare_strategies(report_a, report_b):
-    """Per payload size, improvement of report_a over baseline report_b.
+COMPARISON_FIELDS = ("size", "metric", "random_hop", "predictor_hop", "improvement")
+
+
+def compare_strategies(report_pred, report_random):
+    """The `comparison.csv` rows (`COMPARISON_FIELDS`), three per payload size.
 
     RSSI improvement works on dBm magnitudes (smaller |rssi| is better):
-    (|rssi_b| - |rssi_a|) / |rssi_b| * 100.  Lost packets enter the means at
-    the floor values, which is what makes whole-run comparisons sensitive to
+    (|rssi_random| - |rssi_pred|) / |rssi_random| * 100.  Lost packets enter the
+    means at the floor values, which makes whole-run comparisons sensitive to
     delivery, not just link quality of the delivered packets.
     """
-    if report_a.sizes != report_b.sizes:
+    if report_pred.sizes != report_random.sizes:
         raise ValueError("reports cover different payload size sets")
 
     def per_size(report, size):
@@ -297,15 +332,12 @@ def compare_strategies(report_a, report_b):
         return rssi, snr, pdr
 
     table = []
-    for size in report_a.sizes:
-        rssi_a, snr_a, pdr_a = per_size(report_a, size)
-        rssi_b, snr_b, pdr_b = per_size(report_b, size)
+    for size in report_pred.sizes:
+        rssi_a, snr_a, pdr_a = per_size(report_pred, size)
+        rssi_b, snr_b, pdr_b = per_size(report_random, size)
         rssi_impr = (abs(rssi_b) - abs(rssi_a)) / abs(rssi_b) * 100 if rssi_b else 0.0
         snr_impr = (snr_a - snr_b) / snr_b * 100 if snr_b > 0 else float("nan")
-        table.append({
-            "size": size,
-            "rssi_a": rssi_a, "rssi_b": rssi_b, "rssi_improvement_pct": rssi_impr,
-            "snr_a": snr_a, "snr_b": snr_b, "snr_improvement_pct": snr_impr,
-            "pdr_a": pdr_a, "pdr_b": pdr_b, "pdr_delta": pdr_a - pdr_b,
-        })
+        table += [[size, "rssi", rssi_b, rssi_a, rssi_impr],
+                  [size, "snr", snr_b, snr_a, snr_impr],
+                  [size, "pdr", pdr_b, pdr_a, pdr_a - pdr_b]]
     return table

@@ -11,11 +11,11 @@ its window length and channel count.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import integers
 from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
                     DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB)
 
@@ -127,8 +127,8 @@ def _hasher(hash_const, mult):
 
 
 def check_seed(seed):
-    """The seed as an int; ValueError unless it is a non-negative integer."""
-    seed = operator.index(seed)
+    """The seed as an int: an integer (`core.integers`) that is not negative."""
+    seed, = integers("seed", (seed,))
     if seed < 0:
         raise ValueError("expected non-negative integer")
     return seed

@@ -1,10 +1,11 @@
 """Reference routes the tests compare the package against.
 
 Each helper here is a second, independent way to compute something `lorahop`
-computes once: the exhaustive schedule oracle for `optimizer.solve_exact`, a
-recursive symbol search for its max-flow check, a per-pair cosine for
-`recommender.similarity_matrix`, a stable-sort `recommender.impute`, a parser
-for `predictor.export_c_array` headers, and a row lookup on simulator reports.
+computes once: a schedule's weighted objective and the exhaustive schedule
+oracle for `optimizer.solve_exact`, a recursive symbol search for its max-flow
+check, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
+`recommender.impute`, a parser for `predictor.export_c_array` headers, and a
+row lookup on simulator reports.
 """
 
 import re
@@ -20,6 +21,13 @@ class EnumerationCapExceeded(Exception):
     def __init__(self, states, cap):
         self.states = states
         super().__init__(f"state space too large to enumerate: {states} > cap {cap}")
+
+
+def objective(scenario, schedule, alpha, beta):
+    """Weighted sum alpha * collisions + beta * hops."""
+    core.check_weights(alpha, beta)
+    return (alpha * core.collision_count(scenario, schedule)
+            + beta * core.hop_count(scenario, schedule))
 
 
 def _decode_choices(indices, positions, base):

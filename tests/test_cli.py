@@ -168,6 +168,23 @@ def test_pipeline_small(tmp_path):
     assert (out_dir / "report_predictor.json").is_file()
 
 
+def test_figdata_strategy_comparison_splits_the_pipeline_table(tmp_path):
+    out_dir, figs = tmp_path / "pipe", tmp_path / "figs"
+    assert run(["pipeline", "--out-dir", str(out_dir), "--sources", "A", "--rows", "20",
+                "--epochs", "1"]) == 0
+    with open(out_dir / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert run(["figdata", "--figure", "strategy-comparison", "--in",
+                str(out_dir / "comparison.csv"), "--out-dir", str(figs)]) == 0
+    for metric in ("rssi", "snr", "pdr"):
+        with open(figs / f"fig_strategy_{metric}.csv", newline="") as fh:
+            header, *got = csv.reader(fh)
+        assert header == ["size", "random_hop", "predictor_hop"]
+        assert got == [[r["size"], r["random_hop"], r["predictor_hop"]]
+                       for r in rows if r["metric"] == metric]
+        assert len(got) == 6
+
+
 def test_pipeline_unknown_source_exit_2(tmp_path):
     assert run(["pipeline", "--out-dir", str(tmp_path / "p"), "--sources", "Z",
                 "--rows", "10", "--epochs", "1"]) == 2
@@ -310,6 +327,12 @@ MALFORMED_INPUTS = {
     "negative learning rate": lambda d: _train(d, "--lr", "-1"),
     "learning rate nan": lambda d: _train(d, "--lr", "nan"),
     "learning rate inf": lambda d: _train(d, "--lr", "inf"),
+    "comparison table without its header": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", "30,rssi,-90.0,-80.0,11.1\n")],
+    "empty comparison table": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", "")],
     "pipeline with negative epochs": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A", "--rows", "20",
         "--epochs", "-1"],
@@ -500,12 +523,12 @@ def test_empty_payload_schedule_still_writes_events_header(tmp_path):
 
 def test_sim_config_document_takes_sim_config_defaults():
     nodes = [{"source": "A", "strategy": {"kind": "random_hop"}}]
-    bare = cli._sim_config_from_json({"nodes": nodes})
+    bare = sim.SimConfig.from_json(json.dumps({"nodes": nodes}))
     assert bare == sim.SimConfig(nodes=bare.nodes)
-    full = cli._sim_config_from_json({
+    full = sim.SimConfig.from_json(json.dumps({
         "nodes": nodes, "payload_schedule": [74, 30], "packets_per_size": 3, "seed": 9,
         "capture_threshold_db": 2.5, "rssi_jitter_db": 0.0, "snr_jitter_db": 2.0,
-        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1})
+        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1}))
     assert full == sim.SimConfig(
         nodes=full.nodes, payload_schedule=(74, 30), packets_per_size=3, rng_seed=9,
         capture_threshold_db=2.5, rssi_jitter_db=0.0, snr_jitter_db=2.0,
@@ -646,6 +669,91 @@ def test_fuzzed_trace_csvs_keep_the_exit_code_contract(tmp_path, trace_csv):
 @given(trace_csv=mutated_trace_cells())
 def test_trace_csvs_with_bad_cells_keep_the_exit_code_contract(tmp_path, trace_csv):
     assert set(_trace_exit_codes(tmp_path, trace_csv.encode())) <= {0, 1, 2}
+
+
+SMALL_SIM_CONFIG = {"nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+                    "payload_schedule": [30], "packets_per_size": 3}
+
+
+def _json_bytes(doc):
+    return json.dumps(doc).encode()
+
+
+def _trace_shifted(db):
+    """The bundled trace CSV with every RSSI moved by `db` dB."""
+    header, *lines = FUZZ_TRACE_CSV.decode().splitlines()
+    col = header.split(",").index("rssi")
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[col] = str(float(row[col]) + db)
+    return "\n".join([header] + [",".join(row) for row in rows]).encode() + b"\n"
+
+
+# Per command and input file: the file's bytes, changed bytes, and (input path, scratch
+# directory) -> (argv, manifest path).
+DIGEST_CASES = {
+    "optimize --scenario": (
+        _json_bytes(_scenario_doc()), _json_bytes({**_scenario_doc(), "demand": [3, 4, 4]}),
+        lambda p, d: (["optimize", "--scenario", p, "--out", str(d / "o.json")],
+                      d / "o.json.manifest.json")),
+    "simulate --config": (
+        _json_bytes(SMALL_SIM_CONFIG), _json_bytes({**SMALL_SIM_CONFIG, "seed": 1}),
+        lambda p, d: (["simulate", "--config", p, "--out", str(d / "r.json")],
+                      d / "r.json.manifest.json")),
+    "simulate --trace": (
+        FUZZ_TRACE_CSV, _trace_shifted(3.0),
+        lambda p, d: (["simulate", "--trace", p, "--out", str(d / "r.json"),
+                       "--config", _write_json(d / "sim.json", SMALL_SIM_CONFIG)],
+                      d / "r.json.manifest.json")),
+    "gen-dataset --trace": (
+        FUZZ_TRACE_CSV, _trace_shifted(3.0),
+        lambda p, d: (["gen-dataset", "--trace", p, "--rows", "5", "--out", str(d / "ds.json")],
+                      d / "ds.json.manifest.json")),
+    "train --dataset": (
+        _json_bytes(FUZZ_DATASET),
+        _json_bytes({**FUZZ_DATASET, "rows": FUZZ_DATASET["rows"][::-1]}),
+        lambda p, d: (["train", "--dataset", p, "--epochs", "1", "--out", str(d / "m.fhop")],
+                      d / "m.fhop.manifest.json")),
+    "export --model": (
+        FUZZ_MODEL, predictor.export_flat(predictor.init_model(5, 3, seed=1)),
+        lambda p, d: (["export", "--model", p, "--out", str(d / "m.h")],
+                      d / "m.h.manifest.json")),
+    "pipeline --trace": (
+        FUZZ_TRACE_CSV, _trace_shifted(3.0),
+        lambda p, d: (["pipeline", "--trace", p, "--out-dir", str(d / "pipe"), "--sources", "A",
+                       "--rows", "20", "--epochs", "1"], d / "pipe" / "pipeline.manifest.json")),
+    "recommend impute --in": (
+        FUZZ_MATRIX_CSV, FUZZ_MATRIX_CSV.replace(b"3,,5,1", b"3,,4,1"),
+        lambda p, d: (["recommend", "impute", "--in", p, "--k", "3", "--out", str(d / "f.csv")],
+                      d / "f.csv.manifest.json")),
+    "figdata --in": (
+        _json_bytes(FUZZ_STUDY), _json_bytes({**FUZZ_STUDY, "distribution": [5, 4, 3, 2, 1]}),
+        lambda p, d: (["figdata", "--figure", "confusion", "--in", p, "--out-dir", str(d)],
+                      d / "figdata_confusion.manifest.json")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+def test_config_digest_hashes_input_bytes_not_paths(tmp_path, case):
+    """The same bytes at another path keep the manifest's digest; changed bytes change it."""
+    original, changed, argv_for = DIGEST_CASES[case]
+    digests = []
+    for name, blob in (("a", original), ("b", original), ("c", changed)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "input").write_bytes(blob)
+        argv, manifest = argv_for(str(d / "input"), d)
+        assert run(argv) == 0
+        digests.append(json.loads(Path(manifest).read_text())["config_digest"])
+    assert digests[0] == digests[1] != digests[2]
+
+
+@pytest.mark.parametrize("flags,seeds", [([], [3]), (["--seed", "5"], [5])])
+def test_simulate_manifest_records_the_seed_the_run_used(tmp_path, flags, seeds):
+    out = tmp_path / "report.json"
+    assert run(["simulate", "--out", str(out), *flags, "--config", _write_json(
+        tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "seed": 3})]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["seeds"] == seeds
 
 
 def _sha256(path):

@@ -75,6 +75,17 @@ def test_sparsify_exact_count_and_row_retention():
         assert np.array_equal(sp[present], full[present])
 
 
+@pytest.mark.parametrize("pct,error", [(True, TypeError), (10.5, TypeError), (10.0, TypeError),
+                                       ("10", TypeError), (None, TypeError), (-1, ValueError),
+                                       (100, ValueError)])
+def test_sparsify_takes_only_an_integer_percentage_in_0_to_99(pct, error):
+    full = np.random.default_rng(3).integers(1, 6, size=(10, 4)).astype(float)
+    with pytest.raises(error, match="sparsity_pct"):
+        rec.sparsify(full, pct, seed=0)
+    assert np.array_equal(rec.sparsify(full, np.int64(10), seed=0), rec.sparsify(full, 10, seed=0),
+                          equal_nan=True)
+
+
 def test_sparsify_deterministic():
     full = np.random.default_rng(2).integers(1, 6, size=(20, 8)).astype(float)
     a = rec.sparsify(full, 40, seed=5)

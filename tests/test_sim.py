@@ -117,9 +117,10 @@ def test_compare_strategies_formulas():
                             mean_snr=6.5, mean_rssi_all=-108.0, mean_snr_all=6.5)]
     table = sim.compare_strategies(sim.SimReport(rows=rows_a, events=[]),
                                    sim.SimReport(rows=rows_b, events=[]))
-    assert table[0]["rssi_improvement_pct"] == pytest.approx(63.0, abs=0.05)
-    assert table[0]["snr_improvement_pct"] == pytest.approx(44.6, abs=0.05)
-    assert table[0]["pdr_delta"] == pytest.approx(0.2)
+    improvement = {metric: impr for _, metric, _, _, impr in table}
+    assert improvement["rssi"] == pytest.approx(63.0, abs=0.05)
+    assert improvement["snr"] == pytest.approx(44.6, abs=0.05)
+    assert improvement["pdr"] == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("field,value", [

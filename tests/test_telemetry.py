@@ -246,6 +246,18 @@ def test_dataset_rejects_negative_seed_and_empty_window(bundled_trace):
         telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=0, ts=0)
 
 
+@pytest.mark.parametrize("seed", [True, 1.0, "1"])
+def test_dataset_rejects_a_seed_that_is_not_an_integer(bundled_trace, seed):
+    with pytest.raises(TypeError):
+        telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=seed)
+
+
+def test_dataset_takes_a_numpy_integer_seed(bundled_trace):
+    got = telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=np.uint8(3))
+    want = telemetry.generate_labeled_dataset(bundled_trace, "A", 5, seed=3)
+    assert got.features.tobytes() == want.features.tobytes()
+
+
 def test_dataset_ties_go_to_the_lowest_channel(bundled_trace):
     # at PDR 0.2 every channel is often lost, and all three then tie at the RSSI floor
     lossy = trace.ChannelTrace({key: dataclasses.replace(entry, pdr=0.2)
