@@ -1,23 +1,22 @@
 """Command-line entry point: argument parsing, dispatch, the run manifest and exit codes.
 
 Subcommands: optimize, simulate, gen-dataset, train, export, pipeline,
-recommend (generate/impute/study), figdata.  Each `cmd_*` calls the library
-modules and returns its output paths; `main` then writes the run manifest
-(command, config digest, seeds, version, outputs, duration) next to `--out`,
-or in `--out-dir` as `<command>[_<figure>].manifest.json`.  Exit codes: 0
-success; 1 domain failure (infeasible instance, search budget exhausted,
-diverged training); 2 input error (unreadable or unwritable file, malformed or
-out-of-range input).
+recommend (generate/impute/study), figdata.  The parser reads each input file
+once, as bytes (`_read`); a file that an input names (a sim config's model) is
+read by `args.read`.  The library modules parse those bytes and build every
+output document; `main` writes the run manifest (command, config digest,
+seeds, version, outputs, duration) next to `--out`, or in `--out-dir` as
+`<command>[_<figure>].manifest.json`.  Exit codes: 0 success; 1 domain failure
+(infeasible, budget exhausted, diverged training, out of memory); 2 input
+error (unreadable or unwritable file, malformed input).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -29,102 +28,74 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
-def _config_digest(args):
-    """SHA-256 over every parsed argument but the outputs; input files by their bytes."""
+def _read(path):
+    """The `type=` of every input option: the file's bytes, or a usage error (exit 2)."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _config_digest(parsed, files):
+    """SHA-256 over the parsed arguments but the outputs, then each file the command read."""
     h = hashlib.sha256()
-    for name, value in sorted(vars(args).items()):
+    for name, value in sorted(parsed.items()):
         if name in ("out", "out_dir", "events", "func"):
             continue
-        if name in ("scenario", "config", "trace", "dataset", "model", "infile") and value:
-            value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+        if isinstance(value, bytes):
+            value = hashlib.sha256(value).hexdigest()
         h.update(f"{name}={value!r}\x00".encode())
+    for blob in files:
+        h.update(f"read={hashlib.sha256(blob).hexdigest()}\x00".encode())
     return h.hexdigest()
 
 
-def _load_trace(args):
-    return trace.load_trace(args.trace or trace.bundled_trace_path())
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
 def cmd_optimize(args):
-    scenario = core.Scenario.from_json(Path(args.scenario).read_text())
+    scenario = core.Scenario.from_json(args.scenario)
     result = optimizer.solve_exact(scenario, alpha=args.alpha, beta=args.beta,
                                    budget=args.budget)
-    if violations := core.validate(scenario, result.schedule):   # a solver bug: no exit code
-        raise AssertionError(f"solver returned an invalid schedule: {violations[0]}")
-    doc = {
-        "objective_value": result.objective_value,
-        "proven_optimal": result.proven_optimal,
-        "nodes_explored": result.nodes_explored,
-        "collisions": core.collision_count(scenario, result.schedule),
-        "hops": core.hop_count(scenario, result.schedule),
-        "x": result.schedule.x.astype(int).tolist(),
-        "s": result.schedule.s.tolist(),
-        "z": result.schedule.z.astype(int).tolist(),
-    }
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True))
+    Path(args.out).write_text(result.to_json(scenario))
     return [args.out]
 
 
 def cmd_simulate(args):
-    trace_obj = _load_trace(args)
-    config = sim.SimConfig.from_json(Path(args.config).read_text())
+    config = sim.SimConfig.from_json(args.config, args.read)
     args.seed = config.rng_seed if args.seed is None else args.seed   # the manifest's seed
-    report = sim.run(dataclasses.replace(config, rng_seed=args.seed), trace_obj)
+    report = sim.run(dataclasses.replace(config, rng_seed=args.seed), trace.load_trace(args.trace))
     Path(args.out).write_text(report.to_json())
     if not args.events:
         return [args.out]
-    return [args.out, _write_csv(args.events, sim.EVENT_FIELDS, report.event_rows())]
+    return [args.out, sim.write_csv(args.events, sim.EVENT_FIELDS, report.event_rows())]
 
 
 def cmd_gen_dataset(args):
-    trace_obj = _load_trace(args)
-    dataset = telemetry.generate_labeled_dataset(trace_obj, args.source, args.rows, args.seed,
-                                                 ts=args.ts)
+    dataset = telemetry.generate_labeled_dataset(trace.load_trace(args.trace), args.source,
+                                                 args.rows, args.seed, ts=args.ts)
     Path(args.out).write_text(telemetry.dataset_to_json(dataset))
     return [args.out]
 
 
 def cmd_train(args):
-    dataset = telemetry.dataset_from_json(Path(args.dataset).read_text())
+    dataset = telemetry.dataset_from_json(args.dataset)
     model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=args.seed,
                                  l1_lambda=args.l1)
     report = predictor.train(model, dataset, epochs=args.epochs, batch_size=args.batch,
                              lr=args.lr, seed=args.seed)
     Path(args.out).write_bytes(predictor.export_flat(model))
-    curves_path = str(args.out) + ".train.json"
-
-    def nan_to_null(value):   # NaN marks a split too small to hold a row (under 5 rows)
-        return None if math.isnan(value) else value
-
-    Path(curves_path).write_text(json.dumps({
-        "train_loss": report.train_loss,
-        "val_loss": [nan_to_null(v) for v in report.val_loss],
-        "val_accuracy": [nan_to_null(v) for v in report.val_accuracy],
-        "test_accuracy": nan_to_null(report.test_accuracy),
-        "split_sizes": list(report.split_sizes),
-    }, sort_keys=True))
+    curves_path = f"{args.out}.train.json"
+    Path(curves_path).write_text(report.to_json())
     return [args.out, curves_path]
 
 
 def cmd_export(args):
-    model = predictor.import_flat(Path(args.model).read_bytes())
-    if args.format == "c_array":
-        Path(args.out).write_text(predictor.export_c_array(model, args.symbol))
-    else:
-        Path(args.out).write_bytes(predictor.export_flat(model))
+    model = predictor.import_flat(args.model)
+    Path(args.out).write_bytes(predictor.export_c_array(model, args.symbol).encode()
+                               if args.format == "c_array" else predictor.export_flat(model))
     return [args.out]
 
 
 def cmd_pipeline(args):
-    _, outputs = pipeline.run_pipeline(_load_trace(args), args.out_dir, args.seed,
+    _, outputs = pipeline.run_pipeline(trace.load_trace(args.trace), args.out_dir, args.seed,
                                        sources=tuple(args.sources.split(",")),
                                        rows=args.rows, epochs=args.epochs)
     return outputs
@@ -149,7 +120,7 @@ def cmd_recommend_study(args):
                                    sparsities=sparsities, num_seeds=args.seeds,
                                    k_neighbors=args.k, base_seed=args.seed,
                                    missing_as_zero=args.missing_as_zero)
-    Path(args.out).write_text(json.dumps(report, sort_keys=True))
+    Path(args.out).write_text(recommender.study_to_json(report))
     return [args.out]
 
 
@@ -158,23 +129,19 @@ def cmd_figdata(args):
         raise ValueError(f"--figure {args.figure} needs --in")
     tables = []   # (file name, header, rows): all read and checked before --out-dir is made
     if args.figure == "model-sizes":
-        rows = []
-        for n_ch in range(2, 10):
-            input_dim = telemetry.TelemetryWindow.feature_dim(args.ts, n_ch)
-            model = predictor.init_model(input_dim, n_ch, seed=args.seed)
-            c_text = predictor.export_c_array(model, "hopping_model")
-            rows.append([n_ch, len(predictor.export_flat(model)), len(c_text.encode())])
+        models = {n_ch: predictor.init_model(telemetry.TelemetryWindow.feature_dim(args.ts, n_ch),
+                                             n_ch, seed=args.seed) for n_ch in range(2, 10)}
+        rows = [[n_ch, len(predictor.export_flat(model)),
+                 len(predictor.export_c_array(model, "hopping_model").encode())]
+                for n_ch, model in models.items()]
         tables.append(("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows))
     elif args.figure == "strategy-comparison":
-        with open(args.infile, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        if tuple(header) != sim.COMPARISON_FIELDS:
-            raise ValueError(f"{args.infile} is not a comparison table: header {header}")
+        rows = sim.load_comparison_csv(args.infile)
         for metric in ("rssi", "snr", "pdr"):
             tables.append((f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
                            [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric]))
     else:  # confusion
-        report = json.loads(Path(args.infile).read_text())
+        report = json.loads(args.infile)
         for entry in report["sparsities"]:
             pct = recommender.check_sparsity(entry["sparsity_pct"])
             tables.append((f"fig_confusion_sparsity{pct}.csv",
@@ -184,15 +151,16 @@ def cmd_figdata(args):
                        list(enumerate(report["distribution"], start=1))))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return [_write_csv(out_dir / name, header, rows) for name, header, rows in tables]
+    return [sim.write_csv(out_dir / name, header, rows) for name, header, rows in tables]
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="lorahop")
     sub = parser.add_subparsers(dest="command", required=True)
+    bundled_trace = trace.bundled_trace_path()
 
     p = sub.add_parser("optimize", help="solve a channel-hopping scenario exactly")
-    p.add_argument("--scenario", required=True)
+    p.add_argument("--scenario", type=_read, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--budget", type=int, default=2_000_000)
@@ -200,15 +168,16 @@ def build_parser():
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate", help="run a trace-driven transmission simulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--trace", default=None, help="defaults to the bundled trace")
+    p.add_argument("--config", type=_read, required=True)
+    p.add_argument("--trace", type=_read, default=bundled_trace,
+                   help="defaults to the bundled trace")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--events", default=None, help="optional per-slot event log CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-dataset", help="generate a labeled channel dataset")
-    p.add_argument("--trace", default=None)
+    p.add_argument("--trace", type=_read, default=bundled_trace)
     p.add_argument("--source", default="A")
     p.add_argument("--rows", type=int, default=5000)
     p.add_argument("--ts", type=int, default=telemetry.DEFAULT_WINDOW_SLOTS)
@@ -217,7 +186,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("train", help="train the channel predictor on a dataset")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", type=_read, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch", type=int, default=32)
@@ -227,14 +196,14 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("export", help="convert a flat model file")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=_read, required=True)
     p.add_argument("--format", choices=["c_array", "flat"], default="c_array")
     p.add_argument("--symbol", default="hopping_model")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("pipeline", help="dataset -> train -> export -> compare strategies")
-    p.add_argument("--trace", default=None)
+    p.add_argument("--trace", type=_read, default=bundled_trace)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--sources", default="A,B")
     p.add_argument("--rows", type=int, default=5000)
@@ -251,7 +220,7 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_recommend_generate)
     im = rec.add_parser("impute", help="fill missing ratings in a CSV matrix")
-    im.add_argument("--in", dest="infile", required=True)
+    im.add_argument("--in", dest="infile", type=_read, required=True)
     im.add_argument("--k", type=int, default=20)
     im.add_argument("--missing-as-zero", action="store_true")
     im.add_argument("--out", required=True)
@@ -270,7 +239,7 @@ def build_parser():
     p = sub.add_parser("figdata", help="emit plot-ready CSV bundles")
     p.add_argument("--figure", choices=["strategy-comparison", "model-sizes", "confusion"],
                    required=True)
-    p.add_argument("--in", dest="infile", default=None)
+    p.add_argument("--in", dest="infile", type=_read, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ts", type=int, default=telemetry.DEFAULT_WINDOW_SLOTS)
     p.add_argument("--seed", type=int, default=0)
@@ -284,25 +253,32 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    given = vars(args)
-    command = " ".join(filter(None, (args.command, given.get("rec_command"))))
-    base = args.out if "out" in given else Path(args.out_dir) / "_".join(
-        filter(None, (args.command, given.get("figure"))))
+    parsed = dict(vars(args))   # as parsed: simulate fills in its seed as it runs
+    command = " ".join(filter(None, (args.command, parsed.get("rec_command"))))
+    base = args.out if "out" in parsed else Path(args.out_dir) / "_".join(
+        filter(None, (args.command, parsed.get("figure"))))
+    files = []   # the files the command reads itself: a sim config's models
+
+    def read(path):
+        files.append(Path(path).read_bytes())
+        return files[-1]
+
+    args.read = read
     started = time.monotonic()
     try:
-        digest = _config_digest(args)   # before the run: an input may also be the output
         outputs = args.func(args)
         manifest = {
             "command": command,
-            "config_digest": digest,
-            "seeds": [args.seed] if "seed" in given else [],
+            "config_digest": _config_digest(parsed, files),
+            "seeds": [args.seed] if "seed" in parsed else [],
             "tool_version": __version__,
             "outputs": [str(o) for o in outputs],
             "duration_s": round(time.monotonic() - started, 3),
         }
         Path(f"{base}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    except (optimizer.Infeasible, optimizer.BudgetExhausted, FloatingPointError) as exc:
-        print(f"{command} failed: {exc}", file=sys.stderr)
+    except (optimizer.Infeasible, optimizer.BudgetExhausted, FloatingPointError,
+            MemoryError) as exc:
+        print(f"{command} failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DOMAIN
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

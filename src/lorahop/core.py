@@ -10,7 +10,7 @@ operate on immutable inputs, so they are safe to call concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from numbers import Integral
 
@@ -85,40 +85,19 @@ class Scenario:
         return len(self.frequencies)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "num_nodes": self.num_nodes,
-                "num_gateways": self.num_gateways,
-                "frequencies": list(self.frequencies),
-                "horizon": self.horizon,
-                "gateway_capacity": list(self.gateway_capacity),
-                "freq_capacity": list(self.freq_capacity),
-                "min_symbols": self.min_symbols,
-                "demand": list(self.demand),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
+        """The scenario in a document of its fields; a capacity given as one integer holds for
+        every gateway or every frequency."""
         doc = json.loads(text)
-        gw_cap = doc["gateway_capacity"]
-        if isinstance(gw_cap, int):
-            gw_cap = [gw_cap] * doc["num_gateways"]
-        f_cap = doc["freq_capacity"]
-        if isinstance(f_cap, int):
-            f_cap = [f_cap] * len(doc["frequencies"])
-        return cls(
-            num_nodes=doc["num_nodes"],
-            num_gateways=doc["num_gateways"],
-            frequencies=tuple(doc["frequencies"]),
-            horizon=doc["horizon"],
-            gateway_capacity=tuple(gw_cap),
-            freq_capacity=tuple(f_cap),
-            min_symbols=doc["min_symbols"],
-            demand=tuple(doc["demand"]),
-        )
+        kwargs = {f.name: doc[f.name] for f in fields(cls)}
+        for name, count in (("gateway_capacity", doc["num_gateways"]),
+                            ("freq_capacity", len(doc["frequencies"]))):
+            if isinstance(kwargs[name], int):
+                kwargs[name] = [kwargs[name]] * count
+        return cls(**kwargs)
 
 
 @dataclass

@@ -25,6 +25,7 @@ and the tie rule still picks it.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,6 +53,20 @@ class SolveResult:
     nodes_explored: int
     proven_optimal: bool
     prunes: dict            # pruned expansions per constraint family, plus SYMMETRY skips
+
+    def to_json(self, scenario):
+        """The `optimize` result document.  A schedule that fails `core.validate` is a solver
+        bug: it raises AssertionError, which no exit code covers, instead of being written."""
+        if violations := core.validate(scenario, self.schedule):
+            raise AssertionError(f"solver returned an invalid schedule: {violations[0]}")
+        x, s, z = self.schedule.x, self.schedule.s, self.schedule.z
+        return json.dumps({
+            "objective_value": self.objective_value, "proven_optimal": self.proven_optimal,
+            "nodes_explored": self.nodes_explored,
+            "collisions": core.collision_count(scenario, self.schedule),
+            "hops": core.hop_count(scenario, self.schedule),
+            "x": x.astype(int).tolist(), "s": s.tolist(), "z": z.astype(int).tolist(),
+        }, sort_keys=True)
 
 
 def _node_slot_bounds(scenario):

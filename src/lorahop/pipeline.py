@@ -6,7 +6,6 @@ so a caller that wraps those attributes (a profiler, a tracer) sees every call.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from . import predictor, sim, telemetry
@@ -55,10 +54,6 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     pred_path = out_dir / "report_predictor.json"
     rand_path.write_text(report_random.to_json())
     pred_path.write_text(report_pred.to_json())
-    comp_path = out_dir / "comparison.csv"
-    with open(comp_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sim.COMPARISON_FIELDS)
-        writer.writerows(comparison)
+    comp_path = sim.write_csv(out_dir / "comparison.csv", sim.COMPARISON_FIELDS, comparison)
     outputs += [rand_path, pred_path, comp_path]
     return comparison, outputs

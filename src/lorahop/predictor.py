@@ -8,10 +8,11 @@ bit-exactly; arithmetic runs in float64.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,6 +60,12 @@ class TrainReport:
     val_accuracy: list
     test_accuracy: float
     split_sizes: tuple
+
+    def to_json(self):
+        """The training curves document.  NaN, the figure of a split too small to hold a row
+        (under 5 rows), is written as null: the document holds numbers only, so each `NaN`
+        json.dumps writes is one of those figures."""
+        return json.dumps(asdict(self), sort_keys=True).replace("NaN", "null")
 
 
 def _param_shapes(input_dim, num_channels):

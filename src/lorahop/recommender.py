@@ -9,6 +9,9 @@ zero-filled alternative).
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 
 from .core import integers
@@ -239,18 +242,22 @@ def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
     return report
 
 
+def study_to_json(report):
+    return json.dumps(report, sort_keys=True)
+
+
 def save_matrix_csv(matrix, path):
     with open(path, "w") as fh:
         for row in np.asarray(matrix, dtype=np.float64):
             fh.write(",".join("" if np.isnan(v) else str(int(v)) for v in row) + "\n")
 
 
-def load_matrix_csv(path):
+def load_matrix_csv(data):
+    """The ratings matrix in a CSV file's bytes (`save_matrix_csv`'s format)."""
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line and not rows:
-                continue
-            rows.append([MISSING if cell == "" else float(cell) for cell in line.split(",")])
+    for line in io.StringIO(data.decode(), newline=None):   # any line ending
+        line = line.rstrip("\n")
+        if not line and not rows:
+            continue
+        rows.append([MISSING if cell == "" else float(cell) for cell in line.split(",")])
     return check_matrix(np.asarray(rows, dtype=np.float64))

@@ -10,11 +10,12 @@ hopping strategies consume.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from numbers import Real
-from pathlib import Path
 
 import numpy as np
 
@@ -119,9 +120,10 @@ class SimConfig:
             raise ValueError("predictor_placement must be end_node or gateway")
 
     @classmethod
-    def from_json(cls, text):
+    def from_json(cls, text, read):
         """SimConfig from a config document: "nodes" and the other field names, "seed" for
-        `rng_seed`; a field the document lacks keeps its default."""
+        `rng_seed`; a field the document lacks keeps its default.  `read(path)` returns the
+        bytes of a model file the document names."""
         doc = json.loads(text)
 
         def strategy(spec):
@@ -133,8 +135,7 @@ class SimConfig:
             if kind == "sensing_hop":
                 return SensingHopStrategy()
             if kind == "predictor_hop":
-                return PredictorHopStrategy(
-                    predictor_mod.import_flat(Path(spec["model"]).read_bytes()))
+                return PredictorHopStrategy(predictor_mod.import_flat(read(spec["model"])))
             raise ValueError(f"unknown strategy kind {kind!r}")
 
         nodes = tuple(NodeSpec(source=n["source"], strategy=strategy(n["strategy"]))
@@ -310,6 +311,23 @@ def run(config, trace):
 
 
 COMPARISON_FIELDS = ("size", "metric", "random_hop", "predictor_hop", "improvement")
+
+
+def write_csv(path, header, rows):
+    """Write `header`, then `rows`, as a CSV file at `path`; returns `path`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def load_comparison_csv(data):
+    """The rows, as text, of a `comparison.csv` file's bytes headed `COMPARISON_FIELDS`."""
+    header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    if tuple(header) != COMPARISON_FIELDS:
+        raise ValueError(f"not a comparison table: header {header}")
+    return rows
 
 
 def compare_strategies(report_pred, report_random):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 import math
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -65,34 +67,34 @@ class ChannelTrace:
 EXPECTED_HEADER = ["source", "freq_mhz", "size_bytes", "rssi", "snr", "count", "pdr"]
 
 
-def load_trace(path):
+def load_trace(data):
+    """The trace in a CSV file's bytes (columns `EXPECTED_HEADER`)."""
     entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EXPECTED_HEADER:
-            raise TraceError(f"bad trace header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EXPECTED_HEADER):
-                raise TraceError(f"line {lineno}: expected {len(EXPECTED_HEADER)} fields")
-            try:
-                source = row[0]
-                key = (source, float(row[1]), int(row[2]))
-                entry = TraceEntry(mean_rssi=float(row[3]), mean_snr=float(row[4]),
-                                   pdr=float(row[6]), sample_count=int(row[5]))
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
-            if not (math.isfinite(entry.mean_rssi) and math.isfinite(entry.mean_snr)):
-                raise TraceError(f"line {lineno}: non-finite rssi or snr")
-            if not 0.0 <= entry.pdr <= 1.0:
-                raise TraceError(f"line {lineno}: pdr {entry.pdr} outside [0, 1]")
-            if entry.mean_rssi > 0:
-                raise TraceError(f"line {lineno}: rssi {entry.mean_rssi} above 0 dBm")
-            if key in entries:
-                raise TraceError(f"line {lineno}: duplicate key {key}")
-            entries[key] = entry
+    reader = csv.reader(io.StringIO(data.decode(), newline=""))
+    header = next(reader, None)
+    if header != EXPECTED_HEADER:
+        raise TraceError(f"bad trace header: {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(EXPECTED_HEADER):
+            raise TraceError(f"line {lineno}: expected {len(EXPECTED_HEADER)} fields")
+        try:
+            source = row[0]
+            key = (source, float(row[1]), int(row[2]))
+            entry = TraceEntry(mean_rssi=float(row[3]), mean_snr=float(row[4]),
+                               pdr=float(row[6]), sample_count=int(row[5]))
+        except ValueError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(entry.mean_rssi) and math.isfinite(entry.mean_snr)):
+            raise TraceError(f"line {lineno}: non-finite rssi or snr")
+        if not 0.0 <= entry.pdr <= 1.0:
+            raise TraceError(f"line {lineno}: pdr {entry.pdr} outside [0, 1]")
+        if entry.mean_rssi > 0:
+            raise TraceError(f"line {lineno}: rssi {entry.mean_rssi} above 0 dBm")
+        if key in entries:
+            raise TraceError(f"line {lineno}: duplicate key {key}")
+        entries[key] = entry
     if not entries:
         raise TraceError("empty trace")
     return ChannelTrace(entries)
@@ -103,7 +105,7 @@ def bundled_trace_path():
 
 
 def load_bundled_trace():
-    return load_trace(bundled_trace_path())
+    return load_trace(Path(bundled_trace_path()).read_bytes())
 
 
 class ChannelSampler:

@@ -128,14 +128,14 @@ def test_recommend_generate_and_impute(tmp_path):
     assert run(["recommend", "generate", "--soils", "30", "--plants", "8",
                 "--seed", "2", "--out", str(matrix)]) == 0
     from lorahop import recommender
-    full = recommender.load_matrix_csv(matrix)
+    full = recommender.load_matrix_csv(matrix.read_bytes())
     sparse_path = tmp_path / "sparse.csv"
     recommender.save_matrix_csv(recommender.sparsify(full, 20, seed=2), sparse_path)
     filled = tmp_path / "filled.csv"
     assert run(["recommend", "impute", "--in", str(sparse_path), "--k", "5",
                 "--out", str(filled)]) == 0
     import numpy as np
-    assert not np.isnan(recommender.load_matrix_csv(filled)).any()
+    assert not np.isnan(recommender.load_matrix_csv(filled.read_bytes())).any()
 
 
 def test_recommend_study_and_figdata(tmp_path):
@@ -523,12 +523,13 @@ def test_empty_payload_schedule_still_writes_events_header(tmp_path):
 
 def test_sim_config_document_takes_sim_config_defaults():
     nodes = [{"source": "A", "strategy": {"kind": "random_hop"}}]
-    bare = sim.SimConfig.from_json(json.dumps({"nodes": nodes}))
+    no_model = None   # the documents name no model file, so nothing is read
+    bare = sim.SimConfig.from_json(json.dumps({"nodes": nodes}), no_model)
     assert bare == sim.SimConfig(nodes=bare.nodes)
     full = sim.SimConfig.from_json(json.dumps({
         "nodes": nodes, "payload_schedule": [74, 30], "packets_per_size": 3, "seed": 9,
         "capture_threshold_db": 2.5, "rssi_jitter_db": 0.0, "snr_jitter_db": 2.0,
-        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1}))
+        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1}), no_model)
     assert full == sim.SimConfig(
         nodes=full.nodes, payload_schedule=(74, 30), packets_per_size=3, rng_seed=9,
         capture_threshold_db=2.5, rssi_jitter_db=0.0, snr_jitter_db=2.0,
@@ -746,6 +747,87 @@ def test_config_digest_hashes_input_bytes_not_paths(tmp_path, case):
         assert run(argv) == 0
         digests.append(json.loads(Path(manifest).read_text())["config_digest"])
     assert digests[0] == digests[1] != digests[2]
+
+
+def _digest(argv, manifest):
+    assert run(argv) == 0
+    return json.loads(Path(manifest).read_text())["config_digest"]
+
+
+def test_config_digest_hashes_the_model_a_sim_config_names(tmp_path):
+    """One config, its predictor_hop model file rewritten between runs."""
+    model = tmp_path / "m.fhop"
+    argv = ["simulate", "--out", str(tmp_path / "r.json"), "--config", _write_json(
+        tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "window_slots": 1, "nodes": [
+            {"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model)}}]})]
+    digests = []
+    for seed in (0, 1, 0):
+        model.write_bytes(predictor.export_flat(predictor.init_model(5, 3, seed=seed)))
+        digests.append(_digest(argv, tmp_path / "r.json.manifest.json"))
+    assert digests[0] == digests[2] != digests[1]
+
+
+@pytest.mark.parametrize("command", ["gen-dataset", "simulate"])
+def test_config_digest_hashes_the_bundled_trace_when_trace_is_omitted(tmp_path, command):
+    argv = [command, "--out", str(tmp_path / "o.json")] + (
+        ["--rows", "5"] if command == "gen-dataset"
+        else ["--config", _write_json(tmp_path / "sim.json", SMALL_SIM_CONFIG)])
+    manifest = tmp_path / "o.json.manifest.json"
+    assert _digest(argv, manifest) == _digest(
+        argv + ["--trace", trace.bundled_trace_path()], manifest)
+
+
+@pytest.mark.parametrize("command", ["train", "recommend impute", "simulate"])
+def test_each_input_file_is_read_once(tmp_path, monkeypatch, command):
+    """Every read of a file, by path, through `open` or pathlib's whole-file readers."""
+    model = tmp_path / "m.fhop"
+    model.write_bytes(FUZZ_MODEL)
+    argv = {
+        "train": ["train", "--epochs", "1", "--dataset", _write_json(tmp_path / "ds.json",
+                                                                    FUZZ_DATASET)],
+        "recommend impute": ["recommend", "impute", "--k", "3", "--in", _write_text(
+            tmp_path / "m.csv", FUZZ_MATRIX_CSV.decode())],
+        "simulate": ["simulate", "--config", _write_json(tmp_path / "sim.json", {
+            **SMALL_SIM_CONFIG, "window_slots": 1, "nodes": [
+                {"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model)}}]})],
+    }[command]
+    inputs = [a for a in argv if a.startswith(str(tmp_path))]
+    if command == "simulate":
+        inputs += [str(model), trace.bundled_trace_path()]
+    reads = {}
+
+    def counted(original):
+        def wrapper(path, *args, **kwargs):
+            reads[str(path)] = reads.get(str(path), 0) + 1
+            return original(path, *args, **kwargs)
+        return wrapper
+
+    for name in ("read_bytes", "read_text"):
+        monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
+    monkeypatch.setattr("builtins.open", counted(open))
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert {path: reads.get(path, 0) for path in inputs} == {path: 1 for path in inputs}
+
+
+def test_out_of_memory_is_a_domain_failure(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(recommender, "similarity_matrix", no_memory)
+    out = tmp_path / "f.csv"
+    assert run(["recommend", "impute", "--k", "3", "--out", str(out),
+                "--in", _write_text(tmp_path / "m.csv", FUZZ_MATRIX_CSV.decode())]) == 1
+    assert capsys.readouterr().err == "recommend impute failed: MemoryError\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["absent.json", "."], ids=["missing file", "directory"])
+def test_an_unreadable_input_is_a_usage_error(tmp_path, capsys, path):
+    assert run(["optimize", "--scenario", str(tmp_path / path),
+                "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lorahop optimize")
+    assert f"argument --scenario: cannot read {tmp_path / path}" in err
 
 
 @pytest.mark.parametrize("flags,seeds", [([], [3]), (["--seed", "5"], [5])])

@@ -1,8 +1,9 @@
 """Static checks over the package source, standing in for a linter.
 
 Every import is from the standard library, numpy or lorahop itself (the
-package has no other runtime dependency), every imported name is used, and
-every top-level function and class has a caller outside the tests.
+package has no other runtime dependency), every imported name is used,
+every top-level function and class has a caller outside the tests, and
+`cli.py` builds no output document.
 """
 
 import ast
@@ -69,3 +70,18 @@ def test_every_top_level_definition_is_used_outside_the_tests():
               and not any(node.name in names for other, names in by_others.items()
                           if other != path)]
     assert not unused, f"defined in src/lorahop but used only by tests, if at all: {unused}"
+
+
+def _json_dumps_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+
+
+def test_cli_builds_no_output_document():
+    """The modules that own the output documents build them; cli.py's one `json.dumps`
+    writes the run manifest, in `main`."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "main"]
+    assert len(_json_dumps_calls(tree)) == len(_json_dumps_calls(main)) == 1

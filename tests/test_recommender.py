@@ -409,7 +409,7 @@ def test_csv_roundtrip(tmp_path):
     sp = rec.sparsify(m, 25, seed=3)
     path = tmp_path / "m.csv"
     rec.save_matrix_csv(sp, path)
-    back = rec.load_matrix_csv(path)
+    back = rec.load_matrix_csv(path.read_bytes())
     assert np.array_equal(sp, back, equal_nan=True)
 
 

@@ -22,29 +22,15 @@ def test_lookup_values(bundled_trace):
         bundled_trace.lookup("A", 871.0, 30)
 
 
-def test_load_trace_rejects_bad_files(tmp_path):
-    ok_row = "A,868.0,30,-70.0,9.0,50,1.0\n"
-    header = ",".join(trace.EXPECTED_HEADER) + "\n"
-
-    p = tmp_path / "bad_header.csv"
-    p.write_text("a,b\n" + ok_row)
-    with pytest.raises(trace.TraceError):
-        trace.load_trace(p)
-
-    p = tmp_path / "bad_pdr.csv"
-    p.write_text(header + "A,868.0,30,-70.0,9.0,50,1.5\n")
-    with pytest.raises(trace.TraceError):
-        trace.load_trace(p)
-
-    p = tmp_path / "positive_rssi.csv"
-    p.write_text(header + "A,868.0,30,3.0,9.0,50,1.0\n")
-    with pytest.raises(trace.TraceError):
-        trace.load_trace(p)
-
-    p = tmp_path / "dup.csv"
-    p.write_text(header + ok_row + ok_row)
-    with pytest.raises(trace.TraceError):
-        trace.load_trace(p)
+def test_load_trace_rejects_bad_files():
+    ok_row = b"A,868.0,30,-70.0,9.0,50,1.0\n"
+    header = ",".join(trace.EXPECTED_HEADER).encode() + b"\n"
+    for data in (b"a,b\n" + ok_row,                           # bad header
+                 header + b"A,868.0,30,-70.0,9.0,50,1.5\n",   # pdr above 1
+                 header + b"A,868.0,30,3.0,9.0,50,1.0\n",     # positive RSSI
+                 header + ok_row + ok_row):                   # duplicate key
+        with pytest.raises(trace.TraceError):
+            trace.load_trace(data)
 
 
 def test_sampler_exact_block_counts(bundled_trace):
@@ -80,11 +66,10 @@ def test_sampler_jitter_keeps_rssi_nonpositive(bundled_trace):
 
 
 @pytest.mark.parametrize("rssi,snr", [("nan", "nan"), ("-inf", "9.0"), ("-70.0", "inf")])
-def test_load_trace_rejects_non_finite_link_values(tmp_path, rssi, snr):
-    p = tmp_path / "non_finite.csv"
-    p.write_text(",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n")
+def test_load_trace_rejects_non_finite_link_values(rssi, snr):
+    data = ",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n"
     with pytest.raises(trace.TraceError):
-        trace.load_trace(p)
+        trace.load_trace(data.encode())
 
 
 class ReferenceSampler:
