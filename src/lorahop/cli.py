@@ -1,20 +1,22 @@
 """Command-line entry point: argument parsing, dispatch, the run manifest and exit codes.
 
 Subcommands: optimize, simulate, gen-dataset, train, export, pipeline,
-recommend (generate/impute/study), figdata.  The parser reads each input file
-once, as bytes (`_read`); a file that an input names (a sim config's model) is
-read by `args.read`.  The library modules parse those bytes and build every
-output document; `main` writes the run manifest (command, config digest,
-seeds, version, outputs, duration) next to `--out`, or in `--out-dir` as
-`<command>[_<figure>].manifest.json`.  Exit codes: 0 success; 1 domain failure
-(infeasible, budget exhausted, diverged training, out of memory); 2 input
-error (unreadable or unwritable file, malformed input).
+recommend (generate/impute/study), figdata.  The parser is built once per
+process, by the first `main` call; each parse reads each input file once, as
+bytes (`_read`), and a file that an input names (a sim config's model) is
+read by `args.read`, which is new for each call.  The library modules parse
+those bytes and build every output document; `main` writes the run manifest
+(command, config digest, seeds, version, outputs, duration) next to `--out`,
+or in `--out-dir` as `<command>[_<figure>].manifest.json`.  Exit codes: 0
+success; 1 domain failure (infeasible, budget exhausted, diverged training,
+out of memory); 2 input error (unreadable or unwritable file, malformed input).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -154,6 +156,7 @@ def cmd_figdata(args):
     return [sim.write_csv(out_dir / name, header, rows) for name, header, rows in tables]
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="lorahop")
     sub = parser.add_subparsers(dest="command", required=True)

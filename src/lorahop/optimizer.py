@@ -9,7 +9,9 @@ Tie rule: among optimal schedules, the first choice vector in lexicographic
 order wins (positions slot-major, node-minor; idle before channel 0, 1, ...).
 The objective is alpha * collisions + beta * hops over integer counts.  The
 solver prunes a partial schedule when its lower bound (committed collisions
-and hops plus hops that nodes are forced to make later) reaches the incumbent.
+and hops, hops forced later, and nodes that slot H-1 cannot take) reaches
+the incumbent.  The first incumbent is a run heuristic's value, a primal
+heuristic (Berthold 2006) that prunes only bounds above it until the first leaf.
 
 The solver also skips schedules that are relabellings of one it visits
 (lex-leader symmetry breaking, Margot 2010).  Nodes with equal demand are
@@ -178,6 +180,40 @@ def _symbols_by_flow(scenario, choices):
     return s
 
 
+def _run_incumbent(scenario, slot_bounds, alpha, beta):
+    """Objective of a greedy schedule by the search's formula, or infinity if it fails.
+
+    Each node in turn takes its cheapest contiguous run on one channel within its
+    slot bounds, the gateway capacity and B_f // B_min users: 2 alpha per user
+    already on each channel-slot, beta per run end inside the horizon."""
+    n_nodes, horizon, f_n = scenario.num_nodes, scenario.horizon, scenario.num_freqs
+    gw_cap, n_ch = scenario.gateway_capacity, scenario.num_gateways * f_n
+    max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
+    occ = [[0] * n_ch for _ in range(horizon)]
+    gw_load = [[0] * scenario.num_gateways for _ in range(horizon)]
+    choices = [-1] * (n_nodes * horizon)
+    coll = hops = 0
+    for i, (k_lo, k_hi) in enumerate(slot_bounds):
+        # a longer run from the same start costs no less unless it ends the horizon
+        spans = [range(start, start + k_lo) for start in range(horizon - k_lo + 1) if k_lo] \
+            + [range(horizon - k, horizon) for k in range(k_lo + 1, k_hi + 1)]
+        runs = [(2 * sum(occ[t][c] for t in span), (span.start > 0) + (span.stop < horizon),
+                 span, c) for span in spans for c in range(n_ch)
+                if all(gw_load[t][c // f_n] < gw_cap[c // f_n] and occ[t][c] < max_users[c]
+                       for t in span)]
+        if runs:   # else the node stays idle and the symbol flow fails
+            run_coll, run_hops, span, c = min(runs, key=lambda r: alpha * r[0] + beta * r[1])
+            coll, hops = coll + run_coll, hops + run_hops
+            for t in span:
+                occ[t][c] += 1
+                gw_load[t][c // f_n] += 1
+                choices[t * n_nodes + i] = c
+    if any(occ[t - 1][c] >= 2 and occ[t][c] != 1 for t in range(1, horizon) for c in range(n_ch)) \
+            or _symbols_by_flow(scenario, choices) is None:
+        return float("inf")
+    return alpha * coll + beta * hops
+
+
 def _schedule_from_choices(scenario, choices, s):
     n_nodes, f_n = scenario.num_nodes, scenario.num_freqs
     x = np.zeros((n_nodes, scenario.num_gateways, f_n, scenario.horizon), dtype=bool)
@@ -204,8 +240,16 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     hops plus one forced hop per node that has not hopped yet and cannot keep
     its value for the whole horizon: idle with k_lo >= 1, or on a channel
     with k_hi < horizon (a node with no decided slot counts when both hold).
+    While slot H-1 is undecided, a node idle in all its decided slots with
+    k_lo >= 1 keeps to one hop only by a run through slot H-1, which takes
+    slot_free = sum_g min(gateway capacity, channels on g) users without a
+    collision; each node beyond pays min(beta, 2 alpha), kept as a hop or two
+    collisions so the bound is the objective's formula over integer counts.
     Pruning on bound >= incumbent keeps the first optimal leaf found, so ties
-    resolve to the first optimal choice vector in lexicographic order.
+    resolve to the first optimal choice vector in lexicographic order.  Until
+    that first leaf, the incumbent is `_run_incumbent`'s value v, whose
+    schedule is never returned, and only bound > v prunes: every prefix of
+    the first optimal vector bounds at most the optimum, which is at most v.
 
     Once the later slots alone cannot carry node i's demand, each value it
     takes is checked for symbol reach: its channel-slots so far give at most
@@ -219,7 +263,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     entering the position), values below j's choice at t are skipped, and a
     channel is skipped while its predecessor is unused (per-channel use counts
     kept next to `occ`).  Skipped values are not expansions; they are counted
-    under SYMMETRY in `prunes` and never name the family `Infeasible` reports.
+    under SYMMETRY in `prunes` and never name the family `Infeasible` reports;
+    neither do bound prunes, which are not counted.
     The search runs on an explicit stack, so its depth is not limited by the
     interpreter's recursion limit.
     """
@@ -245,6 +290,9 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     max_users = [cap // bmin for cap in cap_of]
     # per node, whether staying idle / on one channel for the whole horizon is infeasible
     must_leave = [(k_lo >= 1, k_hi < horizon) for k_lo, k_hi in slot_bounds]
+    # last-slot term: users slot H-1 takes without a collision; one more pays a hop or 2 collisions
+    slot_free = sum(min(cap, f_n) for cap in gw_cap)
+    late_coll, late_hops = (0, 1) if beta <= 2 * alpha else (2, 0)
     # nearest earlier interchangeable node / channel (-1: none); a node's slot
     # bounds follow from its demand, a channel's users from its frequency capacity
     node_pred = [max((j for j in range(i) if scenario.demand[j] == scenario.demand[i]),
@@ -259,10 +307,12 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     uses = [0] * n_ch                                   # positions per channel so far
     active_cnt = [0] * n_nodes
     node_hops = [0] * n_nodes
-    # committed collisions, hops and forced future hops of the prefix [0, pos)
+    # committed collisions, hops and forced future hops of the prefix [0, pos), and
+    # its nodes with k_lo >= 1 that are idle in every decided slot (at least one)
     coll = [0] * positions
     hops = [0] * positions
     forced = [0] * positions
+    waiting = [0] * positions
     forced[0] = sum(1 for idle, busy in must_leave if idle and busy)
     next_choice = [-1] * positions
     # col_eq[pos]: node i's column equals its predecessor's on slots 0..t-1
@@ -270,7 +320,8 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
     prune_counts = {}
     explored = 0
     aborted = False
-    best_obj = best_choices = best_s = None
+    best_obj = _run_incumbent(scenario, slot_bounds, alpha, beta)
+    best_choices = best_s = None
 
     def note_prune(family):
         prune_counts[family] = prune_counts.get(family, 0) + 1
@@ -311,18 +362,22 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
                     note_prune(core.ConstraintFamily.COLLISION_EVICTION.value)
                     continue
                 new_coll = coll[pos] + 2 * occ[t][c]
-            new_hops, new_forced = hops[pos], forced[pos]
+            new_hops, new_forced, new_waiting = hops[pos], forced[pos], waiting[pos]
             hop = t > 0 and choices[pos - n_nodes] != c
             if t == 0:
                 # the node's first value replaces its undecided forced-hop term
                 new_forced += must_leave[i][c >= 0] - (must_leave[i][0] and must_leave[i][1])
+                new_waiting += must_leave[i][0] and c < 0
             elif hop:
                 new_hops += 1
                 if node_hops[i] == 0:
                     # the first hop is the one the bound already counted, if any
                     new_forced -= must_leave[i][choices[pos - n_nodes] >= 0]
-            if best_obj is not None \
-                    and alpha * new_coll + beta * (new_hops + new_forced) >= best_obj:
+                    new_waiting -= must_leave[i][0] and choices[pos - n_nodes] < 0
+            late = max(0, new_waiting - slot_free) if t < horizon - 1 else 0
+            bound = alpha * (new_coll + late_coll * late) \
+                + beta * (new_hops + new_forced + late_hops * late)
+            if bound > best_obj or (bound == best_obj and best_choices is not None):
                 continue
 
             choices[pos] = c
@@ -355,6 +410,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
             if ok and pos + 1 < positions:
                 pos += 1
                 coll[pos], hops[pos], forced[pos] = new_coll, new_hops, new_forced
+                waiting[pos] = new_waiting
                 next_choice[pos] = -1
                 if pos >= n_nodes:
                     i = pos % n_nodes
@@ -363,7 +419,7 @@ def solve_exact(scenario, alpha=1.0, beta=0.1, budget=2_000_000):
                         and choices[pos - n_nodes] == choices[pos - n_nodes - i + j]
                 continue
             if ok:
-                # a leaf that survives the bound always improves on the incumbent
+                # a leaf that survives the bound improves on the incumbent or ties v
                 s = _symbols_by_flow(scenario, choices)
                 if s is None:
                     note_prune(core.ConstraintFamily.FREQ_CAPACITY.value)

@@ -1,7 +1,11 @@
+import argparse
 import copy
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -836,6 +840,43 @@ def test_simulate_manifest_records_the_seed_the_run_used(tmp_path, flags, seeds)
     assert run(["simulate", "--out", str(out), *flags, "--config", _write_json(
         tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "seed": 3})]) == 0
     assert json.loads(Path(f"{out}.manifest.json").read_text())["seeds"] == seeds
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
+            "from lorahop import cli\n"
+            "print(len(built))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "0\n"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda *a, **k: built.append(1) or init(*a, **k))
+    cli.build_parser.cache_clear()
+    out = tmp_path / "report.json"
+    config = _write_json(tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "seed": 3})
+    assert run(["simulate", "--config", config, "--seed", "5", "--out", str(out)]) == 0
+    assert built
+    built.clear()
+    assert run(["simulate", "--config", config, "--out", str(out)]) == 0
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["seeds"] == [3]
+
+    manifest = tmp_path / "figs" / "figdata_model-sizes.manifest.json"
+    argv = ["figdata", "--figure", "model-sizes", "--out-dir", str(tmp_path / "figs")]
+    digests = []
+    for extra in ([], ["--in", config], []):
+        assert run(argv + extra) == 0
+        digests.append(json.loads(manifest.read_text())["config_digest"])
+    assert digests[0] == digests[2] != digests[1]
+    assert not built
 
 
 def _sha256(path):

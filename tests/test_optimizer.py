@@ -291,8 +291,8 @@ def ladder_rung(rung):
 
 
 # (nodes expanded, optimum) per rung at the default budget; 6x4 is one past the bench ladder
-LADDER = {"3x3": (108, 0.0), "4x3": (465, 0.2), "5x3": (1481, 0.4), "4x4": (446, 0.4),
-          "5x4": (3572, 0.5), "6x4": (19069, 0.6)}
+LADDER = {"3x3": (30, 0.0), "4x3": (465, 0.2), "5x3": (1481, 0.4), "4x4": (43, 0.4),
+          "5x4": (67, 0.5), "6x4": (81, 0.6)}
 
 
 @pytest.mark.parametrize("rung", LADDER)
@@ -303,6 +303,59 @@ def test_ladder_rungs_are_proven_in_pinned_node_counts(rung):
     assert result.nodes_explored == nodes
     assert result.objective_value == pytest.approx(optimum)
     assert result.prunes[optimizer.SYMMETRY] > 0
+
+
+@pytest.mark.parametrize("rung,max_nodes", [("7x5", 50_000), ("8x5", 2_000_000)])
+def test_rungs_past_the_ladder_are_proven(rung, max_nodes):
+    result = optimizer.solve_exact(ladder_rung(rung))
+    assert result.proven_optimal and result.nodes_explored < max_nodes
+
+
+def gate_instances():
+    """The schedule gate's instances: criterion 1's 200, the fixtures and 100 symmetric."""
+    rng, sym_rng = np.random.default_rng(42), np.random.default_rng(17)
+    return [random_scenario(rng) for _ in range(200)] + SYMMETRIC_FIXTURES \
+        + [symmetric_scenario(sym_rng) for _ in range(100)]
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.1), (0.25, 1.0)])
+def test_no_prefix_of_the_first_optimal_vector_bounds_above_the_optimum(monkeypatch, alpha,
+                                                                         beta):
+    """With the first incumbent pinned to the optimum, a prefix of the first optimal choice
+    vector (the root included) whose bound exceeded it would be pruned, and the solver would
+    return another schedule or none.  The weights take the last-slot term as hops (beta <=
+    2 alpha) and as collisions."""
+    checked = 0
+    for sc in gate_instances():
+        try:
+            best = enumerate_oracle(sc, alpha, beta)
+        except optimizer.Infeasible:
+            continue
+        monkeypatch.setattr(optimizer, "_run_incumbent", lambda *args: best.objective_value)
+        result = optimizer.solve_exact(sc, alpha, beta)
+        assert result.objective_value == best.objective_value
+        assert np.array_equal(result.schedule.x, best.schedule.x)
+        checked += 1
+    assert checked > 100
+
+
+def test_the_run_heuristic_is_never_below_the_optimum():
+    """Finite only on feasible instances, where it is at least the optimum; on 6x4 it is the
+    search's own optimum bit for bit, 0.1 * 6, which is not the float 0.6."""
+    found = 0
+    for sc in gate_instances() + [ladder_rung(rung) for rung in LADDER]:
+        v = optimizer._run_incumbent(sc, optimizer._node_slot_bounds(sc) or [], 1.0, 0.1)
+        try:
+            optimum = optimizer.solve_exact(sc).objective_value
+        except optimizer.Infeasible:
+            assert v == float("inf")
+            continue
+        assert v >= optimum
+        found += v < float("inf")
+    assert found > 100
+    rung = ladder_rung("6x4")
+    v = optimizer._run_incumbent(rung, optimizer._node_slot_bounds(rung), 1.0, 0.1)
+    assert v == optimizer.solve_exact(rung).objective_value == 0.1 * 6
 
 
 def test_prunes_count_symmetry_skips_apart_from_the_constraint_families():
