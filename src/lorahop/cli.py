@@ -5,11 +5,12 @@ recommend (generate/impute/study), figdata.  The parser is built once per
 process, by the first `main` call; each parse reads each input file once, as
 bytes (`_read`), and a file that an input names (a sim config's model) is
 read by `args.read`, which is new for each call.  The library modules parse
-those bytes and build every output document; `main` writes the run manifest
-(command, config digest, seeds, version, outputs, duration) next to `--out`,
-or in `--out-dir` as `<command>[_<figure>].manifest.json`.  Exit codes: 0
-success; 1 domain failure (infeasible, budget exhausted, diverged training,
-out of memory); 2 input error (unreadable or unwritable file, malformed input).
+those bytes and build every output document and `figdata` table; `main` writes
+the run manifest (command, config digest, seeds, version, outputs, duration)
+next to `--out`, or in `--out-dir` as `<command>[_<figure>].manifest.json`.
+Exit codes: 0 success; 1 domain failure (infeasible, budget exhausted, diverged
+training, out of memory); 2 input error (unreadable or unwritable file,
+malformed input).
 """
 
 from __future__ import annotations
@@ -129,28 +130,10 @@ def cmd_recommend_study(args):
 def cmd_figdata(args):
     if args.figure != "model-sizes" and not args.infile:
         raise ValueError(f"--figure {args.figure} needs --in")
-    tables = []   # (file name, header, rows): all read and checked before --out-dir is made
-    if args.figure == "model-sizes":
-        models = {n_ch: predictor.init_model(telemetry.TelemetryWindow.feature_dim(args.ts, n_ch),
-                                             n_ch, seed=args.seed) for n_ch in range(2, 10)}
-        rows = [[n_ch, len(predictor.export_flat(model)),
-                 len(predictor.export_c_array(model, "hopping_model").encode())]
-                for n_ch, model in models.items()]
-        tables.append(("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows))
-    elif args.figure == "strategy-comparison":
-        rows = sim.load_comparison_csv(args.infile)
-        for metric in ("rssi", "snr", "pdr"):
-            tables.append((f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
-                           [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric]))
-    else:  # confusion
-        report = json.loads(args.infile)
-        for entry in report["sparsities"]:
-            pct = recommender.check_sparsity(entry["sparsity_pct"])
-            tables.append((f"fig_confusion_sparsity{pct}.csv",
-                           ["true\\pred"] + [str(v) for v in range(1, 6)],
-                           [[t] + row for t, row in enumerate(entry["confusion"], start=1)]))
-        tables.append(("fig_rating_distribution.csv", ["rating", "count"],
-                       list(enumerate(report["distribution"], start=1))))
+    # every table is built, so its input checked, before --out-dir is made
+    tables = (predictor.model_size_tables(args.ts, args.seed) if args.figure == "model-sizes"
+              else sim.strategy_tables(args.infile) if args.figure == "strategy-comparison"
+              else recommender.confusion_tables(args.infile))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [sim.write_csv(out_dir / name, header, rows) for name, header, rows in tables]
@@ -283,7 +266,8 @@ def main(argv=None):
             MemoryError) as exc:
         print(f"{command} failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    # RecursionError is JSON nested too deep to parse: no function in lorahop recurses
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .telemetry import TelemetryWindow
+
 HIDDEN_WIDTH = 10
 FLAT_MAGIC = b"FHOP"
 FLAT_VERSION = 1
@@ -301,3 +303,13 @@ def export_c_array(model, symbol_name):
     lines.append(f"const unsigned int {symbol_name}_len = {len(blob)};")
     return "\n".join(lines) + "\n"
 
+
+def model_size_tables(ts, seed):
+    """The `figdata` table (file name, header, rows) of the flat and C-array export sizes of
+    a model over windows of `ts` slots, for 2 to 9 channels."""
+    rows = []
+    for n_ch in range(2, 10):
+        model = init_model(TelemetryWindow.feature_dim(ts, n_ch), n_ch, seed=seed)
+        rows.append([n_ch, len(export_flat(model)),
+                     len(export_c_array(model, "hopping_model").encode())])
+    return [("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows)]

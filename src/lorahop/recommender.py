@@ -246,6 +246,18 @@ def study_to_json(report):
     return json.dumps(report, sort_keys=True)
 
 
+def confusion_tables(data):
+    """The `figdata` tables (file name, header, rows) of a `study_to_json` document's bytes:
+    each sparsity's confusion matrix, then the rating distribution."""
+    report = json.loads(data)
+    tables = [(f"fig_confusion_sparsity{check_sparsity(entry['sparsity_pct'])}.csv",
+               ["true\\pred"] + [str(v) for v in range(RATING_MIN, RATING_MAX + 1)],
+               [[t] + row for t, row in enumerate(entry["confusion"], start=RATING_MIN)])
+              for entry in report["sparsities"]]
+    return tables + [("fig_rating_distribution.csv", ["rating", "count"],
+                      list(enumerate(report["distribution"], start=RATING_MIN)))]
+
+
 def save_matrix_csv(matrix, path):
     with open(path, "w") as fh:
         for row in np.asarray(matrix, dtype=np.float64):

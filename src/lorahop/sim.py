@@ -322,12 +322,18 @@ def write_csv(path, header, rows):
     return path
 
 
-def load_comparison_csv(data):
-    """The rows, as text, of a `comparison.csv` file's bytes headed `COMPARISON_FIELDS`."""
-    header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+def strategy_tables(data):
+    """The `figdata` tables (file name, header, rows) of a `comparison.csv` file's bytes:
+    per metric, each size's values under both strategies, as text."""
+    try:
+        header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    except csv.Error as exc:
+        raise ValueError(f"comparison table: {exc}") from None
     if tuple(header) != COMPARISON_FIELDS:
         raise ValueError(f"not a comparison table: header {header}")
-    return rows
+    return [(f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
+             [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric])
+            for metric in ("rssi", "snr", "pdr")]
 
 
 def compare_strategies(report_pred, report_random):

@@ -241,10 +241,7 @@ def dataset_from_json(text):
             raise ValueError("feature length does not match metadata")
         if not 0 <= label < meta["F"]:
             raise ValueError("label out of range")
-    try:
-        features = np.array([r["features"] for r in doc["rows"]], dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError as exc:   # an integer beyond float64 or int64
-        raise ValueError(f"dataset value out of range: {exc}") from None
+    features = np.array([r["features"] for r in doc["rows"]], dtype=np.float64)
+    labels = np.array(labels, dtype=np.int64)
     return Dataset(features=features.reshape(len(labels), expected), labels=labels,
                    ts=meta["ts"], num_freqs=meta["F"])

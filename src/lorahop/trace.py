@@ -71,10 +71,13 @@ def load_trace(data):
     """The trace in a CSV file's bytes (columns `EXPECTED_HEADER`)."""
     entries = {}
     reader = csv.reader(io.StringIO(data.decode(), newline=""))
-    header = next(reader, None)
+    try:
+        header, rows = next(reader, None), list(reader)
+    except csv.Error as exc:   # a field longer than `csv.field_size_limit()`, say
+        raise TraceError(f"line {reader.line_num}: {exc}") from None
     if header != EXPECTED_HEADER:
         raise TraceError(f"bad trace header: {header}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(EXPECTED_HEADER):

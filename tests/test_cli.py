@@ -242,6 +242,15 @@ def _train(d, *flags):
         "rows": [{"features": [0.0, 1.0, 0.5, 0.5], "label": k % 2} for k in range(10)]})]
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000   # deeper than the json parser recurses
+
+
+def _long_field_trace(d):
+    """A trace CSV file whose first row has a field longer than csv's 131,072-character limit."""
+    return _write_text(d / "trace.csv", ",".join(trace.EXPECTED_HEADER)
+                       + "\nA,868.1,30," + "9" * 131_073 + ",5.0,10,1.0\n")
+
+
 # Inputs that must be reported as input errors (exit 2), each given a scratch directory.
 MALFORMED_INPUTS = {
     "missing predictor model file": lambda d: [
@@ -340,12 +349,47 @@ MALFORMED_INPUTS = {
     "pipeline with negative epochs": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A", "--rows", "20",
         "--epochs", "-1"],
+    "scenario nested 200,000 deep": lambda d: [
+        "optimize", "--out", str(d / "o.json"),
+        "--scenario", _write_text(d / "scenario.json", DEEP_JSON)],
+    "sim config nested 200,000 deep": lambda d: [
+        "simulate", "--out", str(d / "o.json"),
+        "--config", _write_text(d / "sim.json", DEEP_JSON)],
+    "dataset nested 200,000 deep": lambda d: [
+        "train", "--out", str(d / "m.fhop"), "--dataset", _write_text(d / "ds.json", DEEP_JSON)],
+    "study report nested 200,000 deep": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "study.json", DEEP_JSON)],
+    "frequency of 400 digits": lambda d: [
+        "optimize", "--out", str(d / "o.json"), "--scenario", _write_json(
+            d / "scenario.json", {**_scenario_doc(), "frequencies": [10**400, 868.3]})],
+    "rssi jitter of 400 digits": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
+            "rssi_jitter_db": 10**400})],
+    "fixed frequency of 400 digits": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "fixed", "freq": 10**400}}]})],
+    "gen-dataset trace field over the csv size limit": lambda d: [
+        "gen-dataset", "--rows", "5", "--out", str(d / "ds.json"), "--trace", _long_field_trace(d)],
+    "simulate trace field over the csv size limit": lambda d: [
+        "simulate", "--out", str(d / "o.json"), "--trace", _long_field_trace(d),
+        "--config", _write_json(d / "sim.json", {
+            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}]})],
+    "pipeline trace field over the csv size limit": lambda d: [
+        "pipeline", "--out-dir", str(d / "pipe"), "--rows", "20", "--epochs", "1",
+        "--trace", _long_field_trace(d)],
+    "comparison table field over the csv size limit": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
+                            + "\n30,rssi,-90.0,-80.0," + "1" * 131_073 + "\n")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_2(tmp_path, case):
+def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+    assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
 
 
 def test_rejected_figdata_input_leaves_no_output_directory(tmp_path):
@@ -888,6 +932,49 @@ def test_recommend_study_writes_pinned_bytes(tmp_path):
     assert run(["recommend", "study", "--sparsities", "10,50,90", "--seeds", "2",
                 "--out", str(out)]) == 0
     assert _sha256(out) == "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"
+
+
+def _two_sparsity_study_doc():
+    doc = _study_doc(10)
+    doc["sparsities"].append({"sparsity_pct": 70, "confusion": [[0, 2, 0, 0, 0], [1, 3, 0, 0, 4]]})
+    return doc
+
+
+# figure -> (the bytes of its --in, or None; {file it writes: that file's SHA-256})
+FIGDATA_PINNED = {
+    "strategy-comparison": (
+        b"size,metric,random_hop,predictor_hop,improvement\r\n"
+        b"30,rssi,-92.5,-88.25,4.594594594594595\r\n30,snr,3.5,5.0,42.857142857142854\r\n"
+        b"30,pdr,0.8,0.95,0.1499999999999999\r\n60,rssi,-95.0,-95.0,0.0\r\n"
+        b"60,snr,-1.0,0.5,nan\r\n60,pdr,0.5,0.5,0.0\r\n", {
+            "fig_strategy_rssi.csv":
+                "ed01225289fdfee51ce79bdee6b05206b83d248d63208edbaa107f4447cdb7ec",
+            "fig_strategy_snr.csv":
+                "983a66394080c4ca6ba2fc4e91cfb9e373c535d83a4635eb19730ee13871ac1f",
+            "fig_strategy_pdr.csv":
+                "d35d0c2fa793286d8963f205a0b87e9b1f36dd29492e815c014d82302c366f5d"}),
+    "confusion": (json.dumps(_two_sparsity_study_doc()).encode(), {
+        "fig_confusion_sparsity10.csv":
+            "3f991617a28e404bfa4669a309bff5e72fd803a71fba4e51c14172614a4a8489",
+        "fig_confusion_sparsity70.csv":
+            "de1ffe3faeb6a311f48c81c6f0c41673e0704fae31703a56238d201e71ac8e47",
+        "fig_rating_distribution.csv":
+            "a7db2c1e2c8ef7cae8fa947aedf650b6bf63f636139c86569a4402ce4320d19c"}),
+    "model-sizes": (None, {
+        "fig_model_sizes.csv":
+            "16aa98931ae78cb543a919c053cca92dc82c19665316e160c1c9e63f757b8a1d"}),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGDATA_PINNED))
+def test_figdata_writes_pinned_bytes(tmp_path, figure):
+    data, digests = FIGDATA_PINNED[figure]
+    figs, flags = tmp_path / "figs", []
+    if data is not None:
+        (tmp_path / "in").write_bytes(data)
+        flags = ["--in", str(tmp_path / "in")]
+    assert run(["figdata", "--figure", figure, *flags, "--out-dir", str(figs)]) == 0
+    assert {p.name: _sha256(p) for p in figs.glob("fig_*.csv")} == digests
 
 
 @pytest.mark.parametrize("flags,digest", [

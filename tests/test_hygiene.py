@@ -3,7 +3,7 @@
 Every import is from the standard library, numpy or lorahop itself (the
 package has no other runtime dependency), every imported name is used,
 every top-level function and class has a caller outside the tests, and
-`cli.py` builds no output document.
+`cli.py` builds no output document and parses no input document.
 """
 
 import ast
@@ -72,9 +72,10 @@ def test_every_top_level_definition_is_used_outside_the_tests():
     assert not unused, f"defined in src/lorahop but used only by tests, if at all: {unused}"
 
 
-def _json_dumps_calls(tree):
+def _json_calls(tree, name=None):
+    """The calls of `json.<name>`, or of any `json` function, in `tree`."""
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+            and isinstance(node.func, ast.Attribute) and name in (None, node.func.attr)
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
 
 
@@ -84,4 +85,13 @@ def test_cli_builds_no_output_document():
     tree = ast.parse((SRC / "cli.py").read_text())
     main, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
              and node.name == "main"]
-    assert len(_json_dumps_calls(tree)) == len(_json_dumps_calls(main)) == 1
+    assert len(_json_calls(tree, "dumps")) == len(_json_calls(main, "dumps")) == 1
+
+
+def test_cli_parses_no_input_document():
+    """cli.py is argument parsing, dispatch, the manifest rule and exit codes: the modules
+    that own the input formats parse them, so it imports no `csv` or `io` and calls no
+    `json` function but the manifest's `json.dumps`."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert not {"csv", "io"} & {top for top, _ in _imports(tree)}
+    assert [node.func.attr for node in _json_calls(tree)] == ["dumps"]

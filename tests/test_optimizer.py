@@ -256,10 +256,14 @@ SYMMETRIC_FIXTURES = [
     # mixed capacities: only the outer carriers are twins
     core.Scenario(num_nodes=2, num_gateways=1, frequencies=(868.1, 868.3, 868.5), horizon=3,
                   gateway_capacity=(2,), freq_capacity=(4, 6, 4), min_symbols=2, demand=(8, 8)),
+    # one carrier, two slots: at weights (0.25, 1) the last-slot term takes its collision
+    # route, and charging beta there for 2 alpha < beta <= 4 alpha changes the schedule
+    core.Scenario(num_nodes=3, num_gateways=1, frequencies=(868.1,), horizon=2,
+                  gateway_capacity=(3,), freq_capacity=(4,), min_symbols=2, demand=(2, 2, 2)),
 ]
 
 
-@pytest.mark.parametrize("alpha,beta", [(1.0, 0.1), (1, 0), (0, 1), (2.5, 0.5)])
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.1), (1, 0), (0, 1), (2.5, 0.5), (0.25, 1.0)])
 def test_solver_and_oracle_return_the_same_schedule(alpha, beta):
     """Both routes break ties toward the first optimal choice vector in lexicographic order;
     symmetry skips never drop it, nor the whole orbit of a feasible schedule."""

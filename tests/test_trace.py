@@ -33,6 +33,13 @@ def test_load_trace_rejects_bad_files():
             trace.load_trace(data)
 
 
+def test_load_trace_names_the_line_of_a_field_over_the_csv_size_limit():
+    header = ",".join(trace.EXPECTED_HEADER).encode() + b"\n"
+    data = header + b"A,868.0,30,-70.0,9.0,50,1.0\n" + b"A,868.2,30," + b"9" * 131_073 + b"\n"
+    with pytest.raises(trace.TraceError, match="^line 3: field larger than field limit"):
+        trace.load_trace(data)
+
+
 def test_sampler_exact_block_counts(bundled_trace):
     sampler = trace.ChannelSampler(bundled_trace, seed=1, block_len=50,
                                    rssi_jitter_db=0.0, snr_jitter_db=0.0)
