@@ -128,7 +128,7 @@ def cmd_recommend_study(args):
 
 
 def cmd_figdata(args):
-    if args.figure != "model-sizes" and not args.infile:
+    if args.figure != "model-sizes" and args.infile is None:
         raise ValueError(f"--figure {args.figure} needs --in")
     # every table is built, so its input checked, before --out-dir is made
     tables = (predictor.model_size_tables(args.ts, args.seed) if args.figure == "model-sizes"

@@ -19,18 +19,17 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     for src in sources:
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
-    predictor.check_train_args(rows, epochs)
-    telemetry.check_seed(seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     models = {}
     for src in sources:
+        # trained before its files are written: the first source checks rows, seed and epochs
         dataset = telemetry.generate_labeled_dataset(trace_obj, src, rows, seed)
-        ds_path = out_dir / f"dataset_{src}.json"
-        ds_path.write_text(telemetry.dataset_to_json(dataset))
         model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=seed)
         predictor.train(model, dataset, epochs=epochs, seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ds_path = out_dir / f"dataset_{src}.json"
+        ds_path.write_text(telemetry.dataset_to_json(dataset))
         model_path = out_dir / f"model_{src}.fhop"
         model_path.write_bytes(predictor.export_flat(model))
         models[src] = model

@@ -179,19 +179,14 @@ def _split_indices(n, rng):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
-def check_train_args(rows, epochs, batch_size=32, lr=1e-3):
-    """Raise ValueError unless `train` accepts these; the defaults are `train`'s."""
-    if rows < 1:
+def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
+    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
+    if len(dataset) < 1:
         raise ValueError("empty dataset")
     if batch_size < 1 or epochs < 0:
         raise ValueError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
-
-
-def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
-    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
-    check_train_args(len(dataset), epochs, batch_size, lr)
     x, y = dataset.features, dataset.labels
     if not np.isfinite(x).all():
         raise ValueError("non-finite input features")

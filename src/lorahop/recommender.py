@@ -246,16 +246,26 @@ def study_to_json(report):
     return json.dumps(report, sort_keys=True)
 
 
+def _counts(what, cells, shape):
+    """`cells` as given, checked to be counts in `shape`: non-negative integers."""
+    array = np.array(cells, dtype=object)
+    if array.shape != shape or min(integers(what, array.ravel())) < 0:
+        raise ValueError(f"{what} must be non-negative integer counts in shape {shape}")
+    return cells
+
+
 def confusion_tables(data):
     """The `figdata` tables (file name, header, rows) of a `study_to_json` document's bytes:
-    each sparsity's confusion matrix, then the rating distribution."""
+    each sparsity's 5x5 confusion matrix, then the rating distribution, cells as given."""
     report = json.loads(data)
     tables = [(f"fig_confusion_sparsity{check_sparsity(entry['sparsity_pct'])}.csv",
                ["true\\pred"] + [str(v) for v in range(RATING_MIN, RATING_MAX + 1)],
-               [[t] + row for t, row in enumerate(entry["confusion"], start=RATING_MIN)])
+               [[t] + row for t, row in enumerate(_counts("confusion", entry["confusion"], (5, 5)),
+                                                  start=RATING_MIN)])
               for entry in report["sparsities"]]
     return tables + [("fig_rating_distribution.csv", ["rating", "count"],
-                      list(enumerate(report["distribution"], start=RATING_MIN)))]
+                      list(enumerate(_counts("distribution", report["distribution"], (5,)),
+                                     start=RATING_MIN)))]
 
 
 def save_matrix_csv(matrix, path):

@@ -3,9 +3,9 @@
 Each simulated node sends one packet per slot, walking the payload schedule
 (`packets_per_size` packets per size).  Link outcomes come from the trace via
 `ChannelSampler`; overlapping transmissions on the same (gateway, frequency,
-slot) are resolved with a capture threshold.  The gateway feeds every node's
-telemetry window after each slot, which is what the sensing and predictor
-hopping strategies consume.
+slot) are resolved with a capture threshold.  After each slot every node's window
+records the slot (only a delivered one under `gateway` placement): the predictor
+strategy reads the window, the sensing strategy the availability it last recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class Strategy:
 
     kind = "base"
 
-    def choose(self, node, freqs, rng):
+    def choose(self, node, freqs):
         raise NotImplementedError
 
 
@@ -41,30 +41,29 @@ class FixedStrategy(Strategy):
     def __init__(self, freq_mhz):
         self.freq_mhz = float(freq_mhz)
 
-    def choose(self, node, freqs, rng):
+    def choose(self, node, freqs):
         return freqs.index(self.freq_mhz)
 
 
 class RandomHopStrategy(Strategy):
     kind = "random_hop"
 
-    def choose(self, node, freqs, rng):
-        return int(rng.integers(0, len(freqs)))
+    def choose(self, node, freqs):
+        return int(node.rng.integers(0, len(freqs)))
 
 
 class SensingHopStrategy(Strategy):
-    """Prefer channels whose last observed availability count is lowest.
+    """Prefer the channel with the lowest count in the node's last recorded availability.
 
     Never picks a channel with last seen count >= 2 while one with <= 1 exists.
     """
 
     kind = "sensing_hop"
 
-    def choose(self, node, freqs, rng):
-        window = node.window
-        if len(window) == 0:
+    def choose(self, node, freqs):
+        if node.last_avail is None:
             return node.current_freq_idx if node.current_freq_idx is not None else 0
-        return int(window.availability[-1].argmin())
+        return int(node.last_avail.argmin())
 
 
 class PredictorHopStrategy(Strategy):
@@ -77,7 +76,7 @@ class PredictorHopStrategy(Strategy):
         self.model = predictor_mod.FcnnModel(*(np.asarray(p, dtype=np.float64)
                                                for p in model.params()))
 
-    def choose(self, node, freqs, rng):
+    def choose(self, node, freqs):
         if self.model.num_channels != len(freqs):
             raise ValueError("model output width does not match the frequency set")
         return predictor_mod.predict_channel(self.model, node.window)
@@ -222,15 +221,18 @@ class SimReport:
 
 
 class _NodeState:
-    def __init__(self, spec, num_freqs, window_slots, seed, index):
-        self.spec = spec
-        self.window = TelemetryWindow(ts=window_slots, num_freqs=num_freqs)
-        self.rng = np.random.default_rng([seed, 0x50, index])
-        self.current_freq_idx = None
+    """All of one simulated node's state; `last_avail` is the vector its window last recorded."""
 
-    @property
-    def source(self):
-        return self.spec.source
+    def __init__(self, spec, config, trace, num_freqs, index):
+        self.spec = spec
+        self.source = spec.source
+        self.window = TelemetryWindow(ts=config.window_slots, num_freqs=num_freqs)
+        self.rng = np.random.default_rng([config.rng_seed, 0x50, index])
+        self.sampler = ChannelSampler(
+            trace, seed=[config.rng_seed, 0x5A, index], block_len=config.packets_per_size,
+            rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)
+        self.last_avail = None
+        self.current_freq_idx = None
 
 
 def run(config, trace):
@@ -242,12 +244,8 @@ def run(config, trace):
     sources = [spec.source for spec in config.nodes]
     if len(set(sources)) != len(sources):
         raise ValueError("node sources must be distinct")
-    nodes = [_NodeState(spec, len(freqs), config.window_slots, config.rng_seed, k)
+    nodes = [_NodeState(spec, config, trace, len(freqs), k)
              for k, spec in enumerate(config.nodes)]
-    paired = [(node, ChannelSampler(
-        trace, seed=[config.rng_seed, 0x5A, k], block_len=config.packets_per_size,
-        rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db))
-        for k, node in enumerate(nodes)]
     record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries
     threshold = config.capture_threshold_db
 
@@ -259,13 +257,13 @@ def run(config, trace):
             txs = []
             by_freq = {}
             avail = np.zeros(len(freqs))
-            for node, sampler in paired:
-                f_idx = node.spec.strategy.choose(node, freqs, node.rng)
+            for node in nodes:
+                f_idx = node.spec.strategy.choose(node, freqs)
                 hopped = node.current_freq_idx is not None and f_idx != node.current_freq_idx
                 node.current_freq_idx = f_idx
                 avail[f_idx] += 1.0
                 freq = freqs[f_idx]
-                delivered, rssi, snr = sampler.sample(node.source, freq, size)
+                delivered, rssi, snr = node.sampler.sample(node.source, freq, size)
                 e = SlotEvent(slot, node.source, "GW0", freq, size,
                               rssi, snr, delivered, False, hopped)
                 txs.append(e)
@@ -284,9 +282,10 @@ def run(config, trace):
                         e.delivered = False
                         e.collided = True
 
-            for (node, _), e in zip(paired, txs):
+            for node, e in zip(nodes, txs):
                 if record_lost or e.delivered:
                     node.window.record(avail, *e.observed())
+                    node.last_avail = avail
             events += txs
 
     by_key = {}
@@ -326,11 +325,17 @@ def strategy_tables(data):
     """The `figdata` tables (file name, header, rows) of a `comparison.csv` file's bytes:
     per metric, each size's values under both strategies, as text."""
     try:
-        header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+        header, *rows = list(csv.reader(io.StringIO(data.decode(), newline=""))) or [[]]
     except csv.Error as exc:
         raise ValueError(f"comparison table: {exc}") from None
     if tuple(header) != COMPARISON_FIELDS:
-        raise ValueError(f"not a comparison table: header {header}")
+        raise ValueError(f"not a comparison table: header {header}" if header
+                         else "empty comparison table: no header row")
+    for row in rows:
+        if len(row) != len(COMPARISON_FIELDS):
+            raise ValueError(f"comparison row {row}: expected {len(COMPARISON_FIELDS)} fields")
+        for value in row[:1] + row[2:]:
+            float(value)   # a cell that is not a number raises ValueError; "nan" passes
     return [(f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
              [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric])
             for metric in ("rssi", "snr", "pdr")]

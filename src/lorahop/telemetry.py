@@ -47,18 +47,6 @@ class TelemetryWindow:
         self._rssi = np.full(rows, RSSI_FLOOR_DBM / RSSI_NORM_DBM)
         self._snr = np.full(rows, SNR_FLOOR_DB / SNR_NORM_DB)
         self._end = self.ts
-        self._filled = 0
-        # slices of this read-only alias of `_avail` are read-only views
-        self._avail_readonly = self._avail.view()
-        self._avail_readonly.flags.writeable = False
-
-    def __len__(self):
-        return self._filled
-
-    @property
-    def availability(self):
-        """Read-only (len, num_freqs) view of the recorded availability, oldest first."""
-        return self._avail_readonly[self._end - self._filled:self._end]
 
     def record(self, availability_vec, rssi, snr):
         vec = availability_vec
@@ -76,7 +64,6 @@ class TelemetryWindow:
         self._rssi[end] = float(rssi) / RSSI_NORM_DBM
         self._snr[end] = float(snr) / SNR_NORM_DB
         self._end = end + 1
-        self._filled = min(self._filled + 1, self.ts)
         return self
 
     def snapshot(self):
@@ -126,19 +113,13 @@ def _hasher(hash_const, mult):
     return hashmix
 
 
-def check_seed(seed):
-    """The seed as an int: an integer (`core.integers`) that is not negative."""
-    seed, = integers("seed", (seed,))
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    return seed
-
-
 def _seed_states(seed, n_rows, num_freqs):
     """`SeedSequence([seed, r, f]).generate_state(4, np.uint64)` for every (r, f) at once,
     on uint64 arrays kept to 32 bits; shape (n_rows, num_freqs, 4).  Every pool word
     mixes in every entropy word, so all of them end up (n_rows, num_freqs)."""
-    seed = check_seed(seed)
+    seed, = integers("seed", (seed,))
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     # the seed's 32-bit words, then r and f as a column and a row that broadcast to (r, f)
     entropy = [(seed >> k) & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
     entropy += [np.arange(n_rows, dtype=np.uint64)[:, None], np.arange(num_freqs, dtype=np.uint64)]

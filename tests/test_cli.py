@@ -203,6 +203,18 @@ def test_rejected_pipeline_input_leaves_no_output_directory(tmp_path, bad):
     assert not out_dir.exists()
 
 
+def test_diverged_first_source_leaves_no_output_directory(tmp_path, monkeypatch):
+    """Each source trains before its files are written: a failing first source writes none."""
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("loss diverged to NaN/inf; lower the learning rate")
+
+    monkeypatch.setattr(predictor, "train", diverge)
+    out_dir = tmp_path / "pipe"
+    assert run(["pipeline", "--out-dir", str(out_dir), "--sources", "A", "--rows", "20",
+                "--epochs", "1"]) == 1
+    assert not out_dir.exists()
+
+
 def test_manifest_contents(tmp_path):
     dataset = tmp_path / "ds.json"
     run(["gen-dataset", "--rows", "20", "--seed", "9", "--out", str(dataset)])
@@ -223,7 +235,9 @@ def _write_text(path, text):
 
 
 def _study_doc(sparsity_pct):
-    return {"sparsities": [{"sparsity_pct": sparsity_pct, "confusion": [[1, 0, 0, 0, 0]]}],
+    """A study document of one sparsity, its confusion matrix the 5x5 identity."""
+    identity = np.eye(5, dtype=int).tolist()
+    return {"sparsities": [{"sparsity_pct": sparsity_pct, "confusion": identity}],
             "distribution": [1, 2, 3, 4, 5]}
 
 
@@ -346,6 +360,31 @@ MALFORMED_INPUTS = {
     "empty comparison table": lambda d: [
         "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
         "--in", _write_text(d / "comparison.csv", "")],
+    "empty study report": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "study.json", "")],
+    "comparison table with a value that is not a number": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
+                            + "\n30,rssi,-90.0,abc,11.1\n")],
+    "comparison row of 4 fields": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
+                            + "\n30,rssi,-90.0,-80.0\n")],
+    "confusion matrix of text and a negative count": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"), "--in", _write_json(
+            d / "study.json", {**_study_doc(10), "sparsities": [
+                {"sparsity_pct": 10, "confusion": [["x"], ["y", -3]]}]})],
+    "confusion matrix 5x5 with a negative count": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"), "--in", _write_json(
+            d / "study.json", {**_study_doc(10), "sparsities": [
+                {"sparsity_pct": 10, "confusion": (-np.eye(5, dtype=int)).tolist()}]})],
+    "rating distribution as a string": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_json(d / "study.json", {**_study_doc(10), "distribution": "ab"})],
+    "rating distribution of 4 counts": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
+        "--in", _write_json(d / "study.json", {**_study_doc(10), "distribution": [1, 2, 3, 4]})],
     "pipeline with negative epochs": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A", "--rows", "20",
         "--epochs", "-1"],
@@ -390,6 +429,14 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
     assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("figure", ["strategy-comparison", "confusion"])
+def test_figdata_reports_an_empty_input_file_as_its_fault(tmp_path, capsys, figure):
+    """An empty --in was given: the table's parser names the fault, not a missing option."""
+    assert run(["figdata", "--figure", figure, "--out-dir", str(tmp_path / "figs"),
+                "--in", _write_text(tmp_path / "in", "")]) == 2
+    assert "needs --in" not in capsys.readouterr().err
 
 
 def test_rejected_figdata_input_leaves_no_output_directory(tmp_path):
@@ -519,22 +566,31 @@ def test_events_csv_and_report_share_rounded_link_values(tmp_path):
         assert (rssi, snr) == (round(rssi, 6), round(snr, 6))
 
 
-def test_simulate_writes_pinned_bytes(tmp_path):
+@pytest.mark.parametrize("placement, kinds, packets, seed, report_sha, events_sha", [
+    ("end_node", ["sensing_hop", "random_hop", "fixed"], 40, 4,
+     "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670",
+     "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941"),
+    # the sensing node reads only the slots its gateway heard: the delivered ones
+    ("gateway", ["random_hop", "sensing_hop", "random_hop"], 30, 5,
+     "dad7182c812b52971dcb2f6f8b70b6695e5cb65b4308d5d0efeed0ecc5f206c7",
+     "53928c75d727a3f03f2940f30ee18a80c09e5d85ec1fa7dada18853cde8db99e"),
+], ids=["end_node", "gateway"])
+def test_simulate_writes_pinned_bytes(tmp_path, placement, kinds, packets, seed, report_sha,
+                                      events_sha):
     """Three strategies contending for the three channels; both outputs pinned by SHA-256."""
+    strategies = [{"kind": kind, "freq": 869.0} if kind == "fixed" else {"kind": kind}
+                  for kind in kinds]
     config = _write_json(tmp_path / "sim.json", {
-        "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}},
-                  {"source": "B", "strategy": {"kind": "random_hop"}},
-                  {"source": "C", "strategy": {"kind": "fixed", "freq": 869.0}}],
-        "packets_per_size": 40, "seed": 4})
+        "nodes": [{"source": src, "strategy": strategy}
+                  for src, strategy in zip("ABC", strategies)],
+        "packets_per_size": packets, "seed": seed, "predictor_placement": placement})
     out, events = tmp_path / "report.json", tmp_path / "events.csv"
     assert run(["simulate", "--config", config, "--out", str(out),
                 "--events", str(events)]) == 0
     report = json.loads(out.read_text())
     assert sum(e["collided"] for e in report["events"]) > 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670"
-    assert hashlib.sha256(events.read_bytes()).hexdigest() == \
-        "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941"
+    assert _sha256(out) == report_sha
+    assert _sha256(events) == events_sha
 
 
 def test_simulate_predictor_hop_writes_pinned_bytes(tmp_path):
@@ -609,7 +665,7 @@ FUZZ_DATASET = {
 }
 FUZZ_MODEL = predictor.export_flat(predictor.init_model(5, 3, seed=0))
 FUZZ_STUDY = {
-    "sparsities": [{"sparsity_pct": 10, "confusion": [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0]]}],
+    "sparsities": [{"sparsity_pct": 10, "confusion": np.diag([1, 2, 3, 4, 5]).tolist()}],
     "distribution": [1, 2, 3, 4, 5],
 }
 
@@ -936,7 +992,8 @@ def test_recommend_study_writes_pinned_bytes(tmp_path):
 
 def _two_sparsity_study_doc():
     doc = _study_doc(10)
-    doc["sparsities"].append({"sparsity_pct": 70, "confusion": [[0, 2, 0, 0, 0], [1, 3, 0, 0, 4]]})
+    doc["sparsities"].append({"sparsity_pct": 70, "confusion": [
+        [0, 2, 0, 0, 0], [1, 3, 0, 0, 4], [0, 0, 5, 0, 0], [0, 0, 0, 6, 0], [0, 0, 0, 0, 7]]})
     return doc
 
 
@@ -955,9 +1012,9 @@ FIGDATA_PINNED = {
                 "d35d0c2fa793286d8963f205a0b87e9b1f36dd29492e815c014d82302c366f5d"}),
     "confusion": (json.dumps(_two_sparsity_study_doc()).encode(), {
         "fig_confusion_sparsity10.csv":
-            "3f991617a28e404bfa4669a309bff5e72fd803a71fba4e51c14172614a4a8489",
+            "7530e84e95c473c298427a2d52fa15c3689d6f61b4b2efd00463468f4ee775b5",
         "fig_confusion_sparsity70.csv":
-            "de1ffe3faeb6a311f48c81c6f0c41673e0704fae31703a56238d201e71ac8e47",
+            "2e341fd6d7fa877857be2cf12979fa91e13fa43f80cdce183e88dd9a0246056d",
         "fig_rating_distribution.csv":
             "a7db2c1e2c8ef7cae8fa947aedf650b6bf63f636139c86569a4402ce4320d19c"}),
     "model-sizes": (None, {

@@ -2,8 +2,9 @@
 
 Every import is from the standard library, numpy or lorahop itself (the
 package has no other runtime dependency), every imported name is used,
-every top-level function and class has a caller outside the tests, and
-`cli.py` builds no output document and parses no input document.
+every top-level function and class has a caller outside the tests, so does
+every public method and property of those classes, and `cli.py` builds no
+output document and parses no input document.
 """
 
 import ast
@@ -70,6 +71,20 @@ def test_every_top_level_definition_is_used_outside_the_tests():
               and not any(node.name in names for other, names in by_others.items()
                           if other != path)]
     assert not unused, f"defined in src/lorahop but used only by tests, if at all: {unused}"
+
+
+def test_every_public_method_is_loaded_outside_the_tests():
+    """A public method or property of a class in src/lorahop is loaded as an attribute
+    (`window.snapshot`, `self.pdr`) somewhere in src/lorahop or perfbench; a name that
+    starts with `_` is exempt."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES + BENCH}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{path.name}:{cls.name}.{node.name}" for path in MODULES
+              for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_") and node.name not in loaded]
+    assert not unused, f"public in src/lorahop but loaded only by tests, if at all: {unused}"
 
 
 def _json_calls(tree, name=None):

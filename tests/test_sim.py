@@ -89,13 +89,15 @@ def test_hops_counted_for_random_strategy(bundled_trace):
 
 def test_sensing_strategy_avoids_busy_channel(bundled_trace):
     node = type("N", (), {})()
-    node.window = __import__("lorahop.telemetry", fromlist=["TelemetryWindow"]) \
-        .TelemetryWindow(ts=4, num_freqs=3)
-    node.window.record([2.0, 0.0, 1.0], -70.0, 9.0)
+    node.last_avail = np.array([2.0, 0.0, 1.0])
     node.current_freq_idx = 0
     strat = sim.SensingHopStrategy()
-    choice = strat.choose(node, [868.0, 869.0, 870.0], np.random.default_rng(0))
-    assert choice == 1
+    assert strat.choose(node, [868.0, 869.0, 870.0]) == 1
+
+
+def test_strategy_tables_name_an_empty_table():
+    with pytest.raises(ValueError, match="empty comparison table"):
+        sim.strategy_tables(b"")
 
 
 def test_report_json_shape(bundled_trace):
