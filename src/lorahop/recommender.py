@@ -20,6 +20,7 @@ MISSING = np.nan
 RATING_MIN, RATING_MAX = 1, 5
 _ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
 _NOISE_PROB = 0.08    # share of synthetic cells moved by +/-1
+_BLOCK_ROWS = 128     # rows `impute` fills at once: its memory is O(_BLOCK_ROWS x rows)
 
 
 def present_mask(matrix):
@@ -39,21 +40,26 @@ def check_matrix(matrix):
     return m
 
 
-def similarity_matrix(matrix, missing_as_zero=False):
-    """Pairwise cosine similarities of the rows; NaN where undefined."""
+def similarity_matrix(matrix, missing_as_zero=False, rows=slice(None)):
+    """Cosine similarities of the matrix's `rows` with every row; NaN where undefined.
+
+    Ratings are small integers, so every sum below is exact: a block of rows is
+    bit-equal to those rows of the full matrix, whatever BLAS kernel its shape takes.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     mask = present_mask(m).astype(np.float64)
     z = np.nan_to_num(m)
-    num = z @ z.T
+    sim = z[rows] @ z.T
     if missing_as_zero:
         norms = np.linalg.norm(z, axis=1)
-        denom = np.outer(norms, norms) * (mask @ mask.T > 0)   # 0 for disjoint support
+        denom = np.outer(norms[rows], norms) * (mask[rows] @ mask.T > 0)   # 0 for disjoint support
     else:
         sq = z * z
-        nx = sq @ mask.T          # |x|^2 over the common support with each y
-        denom = np.sqrt(nx * nx.T)   # 0 (or NaN, from inf * 0) without common support
+        denom = sq[rows] @ mask.T     # |x|^2 over the common support with each y
+        denom *= mask[rows] @ sq.T    # times |y|^2 over it
+        np.sqrt(denom, out=denom)     # 0 (or NaN, from inf * 0) without common support
     with np.errstate(invalid="ignore", divide="ignore"):
-        sim = num / denom
+        sim /= denom
     sim[denom == 0] = np.nan
     return sim
 
@@ -109,6 +115,11 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     key's low bits.  Weight and weighted sum are zero-padded numpy row sums
     over them in that order, so the result does not depend on the BLAS build.
     Cells with no neighbor or no positive weight take the row mean.
+
+    Rows are filled in blocks of `_BLOCK_ROWS`: each block takes its rows of
+    the similarity matrix and their keys, fills its missing cells column by
+    column and drops them, so memory grows as `_BLOCK_ROWS` x rows.  A cell
+    reads only its own row's similarities, so the blocks change no output byte.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -116,50 +127,56 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     mask = present_mask(sparse)
     if not mask.any(axis=1).all():
         raise ValueError("every row needs at least one present rating")
-    sim = similarity_matrix(sparse, missing_as_zero=missing_as_zero)
-    np.fill_diagonal(sim, np.nan)
     row_means = np.nansum(sparse, axis=1) / mask.sum(axis=1)
     n = sparse.shape[0]
     k = min(k_neighbors, n)
     bits = (n - 1).bit_length()
     low, never = (1 << bits) - 1, n << bits
     itype = np.int32 if n <= 1 << 15 else np.int64   # never < 2**31 up to n = 32,768
-    # buffers are dropped as soon as they are used: the live set stays under
-    # the peak of similarity_matrix
-    undefined = np.isnan(sim)
-    vals = np.negative(sim)
-    vals[undefined] = np.inf                          # undefined sorts last
-    o = np.argsort(vals, axis=1).astype(itype)        # ties in any order
-    vals.sort(axis=1)
-    first = np.tile(np.arange(n, dtype=itype), (n, 1))
-    first[:, 1:][vals[:, 1:] == vals[:, :-1]] = 0
-    del vals
-    np.maximum.accumulate(first, axis=1, out=first)   # first place of each value
-    first <<= bits
-    first |= o
-    key = np.empty_like(first)
-    np.put_along_axis(key, o, first, axis=1)
-    del o, first
-    key[undefined] = never
-
     out = sparse.copy()
-    for j in range(sparse.shape[1]):
-        missing = np.flatnonzero(~mask[:, j])
-        if not missing.size:
-            continue
-        keys = key[missing][:, mask[:, j]]
-        if keys.shape[1] > k:
-            keys = np.partition(keys, k - 1, axis=1)[:, :k]
-        keys.sort(axis=1)
-        row, slot = np.nonzero(keys < never)
-        voter = keys[row, slot] & low
-        sims, ratings = np.zeros((2, missing.size, k))
-        sims[row, slot] = sim[missing[row], voter]
-        ratings[row, slot] = sparse[voter, j]
-        weight = sims.sum(axis=1)
-        value = np.divide((sims * ratings).sum(axis=1), weight,
-                          out=row_means[missing], where=weight > 0)
-        out[missing, j] = np.clip(_round_half_up(value), RATING_MIN, RATING_MAX)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = slice(lo, min(lo + _BLOCK_ROWS, n))
+        sim = similarity_matrix(sparse, missing_as_zero=missing_as_zero, rows=block)
+        b = sim.shape[0]
+        sim[np.arange(b), np.arange(lo, lo + b)] = np.nan
+        # buffers are dropped as soon as they are used: the live set stays under
+        # the peak of similarity_matrix
+        undefined = np.isnan(sim)
+        vals = np.negative(sim)
+        vals[undefined] = np.inf                          # undefined sorts last
+        o = np.argsort(vals, axis=1).astype(itype)        # ties in any order
+        vals.sort(axis=1)
+        first = np.tile(np.arange(n, dtype=itype), (b, 1))
+        first[:, 1:][vals[:, 1:] == vals[:, :-1]] = 0
+        del vals
+        np.maximum.accumulate(first, axis=1, out=first)   # first place of each value
+        first <<= bits
+        first |= o
+        key = np.empty_like(first)
+        np.put_along_axis(key, o, first, axis=1)
+        del o, first
+        key[undefined] = never
+
+        for j in range(sparse.shape[1]):
+            missing = np.flatnonzero(~mask[block, j])     # rows of the block
+            if not missing.size:
+                continue
+            keys = key[missing][:, mask[:, j]]
+            if keys.shape[1] > k:
+                keys = np.partition(keys, k - 1, axis=1)[:, :k]
+            keys.sort(axis=1)
+            voted = keys < never
+            voter = keys & low
+            # one C-ordered gather: a Fortran-ordered one changes the bits of the row sums
+            sims, ratings = np.zeros((2, missing.size, k))
+            np.copyto(sims[:, :keys.shape[1]], np.take(sim, voter + (missing * n)[:, None]),
+                      where=voted)
+            np.copyto(ratings[:, :keys.shape[1]], sparse[voter, j], where=voted)
+            weight = sims.sum(axis=1)
+            cells = lo + missing
+            value = np.divide((sims * ratings).sum(axis=1), weight,
+                              out=row_means[cells], where=weight > 0)
+            out[cells, j] = np.clip(_round_half_up(value), RATING_MIN, RATING_MAX)
     return out
 
 

@@ -310,6 +310,7 @@ def run(config, trace):
 
 
 COMPARISON_FIELDS = ("size", "metric", "random_hop", "predictor_hop", "improvement")
+COMPARISON_METRICS = ("rssi", "snr", "pdr")
 
 
 def write_csv(path, header, rows):
@@ -336,9 +337,11 @@ def strategy_tables(data):
             raise ValueError(f"comparison row {row}: expected {len(COMPARISON_FIELDS)} fields")
         for value in row[:1] + row[2:]:
             float(value)   # a cell that is not a number raises ValueError; "nan" passes
+        if row[1] not in COMPARISON_METRICS:
+            raise ValueError(f"comparison row {row}: unknown metric {row[1]!r}")
     return [(f"fig_strategy_{metric}.csv", ["size", "random_hop", "predictor_hop"],
              [[size, rand, pred] for size, m, rand, pred, _ in rows if m == metric])
-            for metric in ("rssi", "snr", "pdr")]
+            for metric in COMPARISON_METRICS]
 
 
 def compare_strategies(report_pred, report_random):

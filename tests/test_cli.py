@@ -418,6 +418,10 @@ MALFORMED_INPUTS = {
     "pipeline trace field over the csv size limit": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--rows", "20", "--epochs", "1",
         "--trace", _long_field_trace(d)],
+    "comparison row with a misspelled metric": lambda d: [
+        "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
+        "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
+                            + "\n30,rsi,-90.0,-80.0,11.1\n")],
     "comparison table field over the csv size limit": lambda d: [
         "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
         "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
@@ -1032,6 +1036,32 @@ def test_figdata_writes_pinned_bytes(tmp_path, figure):
         flags = ["--in", str(tmp_path / "in")]
     assert run(["figdata", "--figure", figure, *flags, "--out-dir", str(figs)]) == 0
     assert {p.name: _sha256(p) for p in figs.glob("fig_*.csv")} == digests
+
+
+# `recommend` argv -> {file it writes under the scratch directory {d}: SHA-256}.  {d}/sparse.csv
+# is sparsify(synthetic_ratings(300, 12, seed=5), 60, seed=5): three of impute's row blocks,
+# the last one partial.  The digests pin this host's numpy and BLAS build.
+RECOMMEND_PINNED = {
+    "impute --in {d}/sparse.csv --out {d}/filled.csv": {
+        "filled.csv": "5ca282740ecbdee06c5933ed1cd8269dc408a84c69b985bd2757f60617d40df5"},
+    "impute --in {d}/sparse.csv --missing-as-zero --out {d}/filled.csv": {
+        "filled.csv": "caec0fed7cb3012f375c2467d61f959717baed21a25d42bf3b3b03ac077fb282"},
+    "impute --in {d}/sparse.csv --k 3 --out {d}/filled.csv": {
+        "filled.csv": "867673486262df2a78413688b04394268e835f457693de9b7478bd3b86e4f13c"},
+    "impute --in {d}/sparse.csv --k 3 --missing-as-zero --out {d}/filled.csv": {
+        "filled.csv": "bade007c13adb6bcca7b98b3cd3b5617286a971079316cca0edd017fa0aaee00"},
+    "generate --soils 300 --plants 12 --out {d}/full.csv": {
+        "full.csv": "37ec91fcec9b7f9542baa67b657ce995c7576002a6c16a4fd80615bf79c55080"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RECOMMEND_PINNED))
+def test_recommend_writes_pinned_bytes(tmp_path, argv):
+    recommender.save_matrix_csv(recommender.sparsify(
+        recommender.synthetic_ratings(300, 12, seed=5), 60, seed=5), tmp_path / "sparse.csv")
+    assert run(["recommend", *(arg.format(d=tmp_path) for arg in argv.split())]) == 0
+    digests = RECOMMEND_PINNED[argv]
+    assert {name: _sha256(tmp_path / name) for name in digests} == digests
 
 
 @pytest.mark.parametrize("flags,digest", [

@@ -54,6 +54,24 @@ def test_similarity_matrix_is_undefined_for_disjoint_support(missing_as_zero):
     assert not np.isnan(sim[[0, 1, 2], [2, 2, 0]]).any()
 
 
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("n", [5, rec._BLOCK_ROWS - 1, 2 * rec._BLOCK_ROWS + 1])
+def test_similarity_matrix_row_blocks_are_bit_equal_to_the_full_matrix(n, missing_as_zero):
+    # BLAS may take another kernel for another shape: `impute`'s blocks must not move a bit,
+    # the last block partial or the whole matrix one partial block
+    for seed in range(2):
+        random = np.random.default_rng(seed).integers(1, 6, size=(n, 20)).astype(float)
+        for full in (rec.synthetic_ratings(n, 20, seed=seed), random):
+            for pct in (0, 50, 90):
+                sparse = rec.sparsify(full, pct, seed=[seed, pct])
+                whole = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+                for size in (1, 7, rec._BLOCK_ROWS):
+                    blocks = [rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero,
+                                                    rows=slice(lo, lo + size))
+                              for lo in range(0, n, size)]
+                    assert np.vstack(blocks).tobytes() == whole.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_similarity_matrix_symmetric(seed):
@@ -273,7 +291,8 @@ def test_impute_sums_votes_in_rank_order(monkeypatch, holders, extra):
     for row, s, r in zip(holders, (0.3, 0.2, 0.1), (1, 5, 2)):
         sim[0, row] = sim[row, 0] = s
         sparse[row, 1] = r
-    monkeypatch.setattr(rec, "similarity_matrix", lambda m, missing_as_zero=False: sim.copy())
+    monkeypatch.setattr(rec, "similarity_matrix",
+                        lambda m, missing_as_zero=False, rows=slice(None): sim[rows].copy())
     assert rec.impute(sparse, k_neighbors=3)[0, 1] == 3
 
 
@@ -298,7 +317,8 @@ def _ties_cut_by_k(sparse, k, missing_as_zero):
 
 
 @pytest.mark.parametrize("missing_as_zero", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 64, 65])   # the key's row bits grow from 6 to 7 at 65
+# the key's row bits grow from 6 to 7 at 65; the last spans three row blocks
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 2 * rec._BLOCK_ROWS + 1])
 def test_impute_is_byte_equal_to_the_stable_order_reference(n, missing_as_zero):
     for seed in range(3):
         random = np.random.default_rng(seed).integers(1, 6, size=(n, 8)).astype(float)
@@ -315,9 +335,9 @@ def test_impute_keeps_the_tie_order_where_k_cuts_a_group_of_equal_similarities(
     # ratings 1 and 2 at high sparsity: many rows share one present column with
     # row i, so many holders tie at similarity 1.0 with different ratings
     cuts = 0
-    for seed in range(4):
+    for seed, n in itertools.product(range(4), (65, 2 * rec._BLOCK_ROWS + 1)):
         rng = np.random.default_rng(seed)
-        full = rng.integers(1, 3, size=(65, 6)).astype(float)
+        full = rng.integers(1, 3, size=(n, 6)).astype(float)
         for pct in (50, 70, 80):
             sparse = rec.sparsify(full, pct, seed=[seed, pct])
             for k in (1, 2, 5):
@@ -359,6 +379,20 @@ def test_impute_peak_memory_stays_within_that_of_similarity_matrix(pct):
     finally:
         tracemalloc.stop()
     assert impute_peak <= similarity_peak + 64 * 1024
+
+
+def test_impute_peak_memory_grows_linearly_in_the_rows():
+    # row blocks: doubling the rows about doubles the peak, where n x n arrays would quadruple it
+    peaks = []
+    for n in (256, 512, 1024, 2048):
+        sparse = rec.sparsify(rec.synthetic_ratings(n, 20, seed=0), 50, seed=[0, n])
+        tracemalloc.start()
+        try:
+            rec.impute(sparse)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(peak <= 2.3 * before for before, peak in zip(peaks, peaks[1:])), peaks
 
 
 def test_evaluate_confusion():
