@@ -65,16 +65,20 @@ def cmd_simulate(args):
     config = sim.SimConfig.from_json(args.config, args.read)
     args.seed = config.rng_seed if args.seed is None else args.seed   # the manifest's seed
     report = sim.run(dataclasses.replace(config, rng_seed=args.seed), trace.load_trace(args.trace))
-    Path(args.out).write_text(report.to_json())
-    if not args.events:
-        return [args.out]
-    return [args.out, sim.write_csv(args.events, sim.EVENT_FIELDS, report.event_rows())]
+    with open(args.out, "w") as fh:
+        if not args.events:
+            report.write(fh)
+            return [args.out]
+        with open(args.events, "w", newline="") as events_fh:
+            report.write(fh, events_fh)
+    return [args.out, args.events]
 
 
 def cmd_gen_dataset(args):
     dataset = telemetry.generate_labeled_dataset(trace.load_trace(args.trace), args.source,
                                                  args.rows, args.seed, ts=args.ts)
-    Path(args.out).write_text(telemetry.dataset_to_json(dataset))
+    with open(args.out, "w") as fh:
+        telemetry.write_dataset(dataset, fh)
     return [args.out]
 
 

@@ -29,7 +29,8 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
         predictor.train(model, dataset, epochs=epochs, seed=seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         ds_path = out_dir / f"dataset_{src}.json"
-        ds_path.write_text(telemetry.dataset_to_json(dataset))
+        with open(ds_path, "w") as fh:
+            telemetry.write_dataset(dataset, fh)
         model_path = out_dir / f"model_{src}.fhop"
         model_path.write_bytes(predictor.export_flat(model))
         models[src] = model
@@ -51,8 +52,9 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
 
     rand_path = out_dir / "report_random.json"
     pred_path = out_dir / "report_predictor.json"
-    rand_path.write_text(report_random.to_json())
-    pred_path.write_text(report_pred.to_json())
+    for path, report in ((rand_path, report_random), (pred_path, report_pred)):
+        with open(path, "w") as fh:
+            report.write(fh)
     comp_path = sim.write_csv(out_dir / "comparison.csv", sim.COMPARISON_FIELDS, comparison)
     outputs += [rand_path, pred_path, comp_path]
     return comparison, outputs

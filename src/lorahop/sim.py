@@ -14,8 +14,8 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from numbers import Real
+from operator import itemgetter
 
 import numpy as np
 
@@ -163,15 +163,20 @@ class SlotEvent:
         """(rssi, snr) as the gateway reports them: the floor values for a lost packet."""
         return (self.rssi, self.snr) if self.delivered else (RSSI_FLOOR_DBM, SNR_FLOOR_DB)
 
-    def to_dict(self):
-        """Output form, keys in field order; RSSI and SNR rounded to 6 decimals."""
-        return {"slot": self.slot, "node": self.node, "gateway": self.gateway,
-                "freq_mhz": self.freq_mhz, "size": self.size,
-                "rssi": round(self.rssi, 6), "snr": round(self.snr, 6),
-                "delivered": self.delivered, "collided": self.collided, "hopped": self.hopped}
-
 
 EVENT_FIELDS = tuple(f.name for f in fields(SlotEvent))
+_JSON_BOOL, _CSV_BOOL = ("false", "true"), ("0", "1")   # indexed by a bool
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # by float repr
+
+
+class _StringCells(dict):
+    """A string -> (its JSON string, its CSV cell), each made once per distinct string."""
+
+    def __missing__(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, ""])   # in a row of two: a lone "" would be quoted
+        cells = self[text] = (json.dumps(text), buf.getvalue()[:-len(",\r\n")])
+        return cells
 
 
 @dataclass
@@ -202,22 +207,36 @@ class SimReport:
     def sizes(self):
         return sorted({r.size for r in self.rows})
 
-    @cached_property
-    def event_dicts(self):
-        """`SlotEvent.to_dict` of every event, built once for both the JSON and the CSV."""
-        return [e.to_dict() for e in self.events]
-
-    def event_rows(self):
-        """The events CSV rows, columns `EVENT_FIELDS`, booleans written as 0/1."""
-        for d in self.event_dicts:
-            yield [int(v) if isinstance(v, bool) else v for v in d.values()]
-
-    def to_json(self):
-        doc = {
-            "rows": [dict(asdict(r), pdr=r.pdr) for r in self.rows],
-            "events": self.event_dicts,
-        }
-        return json.dumps(doc, sort_keys=True)
+    def write(self, fh, events_fh=None):
+        """Write the report document (`json.dumps(..., sort_keys=True)` of its rows and
+        events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
+        `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
+        pass over the events.  Each value is formatted once, RSSI and SNR rounded to 6
+        decimals; JSON spells strings and non-finite floats as `json` does."""
+        order = sorted(range(len(EVENT_FIELDS)), key=EVENT_FIELDS.__getitem__)
+        json_event = "{" + ", ".join(f"{json.dumps(EVENT_FIELDS[i])}: %s" for i in order) + "}"
+        in_key_order = itemgetter(*order)
+        csv_line = ",".join(["%s"] * len(EVENT_FIELDS)) + "\r\n"
+        strings = _StringCells()
+        fh.write('{"events": [')
+        if events_fh is not None:
+            events_fh.write(csv_line % tuple(strings[name][1] for name in EVENT_FIELDS))
+        sep = ""
+        for e in self.events:
+            slot, size = str(e.slot), str(e.size)
+            freq, rssi, snr = repr(e.freq_mhz), repr(round(e.rssi, 6)), repr(round(e.snr, 6))
+            (node, node_cell), (gateway, gateway_cell) = strings[e.node], strings[e.gateway]
+            fh.write(sep + json_event % in_key_order((
+                slot, node, gateway, _JSON_NONFINITE.get(freq, freq), size,
+                _JSON_NONFINITE.get(rssi, rssi), _JSON_NONFINITE.get(snr, snr),
+                _JSON_BOOL[e.delivered], _JSON_BOOL[e.collided], _JSON_BOOL[e.hopped])))
+            sep = ", "
+            if events_fh is not None:
+                events_fh.write(csv_line % (
+                    slot, node_cell, gateway_cell, freq, size, rssi, snr,
+                    _CSV_BOOL[e.delivered], _CSV_BOOL[e.collided], _CSV_BOOL[e.hopped]))
+        rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
+        fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
 
 
 class _NodeState:

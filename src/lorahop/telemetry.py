@@ -23,6 +23,7 @@ DEFAULT_WINDOW_SLOTS = 8
 RSSI_NORM_DBM = -120.0
 SNR_NORM_DB = 10.0
 _SPARE_ROWS = 64   # buffer rows beyond a window: its rows move to the front once per 65 records
+_ROWS_PER_WRITE = 256   # dataset rows `write_dataset` formats and writes at a time
 
 
 class TelemetryWindow:
@@ -203,13 +204,26 @@ def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOT
                    num_freqs=len(freqs))
 
 
-def dataset_to_json(dataset):
-    doc = {
-        "metadata": {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": "v1"},
-        "rows": [{"features": features, "label": label} for features, label
-                 in zip(dataset.features.tolist(), dataset.labels.tolist())],
-    }
-    return json.dumps(doc, sort_keys=True)
+def write_dataset(dataset, fh):
+    """Write the dataset document (`json.dumps(..., sort_keys=True)` of its metadata and
+    rows) to the text stream `fh`, `_ROWS_PER_WRITE` rows at a time.  Each distinct float64
+    bit pattern of a block is formatted once, by `json`, so -0.0, NaN and ±inf read as
+    `json` writes them."""
+    meta = {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": "v1"}
+    fh.write(f'{{"metadata": {json.dumps(meta, sort_keys=True)}, "rows": [')
+    features = np.asarray(dataset.features, dtype=np.float64)
+    for lo in range(0, len(dataset), _ROWS_PER_WRITE):
+        block = features[lo:lo + _ROWS_PER_WRITE]
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        # one list of all distinct values: `json` spells each, ", " parts them
+        texts = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "),
+                         dtype=object)
+        labels = dataset.labels[lo:lo + _ROWS_PER_WRITE].tolist()
+        rows = texts[inverse.reshape(block.shape)].tolist()
+        fh.write(("" if lo == 0 else ", ") + ", ".join(
+            f'{{"features": [{", ".join(row)}], "label": {label}}}'
+            for row, label in zip(rows, labels)))
+    fh.write("]}")
 
 
 def dataset_from_json(text):

@@ -4,15 +4,20 @@ Each helper here is a second, independent way to compute something `lorahop`
 computes once: a schedule's weighted objective and the exhaustive schedule
 oracle for `optimizer.solve_exact`, a recursive symbol search for its max-flow
 check, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
-`recommender.impute`, a parser for `predictor.export_c_array` headers, and a
-row lookup on simulator reports.
+`recommender.impute`, a parser for `predictor.export_c_array` headers, a
+row lookup on simulator reports, and the whole-document writers that
+`telemetry.write_dataset` and `sim.SimReport.write` replaced.
 """
 
+import csv
+import io
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 
-from lorahop import core, optimizer, predictor, recommender
+from lorahop import core, optimizer, predictor, recommender, sim
 
 _ORACLE_CHUNK = 200_000   # choice vectors the oracle scores per numpy pass
 
@@ -241,3 +246,42 @@ def report_row(report, node, size):
         if r.node == node and r.size == size:
             return r
     raise KeyError((node, size))
+
+
+def dataset_to_json(dataset):
+    """The dataset document built as one tree, then one string."""
+    doc = {
+        "metadata": {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": "v1"},
+        "rows": [{"features": features, "label": label} for features, label
+                 in zip(dataset.features.tolist(), dataset.labels.tolist())],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def event_dict(event):
+    """A `sim.SlotEvent`'s output form, keys in field order; RSSI and SNR rounded to 6
+    decimals."""
+    return {"slot": event.slot, "node": event.node, "gateway": event.gateway,
+            "freq_mhz": event.freq_mhz, "size": event.size,
+            "rssi": round(event.rssi, 6), "snr": round(event.snr, 6),
+            "delivered": event.delivered, "collided": event.collided, "hopped": event.hopped}
+
+
+def report_to_json(report):
+    """The `sim.SimReport` document built as one tree, then one string."""
+    doc = {
+        "rows": [dict(asdict(r), pdr=r.pdr) for r in report.rows],
+        "events": [event_dict(e) for e in report.events],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def events_csv(report):
+    """The events CSV of a `sim.SimReport` by `csv.writer`: columns `sim.EVENT_FIELDS`,
+    booleans written as 0/1."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(sim.EVENT_FIELDS)
+    writer.writerows([int(v) if isinstance(v, bool) else v for v in event_dict(e).values()]
+                     for e in report.events)
+    return buf.getvalue()

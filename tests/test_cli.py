@@ -938,6 +938,22 @@ def test_an_unreadable_input_is_a_usage_error(tmp_path, capsys, path):
     assert f"argument --scenario: cannot read {tmp_path / path}" in err
 
 
+@pytest.mark.parametrize("output", ["gen-dataset --out", "simulate --out", "simulate --events"])
+@pytest.mark.parametrize("path", ["absent/out", "."], ids=["in a missing directory", "directory"])
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, output, path):
+    command, flag = output.split()
+    outputs = {"--out": str(tmp_path / "out.json"), "--events": str(tmp_path / "events.csv")}
+    outputs[flag] = str(tmp_path / path)
+    argv = (["gen-dataset", "--rows", "3", "--out", outputs["--out"]] if command == "gen-dataset"
+            else ["simulate", "--config", _write_json(tmp_path / "sim.json", SMALL_SIM_CONFIG),
+                  "--out", outputs["--out"], "--events", outputs["--events"]])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(tmp_path / path) in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 @pytest.mark.parametrize("flags,seeds", [([], [3]), (["--seed", "5"], [5])])
 def test_simulate_manifest_records_the_seed_the_run_used(tmp_path, flags, seeds):
     out = tmp_path / "report.json"
@@ -1061,6 +1077,39 @@ def test_recommend_writes_pinned_bytes(tmp_path, argv):
         recommender.synthetic_ratings(300, 12, seed=5), 60, seed=5), tmp_path / "sparse.csv")
     assert run(["recommend", *(arg.format(d=tmp_path) for arg in argv.split())]) == 0
     digests = RECOMMEND_PINNED[argv]
+    assert {name: _sha256(tmp_path / name) for name in digests} == digests
+
+
+# argv -> {file it writes under the scratch directory {d}: SHA-256}, every output but the
+# manifest.  The C dataset is two of the dataset writer's 256-row blocks, the last one partial.
+# The digests pin this host's numpy and BLAS build.
+WRITER_PINNED = {
+    "gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json": {
+        "dataset.json": "8246efcd92e0432eec78694f7365ae847e31aec50acb69664222e8d213605df5"},
+    "gen-dataset --source C --rows 300 --ts 4 --seed 3 --out {d}/dataset.json": {
+        "dataset.json": "27483fa34ee6d2ab613dabcb35e60e1cd3f687d37efd3bc734f4f261fa26797c"},
+    "gen-dataset --source B --rows 1 --seed 3 --out {d}/dataset.json": {
+        "dataset.json": "09f508e4ac234f9a151d3428f1e0332332dde9b2bce8a1b554e3c8f6a509ecf2"},
+    "pipeline --rows 300 --epochs 3 --sources A,B,C --out-dir {d}": {
+        "dataset_A.json": "e02402d17c86e7cabf9307bf96f844a9c28b2bd1e794a016648c10115fe8d2c8",
+        "dataset_B.json": "cf9730aa940164cb724989ce80f794b0472f1ab5500e9901a02fc166d62e4096",
+        "dataset_C.json": "471cb104c08927d062ef4d31c4edfc9181624f174bdae7ddd3bce89ffcb05653",
+        "model_A.fhop": "e3dc48cbd5a75ee262a70bdee3099f3a2f0acc383bb4f47443f26ac8b3dc6e48",
+        "model_B.fhop": "dd0cc2bd55ce0833ef515def38e31b0e344f64284fe3b43c8a3331097c85e8e6",
+        "model_C.fhop": "14fdeb42a5df3b7b2ef5f7506345a72c459afad68b5458258563e1b66f92211a",
+        "report_random.json": "46e6df55254ba75e3c60f4b3259ac7e81048c92835144011448a436b020becf1",
+        "report_predictor.json":
+            "c4bde7ba2b8637a8f9255f698ae4bb5bacefa2961ac0fd409f406759c325772e",
+        "comparison.csv": "61bdf9c066254003fbc7a8931808b998d03f29f0a24449c2e47136e8e4e94468"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WRITER_PINNED))
+def test_dataset_and_pipeline_write_pinned_bytes(tmp_path, argv):
+    assert run([arg.format(d=tmp_path) for arg in argv.split()]) == 0
+    digests = WRITER_PINNED[argv]
+    written = {p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
+    assert written == set(digests)
     assert {name: _sha256(tmp_path / name) for name in digests} == digests
 
 

@@ -1,16 +1,26 @@
+import dataclasses
+import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lorahop import sim, trace
-from oracle import report_row
+from oracle import events_csv, report_row, report_to_json
 
 
 def fixed_config(source="A", freq=869.0, seed=0, **kw):
     return sim.SimConfig(nodes=(sim.NodeSpec(source=source,
                                              strategy=sim.FixedStrategy(freq)),),
                          rng_seed=seed, **kw)
+
+
+def report_json(report):
+    buf = io.StringIO()
+    report.write(buf)
+    return buf.getvalue()
 
 
 def test_fixed_node_trace_fidelity_no_jitter(bundled_trace):
@@ -40,9 +50,9 @@ def test_run_is_deterministic(bundled_trace):
                         rng_seed=42)
     a = sim.run(cfg, bundled_trace)
     b = sim.run(cfg, bundled_trace)
-    assert a.to_json() == b.to_json()
+    assert report_json(a) == report_json(b)
     c = sim.run(sim.SimConfig(nodes=cfg.nodes, rng_seed=43), bundled_trace)
-    assert a.to_json() != c.to_json()
+    assert report_json(a) != report_json(c)
 
 
 def test_duplicate_sources_rejected(bundled_trace):
@@ -102,12 +112,66 @@ def test_strategy_tables_name_an_empty_table():
 
 def test_report_json_shape(bundled_trace):
     report = sim.run(fixed_config(), bundled_trace)
-    doc = json.loads(report.to_json())
+    doc = json.loads(report_json(report))
     assert set(doc) == {"rows", "events"}
     assert len(doc["rows"]) == 6
     assert len(doc["events"]) == 300
     assert {"slot", "node", "gateway", "freq_mhz", "size", "rssi", "snr",
             "delivered", "collided", "hopped"} <= set(doc["events"][0])
+
+
+# names the CSV must quote or json must escape, and link values json spells its own way
+ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x "]
+ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565, 1e16]
+
+
+def _odd_events(events):
+    """`events` renamed and re-valued in turn with `ODD_NAMES` and `ODD_VALUES`."""
+    return [dataclasses.replace(
+        e, node=ODD_NAMES[k % len(ODD_NAMES)], gateway=ODD_NAMES[(3 * k + 1) % len(ODD_NAMES)],
+        freq_mhz=float("nan") if k % 5 == 0 else e.freq_mhz, rssi=ODD_VALUES[k % len(ODD_VALUES)],
+        snr=ODD_VALUES[(k + 2) % len(ODD_VALUES)]) for k, e in enumerate(events)]
+
+
+@pytest.mark.parametrize("case", ["contended", "odd names and values", "infinite jitter",
+                                  "no payload sizes"])
+def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, case):
+    nodes = tuple(sim.NodeSpec(source=src, strategy=strategy) for src, strategy in zip(
+        "ABC", (sim.FixedStrategy(869.0), sim.FixedStrategy(869.0), sim.RandomHopStrategy())))
+    config = sim.SimConfig(nodes=nodes, packets_per_size=10, rng_seed=2,
+                           payload_schedule=() if case == "no payload sizes"
+                           else trace.DEFAULT_PAYLOAD_SCHEDULE)
+    if case == "infinite jitter":   # draws past about 1.8 sigma overflow to +-inf
+        config = dataclasses.replace(config, rssi_jitter_db=1e308, snr_jitter_db=1e308)
+    with np.errstate(over="ignore"):   # the means of infinite values
+        report = sim.run(config, bundled_trace)
+    if case == "infinite jitter":
+        assert {-np.inf} < {e.rssi for e in report.events}
+        assert {-np.inf, np.inf} < {e.snr for e in report.events}
+    if case == "odd names and values":
+        report = sim.SimReport(rows=report.rows, events=_odd_events(report.events))
+    doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
+    report.write(doc, events)
+    report.write(doc_only)
+    assert doc.getvalue() == doc_only.getvalue() == report_to_json(report)
+    assert events.getvalue() == events_csv(report)
+
+
+def test_write_peak_memory_stays_under_a_megabyte_for_36000_events():
+    # the bench's contended run: the whole-document writers peak at about 24 MB
+    rng = np.random.default_rng(0)
+    rssi, snr = (-60.0 + 10.0 * rng.normal(size=(2, 36_000))).tolist()
+    report = sim.SimReport(rows=[], events=[
+        sim.SlotEvent(k // 3 + 1, "ABC"[k % 3], "GW0", 868.0 + k % 3, 30, rssi[k], snr[k],
+                      k % 4 != 0, k % 4 == 0, k % 7 == 0) for k in range(36_000)])
+    with open(os.devnull, "w") as fh, open(os.devnull, "w", newline="") as events_fh:
+        tracemalloc.start()
+        try:
+            report.write(fh, events_fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_compare_strategies_formulas():

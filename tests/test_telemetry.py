@@ -1,5 +1,8 @@
 import dataclasses
+import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorahop import telemetry, trace
 from lorahop.telemetry import TelemetryWindow
+from oracle import dataset_to_json
 
 
 def test_window_cold_start_padding():
@@ -129,7 +133,9 @@ def test_dataset_labels_favor_strong_channel(bundled_trace):
 
 def test_dataset_json_roundtrip(bundled_trace):
     rows = telemetry.generate_labeled_dataset(bundled_trace, "A", 20, seed=0)
-    text = telemetry.dataset_to_json(rows)
+    buf = io.StringIO()
+    telemetry.write_dataset(rows, buf)
+    text = buf.getvalue()
     back = telemetry.dataset_from_json(text)
     meta = json.loads(text)["metadata"]
     assert back == rows
@@ -139,12 +145,55 @@ def test_dataset_json_roundtrip(bundled_trace):
 def test_dataset_records_its_window_shape(bundled_trace):
     rows = telemetry.generate_labeled_dataset(bundled_trace, "C", 30, seed=2, ts=3)
     assert (rows.ts, rows.num_freqs) == (3, 3)
-    text = telemetry.dataset_to_json(rows)
+    buf = io.StringIO()
+    telemetry.write_dataset(rows, buf)
+    text = buf.getvalue()
     meta = json.loads(text)["metadata"]
     assert meta["ts"] == 3 and meta["F"] == 3
     back = telemetry.dataset_from_json(text)
     assert back == rows and (back.ts, back.num_freqs) == (3, 3)
     assert back != dataclasses.replace(rows, ts=1)
+
+
+# values json spells its own way, or that share bits with a neighbour: -0.0 beside 0.0, the
+# smallest subnormal, repr's switch to exponents at 1e16, and the rows' own normalised values
+EDGE_VALUES = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -1e-300,
+               1e16, 9999999999999998.0, 1 / 3, 0.1, -0.25, 1.0, 0.7833333333333333]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 257])
+def test_write_dataset_is_byte_equal_to_the_whole_document_writer(n_rows):
+    # 256 rows are one block, 257 two; every block holds every edge value, some repeated
+    rng = np.random.default_rng(n_rows)
+    features = rng.normal(size=(n_rows, telemetry.TelemetryWindow.feature_dim(3, 2)))
+    features[rng.random(features.shape) < 0.3] = 0.0
+    for lo in range(0, n_rows, 256):
+        cells = features[lo:lo + 256].reshape(-1)   # a view of the block
+        k = min(cells.size, 2 * len(EDGE_VALUES))
+        cells[rng.permutation(cells.size)[:k]] = (EDGE_VALUES * 2)[:k]
+    dataset = telemetry.Dataset(features=features, labels=rng.integers(0, 2, n_rows), ts=3,
+                                num_freqs=2)
+    buf = io.StringIO()
+    telemetry.write_dataset(dataset, buf)
+    assert buf.getvalue() == dataset_to_json(dataset)
+
+
+def test_write_dataset_peak_memory_does_not_grow_with_the_rows():
+    # rows are written in blocks, so 4x the rows must not take 4x the memory; 512 distinct
+    # values, as a 256-row block of a generated 40-feature dataset holds
+    peaks = []
+    for n_rows in (1000, 4000, 16000):
+        rng = np.random.default_rng(n_rows)
+        dataset = telemetry.Dataset(features=rng.choice(rng.random(512), (n_rows, 40)),
+                                    labels=rng.integers(0, 3, n_rows), ts=8, num_freqs=3)
+        with open(os.devnull, "w") as fh:
+            tracemalloc.start()
+            try:
+                telemetry.write_dataset(dataset, fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert all(peak <= 1.3 * before for before, peak in zip(peaks, peaks[1:])), peaks
 
 
 def test_dataset_json_validation():
