@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lorahop import cli, core, optimizer, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
+from pins import PINNED, run_row
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
 
@@ -1054,72 +1055,6 @@ def test_figdata_writes_pinned_bytes(tmp_path, figure):
     assert {p.name: _sha256(p) for p in figs.glob("fig_*.csv")} == digests
 
 
-# `recommend` argv -> {file it writes under the scratch directory {d}: SHA-256}.  {d}/sparse.csv
-# is sparsify(synthetic_ratings(300, 12, seed=5), 60, seed=5): three of impute's row blocks,
-# the last one partial.  The digests pin this host's numpy and BLAS build.
-RECOMMEND_PINNED = {
-    "impute --in {d}/sparse.csv --out {d}/filled.csv": {
-        "filled.csv": "5ca282740ecbdee06c5933ed1cd8269dc408a84c69b985bd2757f60617d40df5"},
-    "impute --in {d}/sparse.csv --missing-as-zero --out {d}/filled.csv": {
-        "filled.csv": "caec0fed7cb3012f375c2467d61f959717baed21a25d42bf3b3b03ac077fb282"},
-    "impute --in {d}/sparse.csv --k 3 --out {d}/filled.csv": {
-        "filled.csv": "867673486262df2a78413688b04394268e835f457693de9b7478bd3b86e4f13c"},
-    "impute --in {d}/sparse.csv --k 3 --missing-as-zero --out {d}/filled.csv": {
-        "filled.csv": "bade007c13adb6bcca7b98b3cd3b5617286a971079316cca0edd017fa0aaee00"},
-    "generate --soils 300 --plants 12 --out {d}/full.csv": {
-        "full.csv": "37ec91fcec9b7f9542baa67b657ce995c7576002a6c16a4fd80615bf79c55080"},
-}
-
-
-@pytest.mark.parametrize("argv", sorted(RECOMMEND_PINNED))
-def test_recommend_writes_pinned_bytes(tmp_path, argv):
-    recommender.save_matrix_csv(recommender.sparsify(
-        recommender.synthetic_ratings(300, 12, seed=5), 60, seed=5), tmp_path / "sparse.csv")
-    assert run(["recommend", *(arg.format(d=tmp_path) for arg in argv.split())]) == 0
-    digests = RECOMMEND_PINNED[argv]
-    assert {name: _sha256(tmp_path / name) for name in digests} == digests
-
-
-# argv -> {file it writes under the scratch directory {d}: SHA-256}, every output but the
-# manifest.  The C dataset is two of the dataset writer's 256-row blocks, the last one partial.
-# The digests pin this host's numpy and BLAS build.
-WRITER_PINNED = {
-    "gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json": {
-        "dataset.json": "8246efcd92e0432eec78694f7365ae847e31aec50acb69664222e8d213605df5"},
-    "gen-dataset --source C --rows 300 --ts 4 --seed 3 --out {d}/dataset.json": {
-        "dataset.json": "27483fa34ee6d2ab613dabcb35e60e1cd3f687d37efd3bc734f4f261fa26797c"},
-    "gen-dataset --source B --rows 1 --seed 3 --out {d}/dataset.json": {
-        "dataset.json": "09f508e4ac234f9a151d3428f1e0332332dde9b2bce8a1b554e3c8f6a509ecf2"},
-    "pipeline --rows 300 --epochs 3 --sources A,B,C --out-dir {d}": {
-        "dataset_A.json": "e02402d17c86e7cabf9307bf96f844a9c28b2bd1e794a016648c10115fe8d2c8",
-        "dataset_B.json": "cf9730aa940164cb724989ce80f794b0472f1ab5500e9901a02fc166d62e4096",
-        "dataset_C.json": "471cb104c08927d062ef4d31c4edfc9181624f174bdae7ddd3bce89ffcb05653",
-        "model_A.fhop": "e3dc48cbd5a75ee262a70bdee3099f3a2f0acc383bb4f47443f26ac8b3dc6e48",
-        "model_B.fhop": "dd0cc2bd55ce0833ef515def38e31b0e344f64284fe3b43c8a3331097c85e8e6",
-        "model_C.fhop": "14fdeb42a5df3b7b2ef5f7506345a72c459afad68b5458258563e1b66f92211a",
-        "report_random.json": "46e6df55254ba75e3c60f4b3259ac7e81048c92835144011448a436b020becf1",
-        "report_predictor.json":
-            "c4bde7ba2b8637a8f9255f698ae4bb5bacefa2961ac0fd409f406759c325772e",
-        "comparison.csv": "61bdf9c066254003fbc7a8931808b998d03f29f0a24449c2e47136e8e4e94468"},
-}
-
-
-@pytest.mark.parametrize("argv", sorted(WRITER_PINNED))
-def test_dataset_and_pipeline_write_pinned_bytes(tmp_path, argv):
-    assert run([arg.format(d=tmp_path) for arg in argv.split()]) == 0
-    digests = WRITER_PINNED[argv]
-    written = {p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")}
-    assert written == set(digests)
-    assert {name: _sha256(tmp_path / name) for name in digests} == digests
-
-
-@pytest.mark.parametrize("flags,digest", [
-    ([], "69678702cf118a2cf184e5a5ed450f7f6fa8903fef245c51d74b3b39050a23db"),
-    (["--missing-as-zero"], "1730cc79e5e3a06d7981fb6a42c12ff8bf43192868e6c3d9549ce4c749d98154")])
-def test_recommend_impute_writes_pinned_bytes(tmp_path, flags, digest):
-    sparse = recommender.sparsify(recommender.synthetic_ratings(200, 12, seed=5), 60, seed=5)
-    sparse_path, filled = tmp_path / "sparse.csv", tmp_path / "filled.csv"
-    recommender.save_matrix_csv(sparse, sparse_path)
-    assert run(["recommend", "impute", "--in", str(sparse_path), "--k", "7", *flags,
-                "--out", str(filled)]) == 0
-    assert _sha256(filled) == digest
+@pytest.mark.parametrize("row", PINNED, ids=" ; ".join)
+def test_commands_write_pinned_bytes(tmp_path, row):
+    assert run_row(row, tmp_path) == PINNED[row]
