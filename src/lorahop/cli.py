@@ -135,7 +135,7 @@ def cmd_figdata(args):
     if args.figure != "model-sizes" and args.infile is None:
         raise ValueError(f"--figure {args.figure} needs --in")
     # every table is built, so its input checked, before --out-dir is made
-    tables = (predictor.model_size_tables(args.ts, args.seed) if args.figure == "model-sizes"
+    tables = (predictor.model_size_tables(args.ts) if args.figure == "model-sizes"
               else sim.strategy_tables(args.infile) if args.figure == "strategy-comparison"
               else recommender.confusion_tables(args.infile))
     out_dir = Path(args.out_dir)
@@ -232,7 +232,6 @@ def build_parser():
     p.add_argument("--in", dest="infile", type=_read, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ts", type=int, default=telemetry.DEFAULT_WINDOW_SLOTS)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_figdata)
     return parser
 

@@ -299,12 +299,12 @@ def export_c_array(model, symbol_name):
     return "\n".join(lines) + "\n"
 
 
-def model_size_tables(ts, seed):
+def model_size_tables(ts):
     """The `figdata` table (file name, header, rows) of the flat and C-array export sizes of
-    a model over windows of `ts` slots, for 2 to 9 channels."""
+    a model over windows of `ts` slots, for 2 to 9 channels (no size depends on a weight)."""
     rows = []
     for n_ch in range(2, 10):
-        model = init_model(TelemetryWindow.feature_dim(ts, n_ch), n_ch, seed=seed)
+        model = init_model(TelemetryWindow.feature_dim(ts, n_ch), n_ch)
         rows.append([n_ch, len(export_flat(model)),
                      len(export_c_array(model, "hopping_model").encode())])
     return [("fig_model_sizes.csv", ["channels", "flat_bytes", "c_array_bytes"], rows)]

@@ -21,6 +21,7 @@ RATING_MIN, RATING_MAX = 1, 5
 _ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
 _NOISE_PROB = 0.08    # share of synthetic cells moved by +/-1
 _BLOCK_ROWS = 128     # rows `impute` fills at once: its memory is O(_BLOCK_ROWS x rows)
+_INT32_KEY_ROWS = 1 << 15   # rows up to which `impute`'s keys (at most n << bits) fit int32
 
 
 def present_mask(matrix):
@@ -132,7 +133,7 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     k = min(k_neighbors, n)
     bits = (n - 1).bit_length()
     low, never = (1 << bits) - 1, n << bits
-    itype = np.int32 if n <= 1 << 15 else np.int64   # never < 2**31 up to n = 32,768
+    itype = np.int32 if n <= _INT32_KEY_ROWS else np.int64
     out = sparse.copy()
     for lo in range(0, n, _BLOCK_ROWS):
         block = slice(lo, min(lo + _BLOCK_ROWS, n))

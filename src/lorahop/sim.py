@@ -3,9 +3,9 @@
 Each simulated node sends one packet per slot, walking the payload schedule
 (`packets_per_size` packets per size).  Link outcomes come from the trace via
 `ChannelSampler`; overlapping transmissions on the same (gateway, frequency,
-slot) are resolved with a capture threshold.  After each slot every node's window
-records the slot (only a delivered one under `gateway` placement): the predictor
-strategy reads the window, the sensing strategy the availability it last recorded.
+slot) are resolved with a capture threshold.  After each slot every node records the
+slot (only a delivered one under `gateway` placement): the sensing strategy reads the
+availability it last recorded, the predictor strategy a window as long as its model reads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import integers
-from .telemetry import TelemetryWindow, DEFAULT_WINDOW_SLOTS
+from .telemetry import TelemetryWindow
 from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
                     DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler)
 from . import predictor as predictor_mod
@@ -29,7 +29,7 @@ from . import predictor as predictor_mod
 class Strategy:
     """Chooses a frequency index before each packet (the hop opportunity)."""
 
-    kind = "base"
+    window_slots = None   # the slots of telemetry the strategy reads: none
 
     def choose(self, node, freqs):
         raise NotImplementedError
@@ -61,24 +61,24 @@ class SensingHopStrategy(Strategy):
     kind = "sensing_hop"
 
     def choose(self, node, freqs):
-        if node.last_avail is None:
-            return node.current_freq_idx if node.current_freq_idx is not None else 0
-        return int(node.last_avail.argmin())
+        return 0 if node.last_avail is None else int(node.last_avail.argmin())
 
 
 class PredictorHopStrategy(Strategy):
     """The model's argmax channel for the node's window; the model is kept as float64,
-    converted once here rather than on every `forward`."""
+    converted once here rather than on every `forward`.  Its input is a window of
+    `window_slots` slots of (channels + 2) features."""
 
     kind = "predictor_hop"
 
     def __init__(self, model):
         self.model = predictor_mod.FcnnModel(*(np.asarray(p, dtype=np.float64)
                                                for p in model.params()))
+        self.window_slots, rest = divmod(model.input_dim, model.num_channels + 2)
+        if rest:
+            raise ValueError(f"model input width {model.input_dim} is not whole slots")
 
     def choose(self, node, freqs):
-        if self.model.num_channels != len(freqs):
-            raise ValueError("model output width does not match the frequency set")
         return predictor_mod.predict_channel(self.model, node.window)
 
 
@@ -98,13 +98,12 @@ class SimConfig:
     rssi_jitter_db: float = DEFAULT_RSSI_JITTER_DB
     snr_jitter_db: float = DEFAULT_SNR_JITTER_DB
     predictor_placement: str = "end_node"   # or "gateway"
-    window_slots: int = DEFAULT_WINDOW_SLOTS
 
     def __post_init__(self):
         object.__setattr__(self, "payload_schedule", tuple(self.payload_schedule))
         # checked here: a run may never read a field (one node never meets the capture rule)
-        integers("packets_per_size, seed, window_slots and sizes",
-                 (self.packets_per_size, self.rng_seed, self.window_slots, *self.payload_schedule))
+        integers("packets_per_size, seed and sizes",
+                 (self.packets_per_size, self.rng_seed, *self.payload_schedule))
         reals = (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db)
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
             raise TypeError("capture_threshold_db and the jitters must be real numbers")
@@ -240,12 +239,13 @@ class SimReport:
 
 
 class _NodeState:
-    """All of one simulated node's state; `last_avail` is the vector its window last recorded."""
+    """All of one simulated node's state; `last_avail` is the vector it last recorded."""
 
     def __init__(self, spec, config, trace, num_freqs, index):
         self.spec = spec
         self.source = spec.source
-        self.window = TelemetryWindow(ts=config.window_slots, num_freqs=num_freqs)
+        ts = spec.strategy.window_slots
+        self.window = None if ts is None else TelemetryWindow(ts, num_freqs)
         self.rng = np.random.default_rng([config.rng_seed, 0x50, index])
         self.sampler = ChannelSampler(
             trace, seed=[config.rng_seed, 0x5A, index], block_len=config.packets_per_size,
@@ -303,8 +303,9 @@ def run(config, trace):
 
             for node, e in zip(nodes, txs):
                 if record_lost or e.delivered:
-                    node.window.record(avail, *e.observed())
                     node.last_avail = avail
+                    if node.window is not None:
+                        node.window.record(avail, *e.observed())
             events += txs
 
     by_key = {}

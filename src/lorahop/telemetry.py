@@ -36,7 +36,7 @@ class TelemetryWindow:
     normalised, as `snapshot` returns them.
     """
 
-    def __init__(self, ts=DEFAULT_WINDOW_SLOTS, num_freqs=1):
+    def __init__(self, ts, num_freqs):
         if ts < 1 or num_freqs < 1:
             raise ValueError("ts and num_freqs must be positive")
         self.ts = int(ts)
@@ -65,7 +65,6 @@ class TelemetryWindow:
         self._rssi[end] = float(rssi) / RSSI_NORM_DBM
         self._snr[end] = float(snr) / SNR_NORM_DB
         self._end = end + 1
-        return self
 
     def snapshot(self):
         """Flatten to ts*(F+2) features, oldest first, cold-start slots padded."""

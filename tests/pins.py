@@ -81,7 +81,7 @@ PREDICTOR_SIM_CONFIG = {
     "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": "{d}/model.fhop"}},
               {"source": "A", "strategy": {"kind": "sensing_hop"}},
               {"source": "B", "strategy": {"kind": "random_hop"}}],
-    "packets_per_size": 40, "seed": 4, "window_slots": 4}
+    "packets_per_size": 40, "seed": 4}
 
 
 def write_inputs(d, sim_config=PREDICTOR_SIM_CONFIG):
@@ -113,7 +113,8 @@ def format_table(table):
     for row, digests in table.items():
         commands = ",\n     ".join(json.dumps(command) for command in row)
         lines.append(f"    ({commands}{',' if len(row) == 1 else ''}): {{")
-        lines += [f"        {json.dumps(name)}: {json.dumps(sha)}," for name, sha in digests.items()]
+        lines += [f"        {json.dumps(name)}: {json.dumps(sha)}," for name, sha in
+                  digests.items()]
         lines[-1] = lines[-1][:-1] + "},"
     return "\n".join(lines + ["}"])
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lorahop import cli, core, optimizer, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
-from pins import PINNED, run_row
+from pins import PINNED, PREDICTOR_SIM_CONFIG, run_row
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
 
@@ -266,6 +266,14 @@ def _long_field_trace(d):
                        + "\nA,868.1,30," + "9" * 131_073 + ",5.0,10,1.0\n")
 
 
+def _predictor_sim(d, model):
+    """`simulate` of a config whose one node, on A, runs `model` as its predictor."""
+    (d / "m.fhop").write_bytes(predictor.export_flat(model))
+    strategy = {"kind": "predictor_hop", "model": str(d / "m.fhop")}
+    return ["simulate", "--out", str(d / "o.json"), "--config",
+            _write_json(d / "sim.json", {"nodes": [{"source": "A", "strategy": strategy}]})]
+
+
 # Inputs that must be reported as input errors (exit 2), each given a scratch directory.
 MALFORMED_INPUTS = {
     "missing predictor model file": lambda d: [
@@ -320,10 +328,11 @@ MALFORMED_INPUTS = {
         "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
             "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
             "payload_schedule": [30, 30], "packets_per_size": 10})],
-    "window_slots 2.5": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}}],
-            "window_slots": 2.5})],
+    # a predictor node's window is as wide as its model's input: these fit no window
+    "4-channel model on the 3-channel trace": lambda d: _predictor_sim(
+        d, predictor.init_model(8 * (4 + 2), 4)),   # 8 slots of 4 channels
+    "model narrower than one slot": lambda d: _predictor_sim(d, predictor.init_model(3, 3)),
+    "2-channel model 5 inputs wide": lambda d: _predictor_sim(d, predictor.init_model(5, 2)),
     "demand 2.7": lambda d: [
         "optimize", "--out", str(d / "o.json"), "--scenario",
         _write_json(d / "scenario.json", {**_scenario_doc(), "demand": [2.7, 4, 4]})],
@@ -434,6 +443,13 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
     assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["4-channel model on the 3-channel trace",
+                                  "model narrower than one slot", "2-channel model 5 inputs wide"])
+def test_a_model_that_fits_no_window_writes_no_report(tmp_path, case):
+    assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("figure", ["strategy-comparison", "confusion"])
@@ -642,7 +658,7 @@ def test_sim_config_document_takes_sim_config_defaults():
     assert full == sim.SimConfig(
         nodes=full.nodes, payload_schedule=(74, 30), packets_per_size=3, rng_seed=9,
         capture_threshold_db=2.5, rssi_jitter_db=0.0, snr_jitter_db=2.0,
-        predictor_placement="gateway", window_slots=3)
+        predictor_placement="gateway")
 
 
 def test_in_place_impute_records_the_input_digest(tmp_path):
@@ -701,7 +717,7 @@ def test_fuzzed_datasets_models_and_reports_keep_the_exit_code_contract(
     model_path.write_bytes(model)
     sim_config = _write_json(tmp_path / "sim.json", {
         "nodes": [{"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model_path)}}],
-        "payload_schedule": [30], "packets_per_size": 4, "window_slots": 1})
+        "payload_schedule": [30], "packets_per_size": 4})
     codes = [
         run(["train", "--epochs", "1", "--out", str(tmp_path / "t.fhop"),
              "--dataset", _write_json(tmp_path / "ds.json", dataset)]),
@@ -867,7 +883,7 @@ def test_config_digest_hashes_the_model_a_sim_config_names(tmp_path):
     """One config, its predictor_hop model file rewritten between runs."""
     model = tmp_path / "m.fhop"
     argv = ["simulate", "--out", str(tmp_path / "r.json"), "--config", _write_json(
-        tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "window_slots": 1, "nodes": [
+        tmp_path / "sim.json", {**SMALL_SIM_CONFIG, "nodes": [
             {"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model)}}]})]
     digests = []
     for seed in (0, 1, 0):
@@ -897,7 +913,7 @@ def test_each_input_file_is_read_once(tmp_path, monkeypatch, command):
         "recommend impute": ["recommend", "impute", "--k", "3", "--in", _write_text(
             tmp_path / "m.csv", FUZZ_MATRIX_CSV.decode())],
         "simulate": ["simulate", "--config", _write_json(tmp_path / "sim.json", {
-            **SMALL_SIM_CONFIG, "window_slots": 1, "nodes": [
+            **SMALL_SIM_CONFIG, "nodes": [
                 {"source": "A", "strategy": {"kind": "predictor_hop", "model": str(model)}}]})],
     }[command]
     inputs = [a for a in argv if a.startswith(str(tmp_path))]
@@ -1058,3 +1074,10 @@ def test_figdata_writes_pinned_bytes(tmp_path, figure):
 @pytest.mark.parametrize("row", PINNED, ids=" ; ".join)
 def test_commands_write_pinned_bytes(tmp_path, row):
     assert run_row(row, tmp_path) == PINNED[row]
+
+
+def test_a_stale_window_slots_key_changes_no_byte(tmp_path):
+    """A config written when `window_slots` was a key still loads: the key is ignored, and
+    the predictor node reads the 4 slots its model takes, not 3."""
+    row, = [row for row in PINNED if any(command.startswith("simulate") for command in row)]
+    assert run_row(row, tmp_path, {**PREDICTOR_SIM_CONFIG, "window_slots": 3}) == PINNED[row]

@@ -470,3 +470,19 @@ def test_impute_rejects_k_below_one(k):
     sp = rec.sparsify(rec.synthetic_ratings(10, 4, seed=3), 20, seed=3)
     with pytest.raises(ValueError):
         rec.impute(sp, k_neighbors=k)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("n", [257, 300])
+def test_impute_int64_keys_are_byte_equal_to_int32_keys(monkeypatch, n, missing_as_zero):
+    """Above `_INT32_KEY_ROWS` rows `impute` keeps its neighbour keys as int64.  Forced on
+    the 300 x 12 matrix of the CLI pins and on 257 rows, that path writes the bytes of the
+    int32 path and of the stable-order reference."""
+    sparse = rec.sparsify(rec.synthetic_ratings(n, 12, seed=5), 60, seed=5)
+    for k in (3, 20):
+        int32 = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+        with monkeypatch.context() as m:
+            m.setattr(rec, "_INT32_KEY_ROWS", 0)
+            int64 = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+        expect = stable_order_impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
+        assert int64.tobytes() == int32.tobytes() == expect.tobytes()

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lorahop import sim, trace
+from lorahop import predictor, sim, telemetry, trace
 from oracle import events_csv, report_row, report_to_json
 
 
@@ -95,6 +95,41 @@ def test_hops_counted_for_random_strategy(bundled_trace):
                         rng_seed=1)
     report = sim.run(cfg, bundled_trace)
     assert sum(r.hops for r in report.rows) > 0
+
+
+def _spy_on_windows(monkeypatch):
+    """The (ts, num_freqs) of each `TelemetryWindow` the simulator builds, in order."""
+    built, window = [], sim.TelemetryWindow
+
+    def spy(ts, num_freqs):
+        built.append((ts, num_freqs))
+        return window(ts, num_freqs)
+
+    monkeypatch.setattr(sim, "TelemetryWindow", spy)
+    return built
+
+
+def test_each_predictor_node_reads_as_many_slots_as_its_model(bundled_trace, monkeypatch):
+    built = _spy_on_windows(monkeypatch)
+    models = [predictor.init_model(telemetry.TelemetryWindow.feature_dim(ts, 3), 3, seed=ts)
+              for ts in (4, 8)]
+    config = sim.SimConfig(nodes=tuple(
+        sim.NodeSpec(source=src, strategy=sim.PredictorHopStrategy(model))
+        for src, model in zip("AB", models)), packets_per_size=10, rng_seed=1)
+    report = sim.run(config, bundled_trace)
+    assert built == [(4, 3), (8, 3)]
+    assert [(r.node, r.sent) for r in report.rows] == [(src, 10) for src in "AB" for _ in range(6)]
+
+
+def test_nodes_whose_strategy_reads_no_window_build_none(bundled_trace, monkeypatch):
+    built = _spy_on_windows(monkeypatch)
+    config = sim.SimConfig(nodes=(
+        sim.NodeSpec(source="A", strategy=sim.FixedStrategy(869.0)),
+        sim.NodeSpec(source="B", strategy=sim.RandomHopStrategy()),
+        sim.NodeSpec(source="C", strategy=sim.SensingHopStrategy())), packets_per_size=10)
+    report = sim.run(config, bundled_trace)
+    assert built == []
+    assert sum(r.hops for r in report.rows if r.node == "C") > 0   # sensing still hops
 
 
 def test_sensing_strategy_avoids_busy_channel(bundled_trace):
@@ -191,7 +226,7 @@ def test_compare_strategies_formulas():
 
 @pytest.mark.parametrize("field,value", [
     ("packets_per_size", 2.0), ("packets_per_size", True), ("rng_seed", "1"),
-    ("window_slots", 2.5), ("payload_schedule", (30, 74.0)), ("payload_schedule", (False,)),
+    ("rng_seed", 2.5), ("payload_schedule", (30, 74.0)), ("payload_schedule", (False,)),
     ("capture_threshold_db", "x"), ("rssi_jitter_db", None), ("snr_jitter_db", True)])
 def test_sim_config_rejects_mistyped_fields(field, value):
     with pytest.raises(TypeError):
