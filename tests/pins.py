@@ -3,7 +3,7 @@
 Each row of `PINNED` is a tuple of commands that run in order in one scratch
 directory `{d}`, mapped to the SHA-256 of every file they write there but the
 manifests.  `{data}` is the package's bundled data directory.  Before a row
-runs, `write_inputs` writes into `{d}` the inputs that no command makes.  Each
+runs, `run_row` writes into `{d}` the inputs that no command makes.  Each
 row's digests were taken at the parent of the change that added the row.  They
 pin this host's numpy and BLAS build: another build may round a float another
 way.
@@ -84,20 +84,16 @@ PREDICTOR_SIM_CONFIG = {
     "packets_per_size": 40, "seed": 4}
 
 
-def write_inputs(d, sim_config=PREDICTOR_SIM_CONFIG):
-    """Write into `d` the inputs no command makes: `sparse.csv` and `sparse200.csv`
-    (300 and 200 soils by 12 plants at 60% sparsity) and `sim.json` (`sim_config`)."""
+def run_row(row, d, sim_config=PREDICTOR_SIM_CONFIG):
+    """Write into the directory `d` the inputs no command makes, `sparse.csv` and
+    `sparse200.csv` (300 and 200 soils by 12 plants at 60% sparsity) and `sim.json`
+    (`sim_config`), then run the row's commands there; returns {file a command wrote: its
+    SHA-256}, manifests left out."""
+    d = Path(d)
     for soils, name in ((300, "sparse.csv"), (200, "sparse200.csv")):
         recommender.save_matrix_csv(recommender.sparsify(
             recommender.synthetic_ratings(soils, 12, seed=5), 60, seed=5), d / name)
     (d / "sim.json").write_text(json.dumps(sim_config).replace("{d}", str(d)))
-
-
-def run_row(row, d, sim_config=PREDICTOR_SIM_CONFIG):
-    """Run a row's commands in the directory `d`, after `write_inputs`; returns
-    {file a command wrote: its SHA-256}, manifests left out."""
-    d = Path(d)
-    write_inputs(d, sim_config)
     inputs = {p.name for p in d.iterdir()}
     for command in row:
         argv = [arg.format(d=d, data=DATA) for arg in command.split()]
