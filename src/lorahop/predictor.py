@@ -274,6 +274,8 @@ def import_flat(blob):
     if len(blob) != need:
         raise ModelFormatError(f"expected {need} bytes, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=_FLAT_HEADER.size).copy()
+    if not np.isfinite(flat).all():
+        raise ModelFormatError("non-finite weight")
     return FcnnModel(*_views(flat, _param_shapes(input_dim, n_ch)))
 
 

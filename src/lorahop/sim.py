@@ -88,6 +88,11 @@ class NodeSpec:
     strategy: Strategy
 
 
+# A jitter wider than RSSI's whole span of about 120 dB means nothing, and one near the
+# float maximum turns the drawn values into +-inf and the report's means into NaN.
+_MAX_JITTER_DB = 100.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     nodes: tuple
@@ -107,9 +112,11 @@ class SimConfig:
         reals = (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db)
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
             raise TypeError("capture_threshold_db and the jitters must be real numbers")
-        if not (0 <= self.rssi_jitter_db < np.inf and 0 <= self.snr_jitter_db < np.inf
+        if not (0 <= self.rssi_jitter_db <= _MAX_JITTER_DB
+                and 0 <= self.snr_jitter_db <= _MAX_JITTER_DB
                 and not np.isnan(self.capture_threshold_db)):   # an infinite threshold is valid
-            raise ValueError("jitters must be finite and >= 0, capture_threshold_db not NaN")
+            raise ValueError(f"jitters must be in [0, {_MAX_JITTER_DB}] dB, "
+                             "capture_threshold_db not NaN")
         if self.packets_per_size < 1:
             raise ValueError("packets_per_size must be >= 1")
         if len(set(self.payload_schedule)) != len(self.payload_schedule):
@@ -120,8 +127,8 @@ class SimConfig:
     @classmethod
     def from_json(cls, text, read):
         """SimConfig from a config document: "nodes" and the other field names, "seed" for
-        `rng_seed`; a field the document lacks keeps its default.  `read(path)` returns the
-        bytes of a model file the document names."""
+        `rng_seed`, and no other key; a field the document lacks keeps its default.
+        `read(path)` returns the bytes of a model file the document names."""
         doc = json.loads(text)
 
         def strategy(spec):
@@ -140,6 +147,8 @@ class SimConfig:
                       for n in doc["nodes"])
         keys = {("seed" if f.name == "rng_seed" else f.name): f.name
                 for f in fields(cls) if f.name != "nodes"}
+        if unknown := sorted(doc.keys() - keys.keys() - {"nodes"}):
+            raise ValueError(f"unknown sim config keys {unknown}")
         return cls(nodes=nodes, **{name: doc[key] for key, name in keys.items() if key in doc})
 
 

@@ -24,6 +24,7 @@ RSSI_NORM_DBM = -120.0
 SNR_NORM_DB = 10.0
 _SPARE_ROWS = 64   # buffer rows beyond a window: its rows move to the front once per 65 records
 _ROWS_PER_WRITE = 256   # dataset rows `write_dataset` formats and writes at a time
+_NORMALIZATION = "v1"   # features of RSSI / RSSI_NORM_DBM and SNR / SNR_NORM_DB
 
 
 class TelemetryWindow:
@@ -208,7 +209,7 @@ def write_dataset(dataset, fh):
     rows) to the text stream `fh`, `_ROWS_PER_WRITE` rows at a time.  Each distinct float64
     bit pattern of a block is formatted once, by `json`, so -0.0, NaN and ±inf read as
     `json` writes them."""
-    meta = {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": "v1"}
+    meta = {"ts": dataset.ts, "F": dataset.num_freqs, "normalization": _NORMALIZATION}
     fh.write(f'{{"metadata": {json.dumps(meta, sort_keys=True)}, "rows": [')
     features = np.asarray(dataset.features, dtype=np.float64)
     for lo in range(0, len(dataset), _ROWS_PER_WRITE):
@@ -228,6 +229,8 @@ def write_dataset(dataset, fh):
 def dataset_from_json(text):
     doc = json.loads(text)
     meta = doc["metadata"]
+    if meta["normalization"] != _NORMALIZATION:
+        raise ValueError(f"unsupported normalization {meta['normalization']!r}")
     expected = TelemetryWindow.feature_dim(meta["ts"], meta["F"])
     labels = [int(r["label"]) for r in doc["rows"]]
     for r, label in zip(doc["rows"], labels):

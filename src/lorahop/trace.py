@@ -89,8 +89,8 @@ def load_trace(data):
                                pdr=float(row[6]), sample_count=int(row[5]))
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
-        if not (math.isfinite(entry.mean_rssi) and math.isfinite(entry.mean_snr)):
-            raise TraceError(f"line {lineno}: non-finite rssi or snr")
+        if not all(map(math.isfinite, (key[1], entry.mean_rssi, entry.mean_snr))):
+            raise TraceError(f"line {lineno}: non-finite freq_mhz, rssi or snr")
         if not 0.0 <= entry.pdr <= 1.0:
             raise TraceError(f"line {lineno}: pdr {entry.pdr} outside [0, 1]")
         if entry.mean_rssi > 0:

@@ -3,10 +3,11 @@
 Each row of `PINNED` is a tuple of commands that run in order in one scratch
 directory `{d}`, mapped to the SHA-256 of every file they write there but the
 manifests.  `{data}` is the package's bundled data directory.  Before a row
-runs, `run_row` writes into `{d}` the inputs that no command makes.  Each
-row's digests were taken at the parent of the change that added the row.  They
-pin this host's numpy and BLAS build: another build may round a float another
-way.
+runs, `run_row` writes into `{d}` the inputs that no command makes, each under
+a name that no command writes.  Each row's digests were taken at the parent of
+the change that added the row.  They pin this host's numpy and BLAS build:
+another build may round a float another way.  This table is the one place an
+output digest is written.
 
 Run as a script, the module runs every row and prints the table in its own
 format, with the digests this checkout writes, so two commits' tables can be
@@ -17,6 +18,7 @@ diffed:
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -27,7 +29,9 @@ DATA = Path(cli.__file__).resolve().parent / "data"
 
 # The C dataset at 300 rows is two of the dataset writer's 256-row blocks, the last one
 # partial, and `sparse.csv` is three of impute's 128-row blocks.  The five-command row trains
-# a ts-4 model, exports it both ways and runs it as the predictor_hop node of `sim.json`.
+# a ts-4 model, exports it both ways and runs it as the predictor_hop node of `sim.json`; the
+# three-command row runs a default ts-8 model there.  A 4-row dataset has no validation or
+# test split, so its training curves hold null.
 
 PINNED = {
     ("gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json",): {
@@ -74,31 +78,98 @@ PINNED = {
         "filled.csv": "1730cc79e5e3a06d7981fb6a42c12ff8bf43192868e6c3d9549ce4c749d98154"},
     ("recommend generate --soils 300 --plants 12 --out {d}/full.csv",): {
         "full.csv": "37ec91fcec9b7f9542baa67b657ce995c7576002a6c16a4fd80615bf79c55080"},
+    ("simulate --config {d}/sim_end_node.json --out {d}/report.json --events {d}/events.csv",): {
+        "events.csv": "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941",
+        "report.json": "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670"},
+    ("simulate --config {d}/sim_gateway.json --out {d}/report.json --events {d}/events.csv",): {
+        "events.csv": "53928c75d727a3f03f2940f30ee18a80c09e5d85ec1fa7dada18853cde8db99e",
+        "report.json": "dad7182c812b52971dcb2f6f8b70b6695e5cb65b4308d5d0efeed0ecc5f206c7"},
+    ("gen-dataset --source C --rows 300 --seed 1 --out {d}/dataset.json",
+     "train --dataset {d}/dataset.json --epochs 20 --seed 1 --out {d}/model.fhop",
+     "simulate --config {d}/sim.json --out {d}/report.json --events {d}/events.csv"): {
+        "dataset.json": "97efcde31f72ebed1b8d5202b15922e6d3b28b0efd07a58755bdfbda54f3354a",
+        "events.csv": "2aadc33dd2dcd2ef83b0e015ed87d18e456212c6b80c6bc1257539086ebdf372",
+        "model.fhop": "f2f778a76923ad9ceec6f098eabd98c3347bfb2723f8d8efb41a056fccf6b81d",
+        "model.fhop.train.json": "bd5ee7d039040d6794b92ab278090638bd256f928d41c57afee0a08d742bcfb9",
+        "report.json": "77c6da564319cdce6693e28b1231587a1419a5a16d12da3340dba11195487fa1"},
+    ("recommend study --sparsities 10,50,90 --seeds 2 --out {d}/study.json",): {
+        "study.json": "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"},
+    ("figdata --figure strategy-comparison --in {d}/comparison_in.csv --out-dir {d}",): {
+        "fig_strategy_pdr.csv": "d35d0c2fa793286d8963f205a0b87e9b1f36dd29492e815c014d82302c366f5d",
+        "fig_strategy_rssi.csv": "ed01225289fdfee51ce79bdee6b05206b83d248d63208edbaa107f4447cdb7ec",
+        "fig_strategy_snr.csv": "983a66394080c4ca6ba2fc4e91cfb9e373c535d83a4635eb19730ee13871ac1f"},
+    ("figdata --figure confusion --in {d}/study_in.json --out-dir {d}",): {
+        "fig_confusion_sparsity10.csv": "7530e84e95c473c298427a2d52fa15c3689d6f61b4b2efd00463468f4ee775b5",
+        "fig_confusion_sparsity70.csv": "2e341fd6d7fa877857be2cf12979fa91e13fa43f80cdce183e88dd9a0246056d",
+        "fig_rating_distribution.csv": "a7db2c1e2c8ef7cae8fa947aedf650b6bf63f636139c86569a4402ce4320d19c"},
+    ("figdata --figure model-sizes --out-dir {d}",): {
+        "fig_model_sizes.csv": "16aa98931ae78cb543a919c053cca92dc82c19665316e160c1c9e63f757b8a1d"},
+    ("gen-dataset --rows 4 --seed 1 --out {d}/dataset.json",
+     "train --dataset {d}/dataset.json --epochs 2 --out {d}/model.fhop"): {
+        "dataset.json": "74fcc777aa54bdfb47b755b635448b9cceae00f1b73e3137ccf295e027b156a6",
+        "model.fhop": "9e861f00887eaaf97bc06214238371aead5357f9ac23a3990183b0a6f86b4857",
+        "model.fhop.train.json": "9a83661d99be4aecab9695f1ef7610dceef60089b28b132f3c6ee2ed48a36fa5"},
+    ("optimize --scenario {data}/scenarios/tiny_single_node.json --out {d}/result.json",): {
+        "result.json": "664179043b30fc27445513273738e42b147c1581dcf68cf20fa9d98bd3c3332c"},
 }
 
-# three strategies contending for C's three channels; the predictor node reads {d}/model.fhop
-PREDICTOR_SIM_CONFIG = {
-    "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": "{d}/model.fhop"}},
-              {"source": "A", "strategy": {"kind": "sensing_hop"}},
-              {"source": "B", "strategy": {"kind": "random_hop"}}],
-    "packets_per_size": 40, "seed": 4}
+# name -> the bytes or JSON document of an input no command makes; "{d}" is the row's directory
+INPUTS = {
+    # three strategies contending for C's three channels; the predictor node reads {d}/model.fhop
+    "sim.json": {
+        "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": "{d}/model.fhop"}},
+                  {"source": "A", "strategy": {"kind": "sensing_hop"}},
+                  {"source": "B", "strategy": {"kind": "random_hop"}}],
+        "packets_per_size": 40, "seed": 4},
+    "sim_end_node.json": {
+        "nodes": [{"source": "A", "strategy": {"kind": "sensing_hop"}},
+                  {"source": "B", "strategy": {"kind": "random_hop"}},
+                  {"source": "C", "strategy": {"kind": "fixed", "freq": 869.0}}],
+        "packets_per_size": 40, "seed": 4, "predictor_placement": "end_node"},
+    # the sensing node reads only the slots its gateway heard: the delivered ones
+    "sim_gateway.json": {
+        "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}},
+                  {"source": "B", "strategy": {"kind": "sensing_hop"}},
+                  {"source": "C", "strategy": {"kind": "random_hop"}}],
+        "packets_per_size": 30, "seed": 5, "predictor_placement": "gateway"},
+    # a comparison table as `pipeline` writes it, one improvement undefined
+    "comparison_in.csv": (
+        b"size,metric,random_hop,predictor_hop,improvement\r\n"
+        b"30,rssi,-92.5,-88.25,4.594594594594595\r\n30,snr,3.5,5.0,42.857142857142854\r\n"
+        b"30,pdr,0.8,0.95,0.1499999999999999\r\n60,rssi,-95.0,-95.0,0.0\r\n"
+        b"60,snr,-1.0,0.5,nan\r\n60,pdr,0.5,0.5,0.0\r\n"),
+    # a study of two sparsities, the first one's confusion matrix the 5x5 identity
+    "study_in.json": {
+        "sparsities": [
+            {"sparsity_pct": 10, "confusion": [[int(r == c) for c in range(5)] for r in range(5)]},
+            {"sparsity_pct": 70, "confusion": [[0, 2, 0, 0, 0], [1, 3, 0, 0, 4], [0, 0, 5, 0, 0],
+                                               [0, 0, 0, 6, 0], [0, 0, 0, 0, 7]]}],
+        "distribution": [1, 2, 3, 4, 5]},
+}
 
 
-def run_row(row, d, sim_config=PREDICTOR_SIM_CONFIG):
+def run_row(row, d):
     """Write into the directory `d` the inputs no command makes, `sparse.csv` and
-    `sparse200.csv` (300 and 200 soils by 12 plants at 60% sparsity) and `sim.json`
-    (`sim_config`), then run the row's commands there; returns {file a command wrote: its
-    SHA-256}, manifests left out."""
+    `sparse200.csv` (300 and 200 soils by 12 plants at 60% sparsity) and `INPUTS`, then run
+    the row's commands there; returns {file a command wrote: its SHA-256}, manifests left
+    out.  Raises if a command fails or writes over an input."""
     d = Path(d)
     for soils, name in ((300, "sparse.csv"), (200, "sparse200.csv")):
         recommender.save_matrix_csv(recommender.sparsify(
             recommender.synthetic_ratings(soils, 12, seed=5), 60, seed=5), d / name)
-    (d / "sim.json").write_text(json.dumps(sim_config).replace("{d}", str(d)))
-    inputs = {p.name for p in d.iterdir()}
+    for name, data in INPUTS.items():
+        if not isinstance(data, bytes):
+            data = json.dumps(data).replace("{d}", str(d)).encode()
+        (d / name).write_bytes(data)
+    inputs = [p.name for p in d.iterdir()]
+    for name in inputs:   # time 0: a command that writes the file moves its time
+        os.utime(d / name, ns=(0, 0))
     for command in row:
         argv = [arg.format(d=d, data=DATA) for arg in command.split()]
         if cli.main(argv) != 0:
             raise AssertionError(f"{command} failed")
+        if any((d / name).stat().st_mtime_ns for name in inputs):
+            raise AssertionError(f"{command} wrote over an input")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(d.iterdir())
             if p.name not in inputs and not p.name.endswith(".manifest.json")}
 

@@ -1,7 +1,6 @@
 import argparse
 import copy
 import csv
-import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lorahop import cli, core, optimizer, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
-from pins import PINNED, PREDICTOR_SIM_CONFIG, run_row
+from pins import PINNED, run_row
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lorahop" / "data" / "scenarios"
 
@@ -266,23 +265,39 @@ def _long_field_trace(d):
                        + "\nA,868.1,30," + "9" * 131_073 + ",5.0,10,1.0\n")
 
 
+def _inf_freq_trace(d):
+    """A trace CSV file: the bundled trace with its 870.0 MHz rows at an infinite frequency."""
+    return _write_text(d / "trace.csv", FUZZ_TRACE_CSV.decode().replace(",870.0,", ",inf,"))
+
+
+def _sim(d, **keys):
+    """`simulate` of one random_hop node on A, the config also setting `keys`."""
+    return ["simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
+        "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}], **keys})]
+
+
+def _model_file(d, model):
+    (d / "m.fhop").write_bytes(predictor.export_flat(model))
+    return str(d / "m.fhop")
+
+
 def _predictor_sim(d, model):
     """`simulate` of a config whose one node, on A, runs `model` as its predictor."""
-    (d / "m.fhop").write_bytes(predictor.export_flat(model))
-    strategy = {"kind": "predictor_hop", "model": str(d / "m.fhop")}
-    return ["simulate", "--out", str(d / "o.json"), "--config",
-            _write_json(d / "sim.json", {"nodes": [{"source": "A", "strategy": strategy}]})]
+    return _sim(d, nodes=[{"source": "A", "strategy": {"kind": "predictor_hop",
+                                                       "model": _model_file(d, model)}}])
+
+
+def _nan_weight_model():
+    model = predictor.init_model(8 * (3 + 2), 3)   # 8 slots of 3 channels
+    model.w1[0, 0] = np.nan
+    return model
 
 
 # Inputs that must be reported as input errors (exit 2), each given a scratch directory.
 MALFORMED_INPUTS = {
-    "missing predictor model file": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "predictor_hop",
-                                                   "model": str(d / "absent.fhop")}}]})],
-    "strategy is a string": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": "random_hop"}]})],
+    "missing predictor model file": lambda d: _sim(d, nodes=[
+        {"source": "A", "strategy": {"kind": "predictor_hop", "model": str(d / "absent.fhop")}}]),
+    "strategy is a string": lambda d: _sim(d, nodes=[{"source": "A", "strategy": "random_hop"}]),
     "sparsity 100": lambda d: [
         "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
         "--sparsities", "100", "--out", str(d / "study.json")],
@@ -300,10 +315,7 @@ MALFORMED_INPUTS = {
         "--in", _write_json(d / "study.json", {"distribution": [1, 2, 3, 4, 5]})],
     "out directory does not exist": lambda d: [
         "gen-dataset", "--rows", "5", "--out", str(d / "absent" / "ds.json")],
-    "capture threshold is a string": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
-            "capture_threshold_db": "x"})],
+    "capture threshold is a string": lambda d: _sim(d, capture_threshold_db="x"),
     "empty matrix CSV": lambda d: [
         "recommend", "impute", "--in", _write_text(d / "m.csv", ""), "--out", str(d / "f.csv")],
     "study report with a null sparsity": lambda d: [
@@ -324,10 +336,7 @@ MALFORMED_INPUTS = {
         "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
             "metadata": {"ts": 0, "F": 10**30, "normalization": "v1"},
             "rows": [{"features": [], "label": 10**25}]})],
-    "repeated payload size": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
-            "payload_schedule": [30, 30], "packets_per_size": 10})],
+    "repeated payload size": lambda d: _sim(d, payload_schedule=[30, 30], packets_per_size=10),
     # a predictor node's window is as wide as its model's input: these fit no window
     "4-channel model on the 3-channel trace": lambda d: _predictor_sim(
         d, predictor.init_model(8 * (4 + 2), 4)),   # 8 slots of 4 channels
@@ -345,14 +354,8 @@ MALFORMED_INPUTS = {
     "min_symbols 1.5": lambda d: [
         "optimize", "--out", str(d / "o.json"), "--scenario",
         _write_json(d / "scenario.json", {**_scenario_doc(), "min_symbols": 1.5})],
-    "jitter nan": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
-            "rssi_jitter_db": float("nan")})],
-    "capture threshold nan": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
-            "capture_threshold_db": float("nan")})],
+    "jitter nan": lambda d: _sim(d, rssi_jitter_db=float("nan")),
+    "capture threshold nan": lambda d: _sim(d, capture_threshold_db=float("nan")),
     "alpha nan": lambda d: _optimize(d, "--alpha", "nan"),
     "alpha inf": lambda d: _optimize(d, "--alpha", "inf"),
     "beta inf": lambda d: _optimize(d, "--beta", "inf"),
@@ -412,19 +415,13 @@ MALFORMED_INPUTS = {
     "frequency of 400 digits": lambda d: [
         "optimize", "--out", str(d / "o.json"), "--scenario", _write_json(
             d / "scenario.json", {**_scenario_doc(), "frequencies": [10**400, 868.3]})],
-    "rssi jitter of 400 digits": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}],
-            "rssi_jitter_db": 10**400})],
-    "fixed frequency of 400 digits": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "fixed", "freq": 10**400}}]})],
+    "rssi jitter of 400 digits": lambda d: _sim(d, rssi_jitter_db=10**400),
+    "fixed frequency of 400 digits": lambda d: _sim(
+        d, nodes=[{"source": "A", "strategy": {"kind": "fixed", "freq": 10**400}}]),
     "gen-dataset trace field over the csv size limit": lambda d: [
         "gen-dataset", "--rows", "5", "--out", str(d / "ds.json"), "--trace", _long_field_trace(d)],
-    "simulate trace field over the csv size limit": lambda d: [
-        "simulate", "--out", str(d / "o.json"), "--trace", _long_field_trace(d),
-        "--config", _write_json(d / "sim.json", {
-            "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}]})],
+    "simulate trace field over the csv size limit": lambda d: _sim(d) + [
+        "--trace", _long_field_trace(d)],
     "pipeline trace field over the csv size limit": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--rows", "20", "--epochs", "1",
         "--trace", _long_field_trace(d)],
@@ -432,6 +429,18 @@ MALFORMED_INPUTS = {
         "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
         "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
                             + "\n30,rsi,-90.0,-80.0,11.1\n")],
+    "misspelled sim config key": lambda d: _sim(d, packets_per_sise=5),
+    "sim config with window_slots": lambda d: _sim(d, window_slots=4),
+    "jitter of 1e308": lambda d: _sim(d, rssi_jitter_db=1e308, snr_jitter_db=1e308),
+    "simulate a model with a NaN weight": lambda d: _predictor_sim(d, _nan_weight_model()),
+    "export a model with a NaN weight": lambda d: [
+        "export", "--model", _model_file(d, _nan_weight_model()), "--out", str(d / "m.h")],
+    "simulate trace frequency inf": lambda d: _sim(d) + ["--trace", _inf_freq_trace(d)],
+    "gen-dataset trace frequency inf": lambda d: [
+        "gen-dataset", "--rows", "5", "--out", str(d / "ds.json"), "--trace", _inf_freq_trace(d)],
+    "dataset normalised as v2": lambda d: [
+        "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
+            **FUZZ_DATASET, "metadata": {"ts": 1, "F": 3, "normalization": "v2"}})],
     "comparison table field over the csv size limit": lambda d: [
         "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
         "--in", _write_text(d / "comparison.csv", ",".join(sim.COMPARISON_FIELDS)
@@ -441,8 +450,12 @@ MALFORMED_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+    """One `error:` line, and no file written: the case's own inputs are all there is."""
+    argv = MALFORMED_INPUTS[case](tmp_path)
+    inputs = set(tmp_path.rglob("*"))
+    assert run(argv) == 2
     assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+    assert set(tmp_path.rglob("*")) == inputs
 
 
 @pytest.mark.parametrize("case", ["4-channel model on the 3-channel trace",
@@ -510,7 +523,7 @@ FUZZ_SIM_CONFIG = {
               {"source": "B", "strategy": {"kind": "sensing_hop"}}],
     "payload_schedule": [30, 74], "packets_per_size": 5, "seed": 1,
     "capture_threshold_db": 6.0, "rssi_jitter_db": 1.0, "snr_jitter_db": 0.5,
-    "predictor_placement": "end_node", "window_slots": 4,
+    "predictor_placement": "end_node",
 }
 
 
@@ -587,55 +600,6 @@ def test_events_csv_and_report_share_rounded_link_values(tmp_path):
         assert (rssi, snr) == (round(rssi, 6), round(snr, 6))
 
 
-@pytest.mark.parametrize("placement, kinds, packets, seed, report_sha, events_sha", [
-    ("end_node", ["sensing_hop", "random_hop", "fixed"], 40, 4,
-     "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670",
-     "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941"),
-    # the sensing node reads only the slots its gateway heard: the delivered ones
-    ("gateway", ["random_hop", "sensing_hop", "random_hop"], 30, 5,
-     "dad7182c812b52971dcb2f6f8b70b6695e5cb65b4308d5d0efeed0ecc5f206c7",
-     "53928c75d727a3f03f2940f30ee18a80c09e5d85ec1fa7dada18853cde8db99e"),
-], ids=["end_node", "gateway"])
-def test_simulate_writes_pinned_bytes(tmp_path, placement, kinds, packets, seed, report_sha,
-                                      events_sha):
-    """Three strategies contending for the three channels; both outputs pinned by SHA-256."""
-    strategies = [{"kind": kind, "freq": 869.0} if kind == "fixed" else {"kind": kind}
-                  for kind in kinds]
-    config = _write_json(tmp_path / "sim.json", {
-        "nodes": [{"source": src, "strategy": strategy}
-                  for src, strategy in zip("ABC", strategies)],
-        "packets_per_size": packets, "seed": seed, "predictor_placement": placement})
-    out, events = tmp_path / "report.json", tmp_path / "events.csv"
-    assert run(["simulate", "--config", config, "--out", str(out),
-                "--events", str(events)]) == 0
-    report = json.loads(out.read_text())
-    assert sum(e["collided"] for e in report["events"]) > 0
-    assert _sha256(out) == report_sha
-    assert _sha256(events) == events_sha
-
-
-def test_simulate_predictor_hop_writes_pinned_bytes(tmp_path):
-    """A trained predictor node that hops, beside a sensing and a random node; both outputs
-    pinned by SHA-256, so the per-slot `forward` and window path keep every byte."""
-    dataset, model = tmp_path / "ds.json", tmp_path / "model.fhop"
-    assert run(["gen-dataset", "--source", "C", "--rows", "300", "--seed", "1",
-                "--out", str(dataset)]) == 0
-    assert run(["train", "--dataset", str(dataset), "--epochs", "20", "--seed", "1",
-                "--out", str(model)]) == 0
-    config = _write_json(tmp_path / "sim.json", {
-        "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": str(model)}},
-                  {"source": "A", "strategy": {"kind": "sensing_hop"}},
-                  {"source": "B", "strategy": {"kind": "random_hop"}}],
-        "packets_per_size": 40, "seed": 4})
-    out, events = tmp_path / "report.json", tmp_path / "events.csv"
-    assert run(["simulate", "--config", config, "--out", str(out),
-                "--events", str(events)]) == 0
-    report = json.loads(out.read_text())
-    assert sum(e["hopped"] for e in report["events"] if e["node"] == "C") > 0
-    assert _sha256(out) == "77c6da564319cdce6693e28b1231587a1419a5a16d12da3340dba11195487fa1"
-    assert _sha256(events) == "2aadc33dd2dcd2ef83b0e015ed87d18e456212c6b80c6bc1257539086ebdf372"
-
-
 def test_empty_payload_schedule_still_writes_events_header(tmp_path):
     config = _write_json(tmp_path / "sim.json", {
         "nodes": [{"source": "A", "strategy": {"kind": "random_hop"}}], "payload_schedule": []})
@@ -654,11 +618,14 @@ def test_sim_config_document_takes_sim_config_defaults():
     full = sim.SimConfig.from_json(json.dumps({
         "nodes": nodes, "payload_schedule": [74, 30], "packets_per_size": 3, "seed": 9,
         "capture_threshold_db": 2.5, "rssi_jitter_db": 0.0, "snr_jitter_db": 2.0,
-        "predictor_placement": "gateway", "window_slots": 3, "unknown_key": 1}), no_model)
+        "predictor_placement": "gateway"}), no_model)
     assert full == sim.SimConfig(
         nodes=full.nodes, payload_schedule=(74, 30), packets_per_size=3, rng_seed=9,
         capture_threshold_db=2.5, rssi_jitter_db=0.0, snr_jitter_db=2.0,
         predictor_placement="gateway")
+    with pytest.raises(ValueError, match=r"\['packets_per_sise', 'window_slots'\]"):
+        sim.SimConfig.from_json(json.dumps(
+            {"nodes": nodes, "packets_per_sise": 5, "window_slots": 3}), no_model)
 
 
 def test_in_place_impute_records_the_input_digest(tmp_path):
@@ -1016,68 +983,11 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, mon
     assert not built
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def test_recommend_study_writes_pinned_bytes(tmp_path):
-    out = tmp_path / "study.json"
-    assert run(["recommend", "study", "--sparsities", "10,50,90", "--seeds", "2",
-                "--out", str(out)]) == 0
-    assert _sha256(out) == "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"
-
-
-def _two_sparsity_study_doc():
-    doc = _study_doc(10)
-    doc["sparsities"].append({"sparsity_pct": 70, "confusion": [
-        [0, 2, 0, 0, 0], [1, 3, 0, 0, 4], [0, 0, 5, 0, 0], [0, 0, 0, 6, 0], [0, 0, 0, 0, 7]]})
-    return doc
-
-
-# figure -> (the bytes of its --in, or None; {file it writes: that file's SHA-256})
-FIGDATA_PINNED = {
-    "strategy-comparison": (
-        b"size,metric,random_hop,predictor_hop,improvement\r\n"
-        b"30,rssi,-92.5,-88.25,4.594594594594595\r\n30,snr,3.5,5.0,42.857142857142854\r\n"
-        b"30,pdr,0.8,0.95,0.1499999999999999\r\n60,rssi,-95.0,-95.0,0.0\r\n"
-        b"60,snr,-1.0,0.5,nan\r\n60,pdr,0.5,0.5,0.0\r\n", {
-            "fig_strategy_rssi.csv":
-                "ed01225289fdfee51ce79bdee6b05206b83d248d63208edbaa107f4447cdb7ec",
-            "fig_strategy_snr.csv":
-                "983a66394080c4ca6ba2fc4e91cfb9e373c535d83a4635eb19730ee13871ac1f",
-            "fig_strategy_pdr.csv":
-                "d35d0c2fa793286d8963f205a0b87e9b1f36dd29492e815c014d82302c366f5d"}),
-    "confusion": (json.dumps(_two_sparsity_study_doc()).encode(), {
-        "fig_confusion_sparsity10.csv":
-            "7530e84e95c473c298427a2d52fa15c3689d6f61b4b2efd00463468f4ee775b5",
-        "fig_confusion_sparsity70.csv":
-            "2e341fd6d7fa877857be2cf12979fa91e13fa43f80cdce183e88dd9a0246056d",
-        "fig_rating_distribution.csv":
-            "a7db2c1e2c8ef7cae8fa947aedf650b6bf63f636139c86569a4402ce4320d19c"}),
-    "model-sizes": (None, {
-        "fig_model_sizes.csv":
-            "16aa98931ae78cb543a919c053cca92dc82c19665316e160c1c9e63f757b8a1d"}),
-}
-
-
-@pytest.mark.parametrize("figure", sorted(FIGDATA_PINNED))
-def test_figdata_writes_pinned_bytes(tmp_path, figure):
-    data, digests = FIGDATA_PINNED[figure]
-    figs, flags = tmp_path / "figs", []
-    if data is not None:
-        (tmp_path / "in").write_bytes(data)
-        flags = ["--in", str(tmp_path / "in")]
-    assert run(["figdata", "--figure", figure, *flags, "--out-dir", str(figs)]) == 0
-    assert {p.name: _sha256(p) for p in figs.glob("fig_*.csv")} == digests
-
-
 @pytest.mark.parametrize("row", PINNED, ids=" ; ".join)
 def test_commands_write_pinned_bytes(tmp_path, row):
     assert run_row(row, tmp_path) == PINNED[row]
 
 
-def test_a_stale_window_slots_key_changes_no_byte(tmp_path):
-    """A config written when `window_slots` was a key still loads: the key is ignored, and
-    the predictor node reads the 4 slots its model takes, not 3."""
-    row, = [row for row in PINNED if any(command.startswith("simulate") for command in row)]
-    assert run_row(row, tmp_path, {**PREDICTOR_SIM_CONFIG, "window_slots": 3}) == PINNED[row]
+def test_a_row_that_writes_over_an_input_fails(tmp_path):
+    with pytest.raises(AssertionError, match="wrote over an input"):
+        run_row(("gen-dataset --rows 1 --out {d}/sim.json",), tmp_path)

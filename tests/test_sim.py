@@ -168,21 +168,14 @@ def _odd_events(events):
         snr=ODD_VALUES[(k + 2) % len(ODD_VALUES)]) for k, e in enumerate(events)]
 
 
-@pytest.mark.parametrize("case", ["contended", "odd names and values", "infinite jitter",
-                                  "no payload sizes"])
+@pytest.mark.parametrize("case", ["contended", "odd names and values", "no payload sizes"])
 def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, case):
     nodes = tuple(sim.NodeSpec(source=src, strategy=strategy) for src, strategy in zip(
         "ABC", (sim.FixedStrategy(869.0), sim.FixedStrategy(869.0), sim.RandomHopStrategy())))
     config = sim.SimConfig(nodes=nodes, packets_per_size=10, rng_seed=2,
                            payload_schedule=() if case == "no payload sizes"
                            else trace.DEFAULT_PAYLOAD_SCHEDULE)
-    if case == "infinite jitter":   # draws past about 1.8 sigma overflow to +-inf
-        config = dataclasses.replace(config, rssi_jitter_db=1e308, snr_jitter_db=1e308)
-    with np.errstate(over="ignore"):   # the means of infinite values
-        report = sim.run(config, bundled_trace)
-    if case == "infinite jitter":
-        assert {-np.inf} < {e.rssi for e in report.events}
-        assert {-np.inf, np.inf} < {e.snr for e in report.events}
+    report = sim.run(config, bundled_trace)
     if case == "odd names and values":
         report = sim.SimReport(rows=report.rows, events=_odd_events(report.events))
     doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
@@ -235,7 +228,7 @@ def test_sim_config_rejects_mistyped_fields(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("rssi_jitter_db", float("nan")), ("snr_jitter_db", float("inf")), ("rssi_jitter_db", -0.5),
-    ("capture_threshold_db", float("nan"))])
+    ("capture_threshold_db", float("nan")), ("rssi_jitter_db", 1e308), ("snr_jitter_db", 100.5)])
 def test_sim_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError):
         sim.SimConfig(nodes=(), **{field: value})
