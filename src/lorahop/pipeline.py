@@ -20,21 +20,22 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
     out_dir = Path(out_dir)
+    # every source trains, in one stacked pass, before any file is written: the first
+    # dataset checks rows and seed, `train` checks epochs, and a failing source writes nothing
+    datasets = [telemetry.generate_labeled_dataset(trace_obj, src, rows, seed) for src in sources]
+    trained = [predictor.init_model(ds.features.shape[1], ds.num_freqs, seed=seed)
+               for ds in datasets]
+    predictor.train(trained, datasets, epochs=epochs, seed=seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    models = {}
-    for src in sources:
-        # trained before its files are written: the first source checks rows, seed and epochs
-        dataset = telemetry.generate_labeled_dataset(trace_obj, src, rows, seed)
-        model = predictor.init_model(dataset.features.shape[1], dataset.num_freqs, seed=seed)
-        predictor.train(model, dataset, epochs=epochs, seed=seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    for src, dataset, model in zip(sources, datasets, trained):
         ds_path = out_dir / f"dataset_{src}.json"
         with open(ds_path, "w") as fh:
             telemetry.write_dataset(dataset, fh)
         model_path = out_dir / f"model_{src}.fhop"
         model_path.write_bytes(predictor.export_flat(model))
-        models[src] = model
         outputs += [ds_path, model_path]
+    models = dict(zip(sources, trained))
 
     def run_all(strategy_for):
         reports = []

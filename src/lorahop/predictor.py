@@ -8,6 +8,7 @@ bit-exactly; arithmetic runs in float64.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ FLAT_MAGIC = b"FHOP"
 FLAT_VERSION = 1
 _FLAT_HEADER = struct.Struct("<4sBII")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 class ModelFormatError(ValueError):
@@ -57,6 +59,8 @@ class FcnnModel:
 
 @dataclass
 class TrainReport:
+    """Training curves, one entry per epoch.  The report of a stack (`train` on lists) holds
+    a list with one value per model in each entry and in `test_accuracy`."""
     train_loss: list
     val_loss: list
     val_accuracy: list
@@ -102,9 +106,9 @@ def init_model(input_dim, num_channels, seed=0, l1_lambda=1e-4):
 
 def _softmax(logits):
     """Row-wise softmax, computed in place: pass a temporary."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 
@@ -131,43 +135,95 @@ def forward(model, features):
     return probs[0] if squeeze else probs
 
 
-def loss_and_grads(model, x, labels, params, grads=True, out=None):
-    """Mean cross-entropy plus L1 penalty at `params` (the model's six arrays as
-    float64); gradients (into `out` if given) or None."""
-    w1, b1, w2, b2, w3, b3 = params
-    x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = x.shape[0]
-    rows = np.arange(n)
+class ParamStack:
+    """The parameters of K models of one shape as one flat float64 vector, for training.
 
-    a1 = x @ w1 + b1
+    The vector holds every model's w1, then every model's w2 and w3, then the biases b1, b2
+    and b3 the same way.  The weights thus form one contiguous segment at the front, so the
+    L1 penalty and its gradient take one call each over all of them; Adam is elementwise and
+    does not see the order.  `arrays` are stacked (K, ...) views of the six tensors in layer
+    order (w1, b1, w2, b2, w3, b3), and `model(k)` is model k at the vector's values.  The
+    vector is a float64 copy of the models' arrays, or `flat`, which the views then share.
+    """
+
+    def __init__(self, models, flat=None):
+        k = len(models)
+        shapes = _param_shapes(models[0].input_dim, models[0].num_channels)
+        order = (0, 2, 4, 1, 3, 5)   # w1 w2 w3 b1 b2 b3
+        if flat is None:
+            flat = np.concatenate([m.params()[i].astype(np.float64).ravel()
+                                   for i in order for m in models])
+        self.models, self.flat = models, flat
+        stacked = dict(zip(order, _views(flat, [(k, *shapes[i]) for i in order])))
+        self.arrays = [stacked[i] for i in range(6)]
+        weights = self.arrays[0::2]
+        self.weights = flat[:sum(w.size for w in weights)]
+        # per weight element, its model's L1 weight; per model, its w1, w2, w3 in `weights`
+        self.lams = [m.l1_lambda for m in models]
+        self.lam = np.concatenate([np.repeat(self.lams, w[0].size) for w in weights])
+        starts = np.cumsum([0] + [w.size for w in weights[:2]])
+        self.l1_parts = [[slice(start + j * w[0].size, start + (j + 1) * w[0].size)
+                          for start, w in zip(starts, weights)] for j in range(k)]
+
+    def like(self, flat):
+        """The same models' stack over another vector of this layout."""
+        return ParamStack(self.models, flat)
+
+    def model(self, k):
+        return FcnnModel(*(a[k] for a in self.arrays))
+
+
+@functools.lru_cache(maxsize=16)
+def _row_starts(k, n, f):
+    """(k, n): where each (model, row) of a raveled (k, n, f) stack starts; shared by every
+    call, so never written."""
+    return np.arange(0, k * n * f, f).reshape(k, n)
+
+
+def loss_and_grads(params, x, labels, grads=True, out=None):
+    """Mean cross-entropy plus L1 penalty of each of the K models in `params` (a
+    `ParamStack`), each on its own batch: `x` is (K, b, d) float64 and `labels` (K, b).
+    Returns a list of the K losses, and the six stacked gradients (`out.arrays`, if `out`
+    is given) or None."""
+    w1, b1, w2, b2, w3, b3 = params.arrays
+    k, n = labels.shape
+
+    a1 = x @ w1 + b1[:, None]
     h1 = np.maximum(a1, 0.0)
-    a2 = h1 @ w2 + b2
+    a2 = h1 @ w2 + b2[:, None]
     h2 = np.maximum(a2, 0.0)
-    probs = _softmax(h2 @ w3 + b3)
-    lam = model.l1_lambda
-    ce = -np.log(np.maximum(probs[rows, labels], 1e-300)).sum() / n
-    loss = ce + lam * sum(np.abs(w).sum() for w in (w1, w2, w3))
+    probs = _softmax(h2 @ w3 + b3[:, None])
+    picked = _row_starts(k, n, probs.shape[2]) + labels   # each label's place in `flat_probs`
+    flat_probs = probs.reshape(-1)
+    log_p = np.log(np.maximum(flat_probs[picked], 1e-300))
+    abs_w = np.abs(params.weights)
+    # 1-D sums per model: a (K, n) reduction along axis 1 can round another way
+    add = np.add.reduce
+    losses = [-add(log_p[j]) / n + lam * (add(abs_w[s1]) + add(abs_w[s2]) + add(abs_w[s3]))
+              for j, (lam, (s1, s2, s3)) in enumerate(zip(params.lams, params.l1_parts))]
     if not grads:
-        return loss, None
+        return losses, None
 
     if out is None:
-        out = [np.empty(p.shape) for p in params]
-    dw1, db1, dw2, db2, dw3, db3 = out
+        out = params.like(np.empty_like(params.flat))
+    dw1, db1, dw2, db2, dw3, db3 = out.arrays
+    flat_probs[picked] -= 1.0   # through the view: probs minus the one-hot labels
     d_logits = probs
-    d_logits[rows, labels] -= 1.0
     d_logits /= n
-    np.add(np.matmul(h2.T, d_logits, out=dw3), lam * np.sign(w3), out=dw3)
-    d_logits.sum(axis=0, out=db3)
-    dh2 = d_logits @ w3.T
+    np.matmul(h2.transpose(0, 2, 1), d_logits, out=dw3)
+    add(d_logits, axis=1, out=db3)
+    dh2 = d_logits @ w3.transpose(0, 2, 1)
     dh2[a2 <= 0] = 0.0
-    np.add(np.matmul(h1.T, dh2, out=dw2), lam * np.sign(w2), out=dw2)
-    dh2.sum(axis=0, out=db2)
-    dh1 = dh2 @ w2.T
+    np.matmul(h1.transpose(0, 2, 1), dh2, out=dw2)
+    add(dh2, axis=1, out=db2)
+    dh1 = dh2 @ w2.transpose(0, 2, 1)
     dh1[a1 <= 0] = 0.0
-    np.add(np.matmul(x.T, dh1, out=dw1), lam * np.sign(w1), out=dw1)
-    dh1.sum(axis=0, out=db1)
-    return loss, out
+    np.matmul(x.transpose(0, 2, 1), dh1, out=dw1)
+    add(dh1, axis=1, out=db1)
+    penalty = np.sign(params.weights)   # the L1 gradient over the whole weight segment
+    penalty *= params.lam
+    out.weights += penalty
+    return losses, out.arrays
 
 
 def _split_indices(n, rng):
@@ -179,42 +235,79 @@ def _split_indices(n, rng):
     return order[:n_train], order[n_train:n_train + n_val], order[n_train + n_val:]
 
 
+def _divergence(losses, params):
+    """The error of the lowest-index model that failed this step: its loss is not finite,
+    or a parameter in `params` (a `ParamStack`) left the float32 range."""
+    for j, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            return FloatingPointError("loss diverged to NaN/inf; lower the learning rate")
+        if not all((np.abs(a[j]) <= _F32_MAX).all() for a in params.arrays):
+            return FloatingPointError(
+                "parameters left the float32 range; lower the learning rate")
+    raise AssertionError("no model failed")
+
+
 def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
-    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed."""
-    if len(dataset) < 1:
+    """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed.
+
+    `model` and `dataset` may also be equal-length lists, the way `forward` takes one vector
+    or a batch.  The models then train in lockstep, one stacked `loss_and_grads` call and one
+    Adam update per step, with the split and batch order one model gets, so each ends as its
+    own `train` would leave it, bit for bit.  The report's per-epoch entries and its
+    `test_accuracy` are then lists with one value per model.  If any model diverges, every
+    model is left unchanged and the error is that of the lowest-index model that failed at
+    the first step where one did.
+    """
+    single = isinstance(model, FcnnModel)
+    models, datasets = ([model], [dataset]) if single else (list(model), list(dataset))
+    if not models or len(models) != len(datasets):
+        raise ValueError(f"need one dataset per model, got {len(datasets)} for {len(models)}")
+    if any(len(ds) < 1 for ds in datasets):
         raise ValueError("empty dataset")
     if batch_size < 1 or epochs < 0:
         raise ValueError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
-    x, y = dataset.features, dataset.labels
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input features")
-    if y.max() >= model.num_channels:
-        raise ValueError("label exceeds model output width")
+    if len({(len(ds), ds.features.shape[1]) for ds in datasets}) > 1:
+        raise ValueError("stacked datasets differ in row count or feature width")
+    if len({(mdl.input_dim, mdl.num_channels) for mdl in models}) > 1:
+        raise ValueError("stacked models differ in input width or channel count")
+    for mdl, ds in zip(models, datasets):
+        if not np.isfinite(ds.features).all():
+            raise ValueError("non-finite input features")
+        if ds.labels.max() >= mdl.num_channels:
+            raise ValueError("label exceeds model output width")
+    xs = [np.asarray(ds.features, dtype=np.float64) for ds in datasets]
+    ys = [np.asarray(ds.labels, dtype=np.intp) for ds in datasets]
+    k = len(models)
     rng = np.random.default_rng(seed)
-    tr, va, te = _split_indices(len(dataset), rng)
+    tr, va, te = _split_indices(len(ys[0]), rng)
 
-    # `params`, `grads`: views into float64 vectors; Adam updates `flat` in place via `s`, `t`
-    shapes = _param_shapes(model.input_dim, model.num_channels)
-    flat = np.concatenate([p.astype(np.float64).ravel() for p in model.params()])
-    params = _views(flat, shapes)
-    grad, m, v, s, t = (np.zeros_like(flat) for _ in range(5))
-    grads = _views(grad, shapes)
+    # Adam updates `params.flat` in place via `s`, `t`; gradients go into `grads.flat`
+    params = ParamStack(models)
+    grads = params.like(np.zeros_like(params.flat))
+    flat, grad = params.flat, grads.flat
+    m, v, s, t = (np.zeros_like(flat) for _ in range(4))
+    # each epoch gathers every model's labels in its batch order into `y_ep`, and each step
+    # gathers every model's batch of features from its own dataset into `x_b`
+    x_b = np.empty((k, min(batch_size, len(tr)), xs[0].shape[1]))
+    y_ep = np.empty((k, len(tr)), dtype=np.intp)
+    x_va, y_va = np.stack([x[va] for x in xs]), np.stack([y[va] for y in ys])
     step = 0
     train_losses, val_losses, val_accs = [], [], []
 
     for _ in range(epochs):
         order = tr[rng.permutation(len(tr))]
-        x_ep, y_ep = x[order], y[order]
-        epoch_loss = 0.0
+        for y, y_out in zip(ys, y_ep):
+            y.take(order, out=y_out)
+        epoch_loss = [0.0] * k
         for start in range(0, len(order), batch_size):
-            x_b, y_b = x_ep[start:start + batch_size], y_ep[start:start + batch_size]
-            loss, _ = loss_and_grads(model, x_b, y_b, params, out=grads)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    "loss diverged to NaN/inf; lower the learning rate")
-            epoch_loss += loss * len(y_b)
+            batch = order[start:start + batch_size]
+            nb = len(batch)
+            for x, x_out in zip(xs, x_b):
+                x.take(batch, axis=0, out=x_out[:nb])
+            loss, _ = loss_and_grads(params, x_b[:, :nb], y_ep[:, start:start + nb], out=grads)
+            epoch_loss = [total + value * nb for total, value in zip(epoch_loss, loss)]
             step += 1
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; flat -= lr*m_hat/(sqrt(v_hat)+eps)
             m *= _ADAM_BETA1
@@ -226,27 +319,33 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
             t += _ADAM_EPS
             flat -= np.divide(s, t, out=s)
             # the export is float32: stop before a parameter would be written as inf
-            if not np.abs(flat, out=t).max() <= np.finfo(np.float32).max:
-                raise FloatingPointError(
-                    "parameters left the float32 range; lower the learning rate")
-        train_losses.append(epoch_loss / len(order))
-        vl, _ = (loss_and_grads(model, x[va], y[va], params, grads=False) if len(va)
-                 else (float("nan"), None))
-        val_losses.append(float(vl))
+            if not (all(map(math.isfinite, loss))
+                    and np.maximum.reduce(np.abs(flat, out=t)) <= _F32_MAX):
+                raise _divergence(loss, params)
+        train_losses.append([float(total / len(order)) for total in epoch_loss])
         if len(va):
-            # accuracy of the float32 model that would be exported after this epoch
-            exported = FcnnModel(*_views(flat.astype(np.float32), shapes))
-            val_accs.append(float((forward(exported, x[va]).argmax(axis=1) == y[va]).mean()))
+            vl, _ = loss_and_grads(params, x_va, y_va, grads=False)
+            val_losses.append([float(value) for value in vl])
+            # accuracy of the float32 models that would be exported after this epoch
+            exported = params.like(flat.astype(np.float32))
+            val_accs.append([float((forward(exported.model(j), x_va[j]).argmax(axis=1)
+                                    == y_va[j]).mean()) for j in range(k)])
         else:
-            val_accs.append(float("nan"))
+            val_losses.append([float("nan")] * k)
+            val_accs.append([float("nan")] * k)
 
-    model.set_params(params)
-    if len(te):
-        test_acc = float((forward(model, x[te]).argmax(axis=1) == y[te]).mean())
-    else:
-        test_acc = float("nan")
-    return TrainReport(train_loss=train_losses, val_loss=val_losses,
-                       val_accuracy=val_accs, test_accuracy=test_acc,
+    test_accs = []
+    for j, (mdl, x, y) in enumerate(zip(models, xs, ys)):
+        mdl.set_params(a[j] for a in params.arrays)
+        test_accs.append(float((forward(mdl, x[te]).argmax(axis=1) == y[te]).mean())
+                         if len(te) else float("nan"))
+
+    def per_model(values):   # one model's report holds its own values, a stack's their lists
+        return values[0] if single else values
+    return TrainReport(train_loss=[per_model(e) for e in train_losses],
+                       val_loss=[per_model(e) for e in val_losses],
+                       val_accuracy=[per_model(e) for e in val_accs],
+                       test_accuracy=per_model(test_accs),
                        split_sizes=(len(tr), len(va), len(te)))
 
 

@@ -25,6 +25,11 @@ DEFAULT_BLOCK_LEN = 50   # transmissions per (source, frequency, size) cell of t
 DEFAULT_RSSI_JITTER_DB = 1.0
 DEFAULT_SNR_JITTER_DB = 0.5
 _JITTER_CHUNK = 1024   # standard normals a sampler draws from its generator at a time
+# LoRa receivers hear down to about -148 dBm, and link SNRs lie within tens of dB.  A mean
+# far past these bounds is no measurement, and one near the float maximum turns a replayed
+# run's mean RSSI into -inf.
+_MIN_RSSI_DBM = -200.0
+_MAX_ABS_SNR_DB = 100.0
 
 
 class TraceError(ValueError):
@@ -93,8 +98,12 @@ def load_trace(data):
             raise TraceError(f"line {lineno}: non-finite freq_mhz, rssi or snr")
         if not 0.0 <= entry.pdr <= 1.0:
             raise TraceError(f"line {lineno}: pdr {entry.pdr} outside [0, 1]")
-        if entry.mean_rssi > 0:
-            raise TraceError(f"line {lineno}: rssi {entry.mean_rssi} above 0 dBm")
+        if not _MIN_RSSI_DBM <= entry.mean_rssi <= 0:
+            raise TraceError(f"line {lineno}: rssi {entry.mean_rssi} outside "
+                             f"[{_MIN_RSSI_DBM}, 0] dBm")
+        if not -_MAX_ABS_SNR_DB <= entry.mean_snr <= _MAX_ABS_SNR_DB:
+            raise TraceError(f"line {lineno}: snr {entry.mean_snr} outside "
+                             f"[-{_MAX_ABS_SNR_DB}, {_MAX_ABS_SNR_DB}] dB")
         if key in entries:
             raise TraceError(f"line {lineno}: duplicate key {key}")
         entries[key] = entry

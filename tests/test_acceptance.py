@@ -128,18 +128,19 @@ def test_criterion_6_gradient_check():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 16))
     y = rng.integers(0, 3, size=8)
-    params = [p.astype(np.float64) for p in model.params()]
-    _, grads = predictor.loss_and_grads(model, x, y, params)
+    params = predictor.ParamStack([model])
+    x, y = x[None], y[None]   # a stack of one model
+    _, grads = predictor.loss_and_grads(params, x, y)
     eps = 1e-3
     worst = 0.0
-    for p, g in zip(params, grads):
-        flat, gflat = p.reshape(-1), g.reshape(-1)
+    for p, g in zip(params.arrays, grads):
+        flat, gflat = p.reshape(-1), g.reshape(-1)   # views into `params.flat`
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp, _ = predictor.loss_and_grads(model, x, y, params)
+            (lp,), _ = predictor.loss_and_grads(params, x, y)
             flat[idx] = orig - eps
-            lm, _ = predictor.loss_and_grads(model, x, y, params)
+            (lm,), _ = predictor.loss_and_grads(params, x, y)
             flat[idx] = orig
             num = (lp - lm) / (2 * eps)
             worst = max(worst, abs(num - gflat[idx]) / max(abs(num), abs(gflat[idx]), 1e-8))

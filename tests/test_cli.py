@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lorahop import cli, core, optimizer, predictor, recommender, sim, trace
+from lorahop import cli, core, optimizer, pipeline, predictor, recommender, sim, trace
 from lorahop.core import Scenario
 from oracle import enumerate_oracle, parse_c_array
 from pins import PINNED, run_row
@@ -204,7 +204,7 @@ def test_rejected_pipeline_input_leaves_no_output_directory(tmp_path, bad):
 
 
 def test_diverged_first_source_leaves_no_output_directory(tmp_path, monkeypatch):
-    """Each source trains before its files are written: a failing first source writes none."""
+    """Every source trains before any file is written: a failing training writes none."""
     def diverge(*args, **kwargs):
         raise FloatingPointError("loss diverged to NaN/inf; lower the learning rate")
 
@@ -213,6 +213,32 @@ def test_diverged_first_source_leaves_no_output_directory(tmp_path, monkeypatch)
     assert run(["pipeline", "--out-dir", str(out_dir), "--sources", "A", "--rows", "20",
                 "--epochs", "1"]) == 1
     assert not out_dir.exists()
+
+
+def test_pipeline_trains_every_source_in_one_train_call(tmp_path, monkeypatch, bundled_trace):
+    """`run_pipeline` reaches `train` and `loss_and_grads` through the module attributes,
+    so a wrapper of either (a tracer, the failing `train` above) sees every call."""
+    trains, stacks = [], []
+    real_train, real_loss_and_grads = predictor.train, predictor.loss_and_grads
+
+    def train_spy(models, datasets, **kwargs):
+        trains.append((list(models), list(datasets)))
+        return real_train(models, datasets, **kwargs)
+
+    def loss_and_grads_spy(params, x, labels, **kwargs):
+        stacks.append(len(x))
+        return real_loss_and_grads(params, x, labels, **kwargs)
+
+    monkeypatch.setattr(predictor, "train", train_spy)
+    monkeypatch.setattr(predictor, "loss_and_grads", loss_and_grads_spy)
+    pipeline.run_pipeline(bundled_trace, tmp_path / "pipe", seed=0, sources=("A", "B", "C"),
+                          rows=20, epochs=1)
+    assert len(trains) == 1
+    models, datasets = trains[0]
+    assert len(models) == len(datasets) == 3
+    assert [d.features.shape[0] for d in datasets] == [20] * 3
+    # 12 training rows: one step of a 32-row batch, and one validation
+    assert stacks == [3, 3]
 
 
 def test_manifest_contents(tmp_path):
@@ -268,6 +294,12 @@ def _long_field_trace(d):
 def _inf_freq_trace(d):
     """A trace CSV file: the bundled trace with its 870.0 MHz rows at an infinite frequency."""
     return _write_text(d / "trace.csv", FUZZ_TRACE_CSV.decode().replace(",870.0,", ",inf,"))
+
+
+def _far_rssi_trace(d):
+    """A trace CSV file: the bundled trace with A's 868.0 MHz, 30-byte RSSI at -1e308 dBm."""
+    return _write_text(d / "trace.csv", FUZZ_TRACE_CSV.decode().replace(
+        "\nA,868.0,30,-90.1,", "\nA,868.0,30,-1e308,"))
 
 
 def _sim(d, **keys):
@@ -438,6 +470,9 @@ MALFORMED_INPUTS = {
     "simulate trace frequency inf": lambda d: _sim(d) + ["--trace", _inf_freq_trace(d)],
     "gen-dataset trace frequency inf": lambda d: [
         "gen-dataset", "--rows", "5", "--out", str(d / "ds.json"), "--trace", _inf_freq_trace(d)],
+    "simulate trace RSSI of -1e308 dBm": lambda d: _sim(d) + ["--trace", _far_rssi_trace(d)],
+    "gen-dataset trace RSSI of -1e308 dBm": lambda d: [
+        "gen-dataset", "--rows", "5", "--out", str(d / "ds.json"), "--trace", _far_rssi_trace(d)],
     "dataset normalised as v2": lambda d: [
         "train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
             **FUZZ_DATASET, "metadata": {"ts": 1, "F": 3, "normalization": "v2"}})],

@@ -17,18 +17,19 @@ def dataset_of(pairs):
 
 
 def numeric_grad_worst_error(model, x, y, eps=1e-3):
-    params = [p.astype(np.float64) for p in model.params()]
-    _, grads = predictor.loss_and_grads(model, x, y, params)
+    params = predictor.ParamStack([model])
+    x, y = x[None], y[None]   # a stack of one model
+    _, grads = predictor.loss_and_grads(params, x, y)
     worst = 0.0
-    for p, g in zip(params, grads):
-        flat = p.reshape(-1)
+    for p, g in zip(params.arrays, grads):
+        flat = p.reshape(-1)   # a view into `params.flat`
         gflat = g.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp, _ = predictor.loss_and_grads(model, x, y, params)
+            (lp,), _ = predictor.loss_and_grads(params, x, y)
             flat[idx] = orig - eps
-            lm, _ = predictor.loss_and_grads(model, x, y, params)
+            (lm,), _ = predictor.loss_and_grads(params, x, y)
             flat[idx] = orig
             num = (lp - lm) / (2 * eps)
             worst = max(worst, abs(num - gflat[idx]) / max(abs(num), abs(gflat[idx]), 1e-8))
@@ -74,12 +75,12 @@ def test_l1_gradient_away_from_kinks():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 8))
     y = rng.integers(0, 3, size=4)
-    params = [p.astype(np.float64) for p in m.params()]
-    _, grads = predictor.loss_and_grads(m, x, y, params)
-    m0 = predictor.FcnnModel(*[p.astype(np.float32) for p in params], l1_lambda=0.0)
-    _, grads0 = predictor.loss_and_grads(m0, x, y, params)
-    for p, g, g0 in zip(params, grads, grads0):
-        if p.ndim == 2:   # weights carry the penalty, biases do not
+    params = predictor.ParamStack([m])
+    _, grads = predictor.loss_and_grads(params, x[None], y[None])
+    m0 = predictor.FcnnModel(*m.params(), l1_lambda=0.0)
+    _, grads0 = predictor.loss_and_grads(predictor.ParamStack([m0]), x[None], y[None])
+    for p, g, g0 in zip(params.arrays, grads, grads0):
+        if p.ndim == 3:   # stacked weights carry the penalty, biases do not
             far = np.abs(p) > 0.05
             assert np.allclose((g - g0)[far], 1e-2 * np.sign(p)[far])
 
@@ -112,24 +113,48 @@ def reference_loss_and_grads(model, x, labels, params):
 
 @pytest.mark.parametrize("n", [1, 32, 1000])
 def test_loss_and_grads_paths_are_bit_equal(n):
+    """Stacks of one and two models, each with its own batch and L1 weight, against the
+    reference run on each model alone."""
     rng = np.random.default_rng(n)
-    model = predictor.init_model(40, 3, seed=n)
-    x = rng.normal(size=(n, 40))
-    y = rng.integers(0, 3, size=n)
-    params = [p.astype(np.float64) for p in model.params()]
-    want_loss, want = reference_loss_and_grads(model, x, y, params)
-    loss, grads = predictor.loss_and_grads(model, x, y, params)
-    # `out` views of one NaN-filled vector: every element must be written
-    flat = np.full(sum(p.size for p in params), np.nan)
-    views = predictor._views(flat, [p.shape for p in params])
-    out_loss, out_grads = predictor.loss_and_grads(model, x, y, params, out=views)
-    assert len(out_grads) == 6 and all(g is view for g, view in zip(out_grads, views))
-    only_loss, no_grads = predictor.loss_and_grads(model, x, y, params, grads=False)
-    assert no_grads is None
-    assert loss == out_loss == only_loss == want_loss
-    for got in (grads, out_grads):
-        assert all(g.dtype == np.float64 and g.tobytes() == w.tobytes()
-                   for g, w in zip(got, want))
+    for k in (1, 2):
+        models = [predictor.init_model(40, 3, seed=n + j, l1_lambda=lam)
+                  for j, lam in zip(range(k), (1e-4, 3e-3))]
+        x = rng.normal(size=(k, n, 40))
+        y = rng.integers(0, 3, size=(k, n))
+        params = predictor.ParamStack(models)
+        losses, grads = predictor.loss_and_grads(params, x, y)
+        # `out` over one NaN-filled vector: every element must be written
+        out = params.like(np.full(params.flat.size, np.nan))
+        out_losses, out_grads = predictor.loss_and_grads(params, x, y, out=out)
+        assert out_grads is out.arrays
+        only_losses, no_grads = predictor.loss_and_grads(params, x, y, grads=False)
+        assert no_grads is None
+        assert len(losses) == len(out_losses) == len(only_losses) == k
+        for j, model in enumerate(models):
+            want_loss, want = reference_loss_and_grads(
+                model, x[j], y[j], [p.astype(np.float64) for p in model.params()])
+            assert losses[j] == out_losses[j] == only_losses[j] == want_loss
+            for got in (grads, out_grads):
+                assert len(got) == 6
+                assert all(g.dtype == np.float64 and g[j].tobytes() == w.tobytes()
+                           for g, w in zip(got, want))
+
+
+def test_a_weight_segment_sums_like_its_array():
+    """The L1 term sums each model's w1, w2 and w3 as slices of the stack's one weight
+    segment: a contiguous slice must give the bits of the array's own sum."""
+    for input_dim in (40, 6):
+        models = [predictor.init_model(input_dim, 3, seed=j) for j in range(3)]
+        params = predictor.ParamStack(models)
+        for seed in range(4):
+            params.flat[:] = np.random.default_rng(seed).normal(size=params.flat.size)
+            abs_w = np.abs(params.weights)
+            for j, parts in enumerate(params.l1_parts):
+                layers = [params.arrays[i][j].copy() for i in (0, 2, 4)]
+                assert [w.shape for w in layers] == [(input_dim, 10), (10, 10), (10, 3)]
+                for part, w in zip(parts, layers):
+                    assert np.array_equal(abs_w[part], np.abs(w).ravel())
+                    assert np.add.reduce(abs_w[part]).tobytes() == np.abs(w).sum().tobytes()
 
 
 def test_training_learns_separable_data():
@@ -228,10 +253,11 @@ def test_train_rejects_non_finite_features():
         predictor.train(predictor.init_model(3, 2, seed=0), rows, epochs=2)
 
 
-def reference_train(model, rows, epochs, batch_size, lr, seed,
+def reference_train(model, rows, epochs, batch_size, lr, seed, seen,
                     beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam kept per tensor, one update per tensor and step, and validation accuracy
-    on the float32 cast of the parameters: the loop that `train` must match bit for bit."""
+    on the float32 cast of the parameters: the loop that `train` must match bit for bit.
+    Appends to `seen` the parameters of every loss evaluation, concatenated."""
     x, y = rows.features, rows.labels
     rng = np.random.default_rng(seed)
     tr, va, _ = predictor._split_indices(len(rows), rng)
@@ -245,7 +271,8 @@ def reference_train(model, rows, epochs, batch_size, lr, seed,
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
-            loss, grads = predictor.loss_and_grads(model, x[batch], y[batch], params)
+            seen.append(np.concatenate([p.ravel() for p in params]))
+            loss, grads = reference_loss_and_grads(model, x[batch], y[batch], params)
             epoch_loss += loss * len(batch)
             step += 1
             for j, g in enumerate(grads):
@@ -255,7 +282,8 @@ def reference_train(model, rows, epochs, batch_size, lr, seed,
                 v_hat = v[j] / (1 - beta2 ** step)
                 params[j] = params[j] - lr * m_hat / (np.sqrt(v_hat) + eps)
         train_losses.append(epoch_loss / len(order))
-        val_losses.append(float(predictor.loss_and_grads(model, x[va], y[va], params)[0]))
+        seen.append(np.concatenate([p.ravel() for p in params]))
+        val_losses.append(float(reference_loss_and_grads(model, x[va], y[va], params)[0]))
         as_f32 = predictor.FcnnModel(*[p.astype(np.float32) for p in params])
         val_accs.append(float((predictor.forward(as_f32, x[va]).argmax(axis=1) == y[va]).mean()))
     return params, train_losses, val_losses, val_accs
@@ -268,19 +296,18 @@ def train_beside_reference(batch_size):
     rows = dataset_of((rng.normal(size=6), int(rng.integers(0, 3))) for _ in range(90))
     # the float64 parameters of every step and validation, which the float32 export and
     # the rounded losses could hide a last-bit difference in
-    seen = []
+    seen, reference_seen = [], []
     real_loss_and_grads = predictor.loss_and_grads
 
-    def spy(model, x, labels, params, **kwargs):
-        seen.append(np.concatenate([p.ravel() for p in params]))
-        return real_loss_and_grads(model, x, labels, params, **kwargs)
+    def spy(params, x, labels, **kwargs):
+        seen.append(np.concatenate([p[0].ravel() for p in params.arrays]))
+        return real_loss_and_grads(params, x, labels, **kwargs)
 
+    params, train_losses, val_losses, val_accs = reference_train(
+        predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3,
+        batch_size=batch_size, lr=0.01, seed=2, seen=reference_seen)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(predictor, "loss_and_grads", spy)
-        params, train_losses, val_losses, val_accs = reference_train(
-            predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3,
-            batch_size=batch_size, lr=0.01, seed=2)
-        reference_seen, seen = seen, []
         model = predictor.init_model(6, 3, seed=4, l1_lambda=1e-3)
         report = predictor.train(model, rows, epochs=3, batch_size=batch_size, lr=0.01,
                                  seed=2)
@@ -317,3 +344,115 @@ def test_diverging_train_fails_before_overflow_and_leaves_the_model_unchanged():
         predictor.train(model, rows, epochs=3, lr=1e300)
     assert all(p is q for p, q in zip(arrays, model.params()))
     assert all(np.array_equal(p, q) for p, q in zip(before, model.params()))
+
+
+def model_report(report, j):
+    """Model j's values in a stack's report, laid out as one model's report holds them."""
+    return predictor.TrainReport(
+        train_loss=[e[j] for e in report.train_loss], val_loss=[e[j] for e in report.val_loss],
+        val_accuracy=[e[j] for e in report.val_accuracy],
+        test_accuracy=report.test_accuracy[j], split_sizes=report.split_sizes)
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 100])
+@pytest.mark.parametrize("n_rows", [1, 4, 7, 90])
+def test_stacked_training_equals_each_models_own(n_rows, batch_size):
+    """Stacks of 1, 2 and 3 models end with each model's own `train` bytes and curves; under
+    5 rows the curves are null, and a 100-row batch is larger than any training split."""
+    for seed in (0, 1):
+        rng = np.random.default_rng([seed, n_rows])
+        datasets = [dataset_of((rng.normal(size=6), int(rng.integers(0, 3)))
+                               for _ in range(n_rows)) for _ in range(3)]
+
+        def fresh(j):   # each model its own weights and L1 weight
+            return predictor.init_model(6, 3, seed=10 * seed + j, l1_lambda=(1e-4, 1e-3, 0.0)[j])
+
+        def run(models, rows):
+            return predictor.train(models, rows, epochs=3, batch_size=batch_size, lr=0.01,
+                                   seed=seed)
+        alone = []
+        for j, rows in enumerate(datasets):
+            model = fresh(j)
+            report = run(model, rows)
+            alone.append((report, predictor.export_flat(model)))
+        for k in (1, 2, 3):
+            models = [fresh(j) for j in range(k)]
+            report = run(models, datasets[:k])
+            assert report.split_sizes == alone[0][0].split_sizes
+            for j, model in enumerate(models):
+                assert predictor.export_flat(model) == alone[j][1]
+                assert model_report(report, j).to_json() == alone[j][0].to_json()
+
+
+def test_stacked_training_rejects_mismatched_lists():
+    rng = np.random.default_rng(0)
+    rows = dataset_of((rng.normal(size=4), k % 2) for k in range(20))
+    fewer = dataset_of((rng.normal(size=4), k % 2) for k in range(19))
+    wider = dataset_of((rng.normal(size=5), k % 2) for k in range(20))
+    model = predictor.init_model(4, 2)
+    cases = [([model], [rows, rows], "one dataset per model"), ([], [], "one dataset per model"),
+             ([model, predictor.init_model(4, 2)], [rows, fewer], "row count"),
+             ([model, predictor.init_model(5, 2)], [rows, wider], "feature width"),
+             ([model, predictor.init_model(4, 3)], [rows, rows], "channel count")]
+    for models, datasets, message in cases:
+        with pytest.raises(ValueError, match=message):
+            predictor.train(models, datasets, epochs=1)
+    # each dataset gets one model's checks, with one model's messages
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ts=1, num_freqs=2)
+    bad = dataset_of([((np.nan, 0.0, 0.0, 0.0), 0)] + [((0.0,) * 4, 1)] * 19)
+    high = dataset_of([((0.0,) * 4, 2)] * 20)
+    for third, message in ((empty, "empty dataset"), (bad, "non-finite"), (high, "label")):
+        models = [predictor.init_model(4, 2, seed=j) for j in range(3)]
+        with pytest.raises(ValueError, match=message):
+            predictor.train(models, [rows, rows, third], epochs=1)
+
+
+def diverging_stack():
+    """Three fresh (model, dataset) pairs: 0 and 2 are ordinary, while 1 has inputs near
+    1e300 and weights scaled by 1e30, so that its first loss overflows to NaN."""
+    pairs = []
+    for j in range(3):
+        rng = np.random.default_rng(j)
+        rows = dataset_of((rng.normal(size=4), int(rng.integers(0, 2))) for _ in range(50))
+        model = predictor.init_model(4, 2, seed=j)
+        if j == 1:
+            rows.features[...] *= 1e300
+            model.set_params(p * 1e30 if p.ndim == 2 else p for p in model.params())
+        pairs.append((model, rows))
+    return pairs
+
+
+def test_a_diverging_model_stops_its_stack_with_its_own_error():
+    with np.errstate(all="ignore"):   # model 1's overflow is the point
+        for j, (model, rows) in enumerate(diverging_stack()):
+            if j == 1:
+                with pytest.raises(FloatingPointError, match="loss diverged") as alone:
+                    predictor.train(model, rows, epochs=3)
+            else:
+                predictor.train(model, rows, epochs=3)   # trains cleanly at this rate
+        for order in ((0, 1, 2), (1, 0), (2, 1)):
+            pairs = diverging_stack()
+            models, datasets = zip(*[pairs[j] for j in order])
+            arrays = [m.params() for m in models]
+            before = [[p.copy() for p in a] for a in arrays]
+            with pytest.raises(FloatingPointError) as stacked:
+                predictor.train(list(models), list(datasets), epochs=3)
+            assert str(stacked.value) == str(alone.value)
+            for model, a, b in zip(models, arrays, before):
+                assert all(p is q for p, q in zip(a, model.params()))
+                assert all(np.array_equal(p, q) for p, q in zip(b, model.params()))
+
+
+def test_a_stack_raises_the_lowest_failing_models_error():
+    """At lr 1e300 an ordinary model leaves the float32 range at the first step, the step
+    where model 1's loss is NaN: the lower index names the error."""
+    with np.errstate(all="ignore"):
+        for j, message in ((0, "float32"), (1, "loss diverged")):
+            model, rows = diverging_stack()[j]
+            with pytest.raises(FloatingPointError, match=message):
+                predictor.train(model, rows, epochs=1, lr=1e300)
+        for order, message in (((0, 1), "float32"), ((1, 0), "loss diverged")):
+            pairs = diverging_stack()
+            models, datasets = zip(*[pairs[j] for j in order])
+            with pytest.raises(FloatingPointError, match=message):
+                predictor.train(list(models), list(datasets), epochs=1, lr=1e300)

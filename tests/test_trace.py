@@ -79,6 +79,21 @@ def test_load_trace_rejects_non_finite_link_values(rssi, snr):
         trace.load_trace(data.encode())
 
 
+@pytest.mark.parametrize("rssi,snr", [("-200.1", "9.0"), ("-1e308", "9.0"), ("-70.0", "100.5"),
+                                      ("-70.0", "-1e308")])
+def test_load_trace_rejects_link_values_past_physical_bounds(rssi, snr):
+    data = ",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n"
+    with pytest.raises(trace.TraceError, match="rssi" if snr == "9.0" else "snr"):
+        trace.load_trace(data.encode())
+
+
+@pytest.mark.parametrize("rssi,snr", [("-200.0", "-100.0"), ("0.0", "100.0")])
+def test_load_trace_keeps_link_values_on_the_bounds(rssi, snr):
+    data = ",".join(trace.EXPECTED_HEADER) + f"\nA,868.0,30,{rssi},{snr},50,1.0\n"
+    entry = trace.load_trace(data.encode()).lookup("A", 868.0, 30)
+    assert (entry.mean_rssi, entry.mean_snr) == (float(rssi), float(snr))
+
+
 class ReferenceSampler:
     """`ChannelSampler` with a pattern and a cursor dict, a trace lookup per call and one
     `normal(0, 1)` draw at a time: the outcomes `sample` must match value for value."""
