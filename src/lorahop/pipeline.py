@@ -35,21 +35,8 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
         model_path = out_dir / f"model_{src}.fhop"
         model_path.write_bytes(predictor.export_flat(model))
         outputs += [ds_path, model_path]
-    models = dict(zip(sources, trained))
-
-    def run_all(strategy_for):
-        reports = []
-        for src in sources:
-            config = sim.SimConfig(nodes=(sim.NodeSpec(source=src,
-                                                       strategy=strategy_for(src)),),
-                                   rng_seed=seed)
-            reports.append(sim.run(config, trace_obj))
-        return sim.SimReport(rows=[r for rep in reports for r in rep.rows],
-                             events=[e for rep in reports for e in rep.events])
-
-    report_random = run_all(lambda src: sim.RandomHopStrategy())
-    report_pred = run_all(lambda src: sim.PredictorHopStrategy(models[src]))
-    comparison = sim.compare_strategies(report_pred, report_random)
+    comparison, report_random, report_pred = compare_strategies_on_trace(
+        trace_obj, sources, trained, seed)
 
     rand_path = out_dir / "report_random.json"
     pred_path = out_dir / "report_predictor.json"
@@ -59,3 +46,21 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     comp_path = sim.write_csv(out_dir / "comparison.csv", sim.COMPARISON_FIELDS, comparison)
     outputs += [rand_path, pred_path, comp_path]
     return comparison, outputs
+
+
+def compare_strategies_on_trace(trace_obj, sources, models, seed):
+    """Each source alone on the trace, once hopping at random and once led by its model (the
+    model at its place in `models`), every run with simulator seed `seed`.  Returns the
+    `sim.compare_strategies` rows, the random runs' report and the predictor runs' report."""
+    def run_all(strategies):
+        reports = []
+        for src, strategy in zip(sources, strategies):
+            config = sim.SimConfig(nodes=(sim.NodeSpec(source=src, strategy=strategy),),
+                                   rng_seed=seed)
+            reports.append(sim.run(config, trace_obj))
+        return sim.SimReport(rows=[r for rep in reports for r in rep.rows],
+                             events=[e for rep in reports for e in rep.events])
+
+    report_random = run_all(sim.RandomHopStrategy() for _ in sources)
+    report_pred = run_all(sim.PredictorHopStrategy(model) for model in models)
+    return sim.compare_strategies(report_pred, report_random), report_random, report_pred

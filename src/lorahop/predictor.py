@@ -251,17 +251,21 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed.
 
     `model` and `dataset` may also be equal-length lists, the way `forward` takes one vector
-    or a batch.  The models then train in lockstep, one stacked `loss_and_grads` call and one
-    Adam update per step, with the split and batch order one model gets, so each ends as its
-    own `train` would leave it, bit for bit.  The report's per-epoch entries and its
-    `test_accuracy` are then lists with one value per model.  If any model diverges, every
-    model is left unchanged and the error is that of the lowest-index model that failed at
-    the first step where one did.
+    or a batch, and `seed` then a list of the same length, one per model.  The models then
+    train in lockstep, one stacked `loss_and_grads` call and one Adam update per step, each
+    with the split and batch order of its own seed (of `seed`, if that is one value), so
+    each ends as its own `train` would leave it, bit for bit.  The report's per-epoch
+    entries and its `test_accuracy` are then lists with one value per model.  If any model
+    diverges, every model is left unchanged and the error is that of the lowest-index model
+    that failed at the first step where one did.
     """
     single = isinstance(model, FcnnModel)
     models, datasets = ([model], [dataset]) if single else (list(model), list(dataset))
     if not models or len(models) != len(datasets):
         raise ValueError(f"need one dataset per model, got {len(datasets)} for {len(models)}")
+    seeds = [seed] if single or not isinstance(seed, (list, tuple)) else list(seed)
+    if len(seeds) not in (1, len(models)):
+        raise ValueError(f"need one seed per model, got {len(seeds)} for {len(models)}")
     if any(len(ds) < 1 for ds in datasets):
         raise ValueError("empty dataset")
     if batch_size < 1 or epochs < 0:
@@ -280,8 +284,10 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     xs = [np.asarray(ds.features, dtype=np.float64) for ds in datasets]
     ys = [np.asarray(ds.labels, dtype=np.intp) for ds in datasets]
     k = len(models)
-    rng = np.random.default_rng(seed)
-    tr, va, te = _split_indices(len(ys[0]), rng)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    # per model, its split: (k, size) arrays, the rows of one seed repeated if it is shared
+    tr, va, te = (np.broadcast_to(np.stack(part), (k, len(part[0])))
+                  for part in zip(*(_split_indices(len(ys[0]), rng) for rng in rngs)))
 
     # Adam updates `params.flat` in place via `s`, `t`; gradients go into `grads.flat`
     params = ParamStack(models)
@@ -290,21 +296,24 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     m, v, s, t = (np.zeros_like(flat) for _ in range(4))
     # each epoch gathers every model's labels in its batch order into `y_ep`, and each step
     # gathers every model's batch of features from its own dataset into `x_b`
-    x_b = np.empty((k, min(batch_size, len(tr)), xs[0].shape[1]))
-    y_ep = np.empty((k, len(tr)), dtype=np.intp)
-    x_va, y_va = np.stack([x[va] for x in xs]), np.stack([y[va] for y in ys])
+    n_tr = tr.shape[1]
+    x_b = np.empty((k, min(batch_size, n_tr), xs[0].shape[1]))
+    y_ep = np.empty((k, n_tr), dtype=np.intp)
+    x_va = np.stack([x[rows] for x, rows in zip(xs, va)])
+    y_va = np.stack([y[rows] for y, rows in zip(ys, va)])
     step = 0
     train_losses, val_losses, val_accs = [], [], []
 
     for _ in range(epochs):
-        order = tr[rng.permutation(len(tr))]
-        for y, y_out in zip(ys, y_ep):
+        orders = np.broadcast_to(np.stack([rows[rng.permutation(n_tr)]
+                                           for rows, rng in zip(tr, rngs)]), (k, n_tr))
+        for y, y_out, order in zip(ys, y_ep, orders):
             y.take(order, out=y_out)
         epoch_loss = [0.0] * k
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            nb = len(batch)
-            for x, x_out in zip(xs, x_b):
+        for start in range(0, n_tr, batch_size):
+            batches = orders[:, start:start + batch_size]
+            nb = batches.shape[1]
+            for x, x_out, batch in zip(xs, x_b, batches):
                 x.take(batch, axis=0, out=x_out[:nb])
             loss, _ = loss_and_grads(params, x_b[:, :nb], y_ep[:, start:start + nb], out=grads)
             epoch_loss = [total + value * nb for total, value in zip(epoch_loss, loss)]
@@ -322,8 +331,8 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
             if not (all(map(math.isfinite, loss))
                     and np.maximum.reduce(np.abs(flat, out=t)) <= _F32_MAX):
                 raise _divergence(loss, params)
-        train_losses.append([float(total / len(order)) for total in epoch_loss])
-        if len(va):
+        train_losses.append([float(total / n_tr) for total in epoch_loss])
+        if va.shape[1]:
             vl, _ = loss_and_grads(params, x_va, y_va, grads=False)
             val_losses.append([float(value) for value in vl])
             # accuracy of the float32 models that would be exported after this epoch
@@ -335,10 +344,10 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
             val_accs.append([float("nan")] * k)
 
     test_accs = []
-    for j, (mdl, x, y) in enumerate(zip(models, xs, ys)):
+    for j, (mdl, x, y, rows) in enumerate(zip(models, xs, ys, te)):
         mdl.set_params(a[j] for a in params.arrays)
-        test_accs.append(float((forward(mdl, x[te]).argmax(axis=1) == y[te]).mean())
-                         if len(te) else float("nan"))
+        test_accs.append(float((forward(mdl, x[rows]).argmax(axis=1) == y[rows]).mean())
+                         if len(rows) else float("nan"))
 
     def per_model(values):   # one model's report holds its own values, a stack's their lists
         return values[0] if single else values
@@ -346,7 +355,7 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
                        val_loss=[per_model(e) for e in val_losses],
                        val_accuracy=[per_model(e) for e in val_accs],
                        test_accuracy=per_model(test_accs),
-                       split_sizes=(len(tr), len(va), len(te)))
+                       split_sizes=(n_tr, va.shape[1], te.shape[1]))
 
 
 def predict_channel(model, window):

@@ -1,11 +1,15 @@
 """End-node telemetry: sliding windows of channel availability, RSSI and SNR.
 
 Windows feed the channel predictor; `generate_labeled_dataset` replays a
-single node against a trace once per candidate channel (shared per-row seed)
-and labels each row with the channel that realized the highest RSSI.  It
-draws every (row, channel) outcome first and then builds all windows as one
-array, returned as a `Dataset` of feature and label arrays that also records
-its window length and channel count.
+single node against a trace on every candidate channel per row and labels each
+row with the channel that realized the highest RSSI.  It draws every outcome
+as three arrays, from three generators: delivery per (row, channel), RSSI and
+SNR jitter per (row, channel), and two uniforms per row that pick the channel
+the window records.  A quarter of the rows record the outcome of a uniformly
+drawn channel instead of the label's, lost packets included, so the windows
+hold losses as a node's own mistakes put them there at run time.  All windows are then built
+as one array, returned as a `Dataset` of feature and label arrays that also
+records its window length and channel count.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ SNR_NORM_DB = 10.0
 _SPARE_ROWS = 64   # buffer rows beyond a window: its rows move to the front once per 65 records
 _ROWS_PER_WRITE = 256   # dataset rows `write_dataset` formats and writes at a time
 _NORMALIZATION = "v1"   # features of RSSI / RSSI_NORM_DBM and SNR / SNR_NORM_DB
+_EXPLORE_P = 0.25   # share of dataset rows whose window slot follows a uniformly drawn channel
 
 
 class TelemetryWindow:
@@ -97,71 +102,21 @@ class Dataset:
                 and np.array_equal(self.labels, other.labels))
 
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding multiplier
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(hash_const, mult):
-    """SeedSequence's hashmix; each call moves the hash constant on by `mult`."""
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * mult & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ (value >> 16)
-    return hashmix
-
-
-def _seed_states(seed, n_rows, num_freqs):
-    """`SeedSequence([seed, r, f]).generate_state(4, np.uint64)` for every (r, f) at once,
-    on uint64 arrays kept to 32 bits; shape (n_rows, num_freqs, 4).  Every pool word
-    mixes in every entropy word, so all of them end up (n_rows, num_freqs)."""
-    seed, = integers("seed", (seed,))
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    # the seed's 32-bit words, then r and f as a column and a row that broadcast to (r, f)
-    entropy = [(seed >> k) & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [np.arange(n_rows, dtype=np.uint64)[:, None], np.arange(num_freqs, dtype=np.uint64)]
-    entropy += [0] * (4 - len(entropy))   # pad to the pool size
-
-    def mix(x, y):
-        value = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
-        return value ^ (value >> 16)
-
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:   # entropy longer than the pool
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    generate = _hasher(0x8B51F9DD, 0x58F38DED)
-    out = [generate(pool[i % 4]) for i in range(8)]
-    return np.stack([out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)], axis=-1)
-
-
-def _pcg64_state(words):
-    """`PCG64.state` after seeding with the 4 words of one `_seed_states` triple."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-    state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-
-
 def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOTS):
     """Counterfactual replay: per row, try every channel from the same state.
 
-    Row r tries channel f with `np.random.default_rng([seed, r, f])`.  Realized
-    RSSI of a lost packet is the floor value, so channels that fail to deliver
-    rarely win the argmax.  The node then actually transmits on the labeled
-    channel and its window advances with that outcome.  No draw depends on the
-    window, so all outcomes are drawn first and the windows built in one array.
-    Payload sizes and link jitter follow the trace module's defaults.
+    Three generators, `default_rng([seed, k])` for k = 0, 1, 2, are read row by row:
+    stream 0 gives one uniform per (row, channel) that decides delivery against the
+    trace PDR, stream 1 two standard normals per (row, channel), the RSSI jitter then
+    the SNR jitter, drawn whether or not the packet was delivered, and stream 2 two
+    uniforms per row, u0 and u1.  A lost packet realizes the floor values.  The label
+    is the channel of the highest realized RSSI, ties to the lowest index.  The row's
+    window slot then records the label's outcome, or, if u0 < `_EXPLORE_P`, the
+    outcome of channel int(u1 * F): an exploration row, which puts the losses of
+    channels the label avoids into later windows, as a node's own mistakes put them
+    into its window at run time.  No draw depends on the window, so all outcomes are
+    drawn first and the windows built in one array, and a shorter dataset is a prefix
+    of a longer one.  Payload sizes and link jitter follow the trace module's defaults.
     """
     if n_rows <= 0:
         raise ValueError("n_rows must be positive")
@@ -170,38 +125,46 @@ def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOT
     freqs = trace.frequencies
     if source not in trace.sources:
         raise ValueError(f"trace has no source {source!r}")
-    states = _seed_states(seed, n_rows, len(freqs))
-    entries = {}   # payload size -> trace entry per frequency, for the sizes the rows reach
-    rssi = np.full((n_rows, len(freqs)), RSSI_FLOOR_DBM)
-    snr = np.full((n_rows, len(freqs)), SNR_FLOOR_DB)
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
-    for r in range(n_rows):
-        size = DEFAULT_PAYLOAD_SCHEDULE[(r // DEFAULT_BLOCK_LEN) % len(DEFAULT_PAYLOAD_SCHEDULE)]
-        if size not in entries:
-            entries[size] = [trace.lookup(source, freq, size) for freq in freqs]
-        for f, (entry, words) in enumerate(zip(entries[size], states[r].tolist())):
-            bitgen.state = _pcg64_state(words)
-            if rng.random() < entry.pdr:
-                rssi[r, f], snr[r, f] = entry.with_noise(
-                    rng.normal(0.0, 1.0), rng.normal(0.0, 1.0),
-                    DEFAULT_RSSI_JITTER_DB, DEFAULT_SNR_JITTER_DB)
-    labels = np.argmax(rssi, axis=1)   # ties resolve to the lowest index
-
-    # slot ts + r holds row r's outcome on its label; slots 0..ts-1 are the cold start
+    seed, = integers("seed", (seed,))
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    num_freqs = len(freqs)
     rows = np.arange(n_rows)
-    history = np.zeros((n_rows + ts, len(freqs) + 2))
+    # (pdr, mean RSSI, mean SNR) per (payload size, channel), for the sizes the rows reach,
+    # then per (row, channel): row r sends in block r // DEFAULT_BLOCK_LEN of the schedule
+    schedule = DEFAULT_PAYLOAD_SCHEDULE[:(n_rows - 1) // DEFAULT_BLOCK_LEN + 1]
+    table = np.array([[(e.pdr, e.mean_rssi, e.mean_snr)
+                       for e in (trace.lookup(source, freq, size) for freq in freqs)]
+                      for size in schedule])
+    block = rows // DEFAULT_BLOCK_LEN % len(DEFAULT_PAYLOAD_SCHEDULE)
+    pdr, mean_rssi, mean_snr = np.moveaxis(table[block], -1, 0)
+
+    delivered = np.random.default_rng([seed, 0]).random((n_rows, num_freqs)) < pdr
+    jitter = np.random.default_rng([seed, 1]).standard_normal((n_rows, num_freqs, 2))
+    explore = np.random.default_rng([seed, 2]).random((n_rows, 2))
+    # `TraceEntry.with_noise` on arrays: minimum(0, x) is x unless 0 < x, as min(x, 0.0)
+    rssi = np.where(delivered,
+                    np.minimum(0.0, mean_rssi + jitter[..., 0] * DEFAULT_RSSI_JITTER_DB),
+                    RSSI_FLOOR_DBM)
+    snr = np.where(delivered, mean_snr + jitter[..., 1] * DEFAULT_SNR_JITTER_DB, SNR_FLOOR_DB)
+    labels = np.argmax(rssi, axis=1)   # ties resolve to the lowest index
+    sent = np.where(explore[:, 0] < _EXPLORE_P, (explore[:, 1] * num_freqs).astype(np.intp),
+                    labels)
+
+    # slot ts + r holds row r's outcome on the channel it sent on; slots 0..ts-1 are the
+    # cold start
+    history = np.zeros((n_rows + ts, num_freqs + 2))
     history[:ts, -2:] = RSSI_FLOOR_DBM, SNR_FLOOR_DB
-    history[ts + rows, labels] = 1.0   # the node's own transmission counts toward availability
-    history[ts:, -2] = rssi[rows, labels]
-    history[ts:, -1] = snr[rows, labels]
+    history[ts + rows, sent] = 1.0   # the node's own transmission counts toward availability
+    history[ts:, -2] = rssi[rows, sent]
+    history[ts:, -1] = snr[rows, sent]
     # row r sees slots r..r+ts-1, oldest first, laid out as `TelemetryWindow.snapshot`
     windows = np.lib.stride_tricks.sliding_window_view(history[:-1], ts, axis=0)
     features = np.concatenate([windows[:, :-2].transpose(0, 2, 1).reshape(n_rows, -1),
                                windows[:, -2] / RSSI_NORM_DBM, windows[:, -1] / SNR_NORM_DB],
                               axis=1)
     return Dataset(features=features, labels=labels.astype(np.int64), ts=ts,
-                   num_freqs=len(freqs))
+                   num_freqs=num_freqs)
 
 
 def write_dataset(dataset, fh):

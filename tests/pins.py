@@ -35,19 +35,19 @@ DATA = Path(cli.__file__).resolve().parent / "data"
 
 PINNED = {
     ("gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json",): {
-        "dataset.json": "8246efcd92e0432eec78694f7365ae847e31aec50acb69664222e8d213605df5"},
+        "dataset.json": "7d5c856b80f7a90f722dcb7f373e88a174a257788a7df28acd1c94bd786e10ff"},
     ("gen-dataset --source C --rows 300 --ts 4 --seed 3 --out {d}/dataset.json",): {
-        "dataset.json": "27483fa34ee6d2ab613dabcb35e60e1cd3f687d37efd3bc734f4f261fa26797c"},
+        "dataset.json": "5f953f674c9cb5886bf9d49d9f4ac8e58a69adaa58751e36a67a4ceb8c7a0cff"},
     ("gen-dataset --source B --rows 1 --seed 3 --out {d}/dataset.json",): {
         "dataset.json": "09f508e4ac234f9a151d3428f1e0332332dde9b2bce8a1b554e3c8f6a509ecf2"},
     ("pipeline --rows 300 --epochs 3 --sources A,B,C --out-dir {d}",): {
         "comparison.csv": "61bdf9c066254003fbc7a8931808b998d03f29f0a24449c2e47136e8e4e94468",
-        "dataset_A.json": "e02402d17c86e7cabf9307bf96f844a9c28b2bd1e794a016648c10115fe8d2c8",
-        "dataset_B.json": "cf9730aa940164cb724989ce80f794b0472f1ab5500e9901a02fc166d62e4096",
-        "dataset_C.json": "471cb104c08927d062ef4d31c4edfc9181624f174bdae7ddd3bce89ffcb05653",
-        "model_A.fhop": "e3dc48cbd5a75ee262a70bdee3099f3a2f0acc383bb4f47443f26ac8b3dc6e48",
-        "model_B.fhop": "dd0cc2bd55ce0833ef515def38e31b0e344f64284fe3b43c8a3331097c85e8e6",
-        "model_C.fhop": "14fdeb42a5df3b7b2ef5f7506345a72c459afad68b5458258563e1b66f92211a",
+        "dataset_A.json": "db7eecfbf61a237841657e9b5aa2f29b935f2511ecca4a4ec36e48f5cb808a27",
+        "dataset_B.json": "eb471f6acced599d21fbebad64b53cb7aa5ffebb935ece730bc28fa2b8a36de5",
+        "dataset_C.json": "63a8160f940ad9545f30901dbdd64eec11c16aa9950d3351e49c15bb33f95472",
+        "model_A.fhop": "369c5d048e14bb6e851d4f2b872e3e10695631ec260d7a5d23971a1c5c60e416",
+        "model_B.fhop": "b7c21df150abc75b16347a63f1f91d0816809b1a0dd77e4472a9eabeee0735e9",
+        "model_C.fhop": "d339942819997c82f5400546b193de874dd07665ffd4a9255f906686db54c33e",
         "report_predictor.json": "c4bde7ba2b8637a8f9255f698ae4bb5bacefa2961ac0fd409f406759c325772e",
         "report_random.json": "46e6df55254ba75e3c60f4b3259ac7e81048c92835144011448a436b020becf1"},
     ("optimize --scenario {data}/scenarios/three_nodes_two_freqs.json --out {d}/result.json",): {
@@ -57,13 +57,13 @@ PINNED = {
      "export --model {d}/model.fhop --format c_array --out {d}/model.h",
      "export --model {d}/model.fhop --format flat --out {d}/model_flat.fhop",
      "simulate --config {d}/sim.json --out {d}/report.json --events {d}/events.csv"): {
-        "dataset.json": "7313e56473692c739f8349705ba47d64845339d3578bfa74b163baa83661f479",
-        "events.csv": "7b046b079350b3099c1adc5f481610260cf8bfbc01135142cea5a95277cb1907",
-        "model.fhop": "668aee48b48cd6d0bac87ae7f5b60de5bbfecc20bafdcf6e10a7b35acea0719c",
-        "model.fhop.train.json": "5b1501f857c09d565a0cba93115fc69cf93614153989b1a014ae4a94004066fd",
-        "model.h": "77d47b85a16f4b3df9ddb702cc3926682563631a3bba087ab9696b4d21f7f1d3",
-        "model_flat.fhop": "668aee48b48cd6d0bac87ae7f5b60de5bbfecc20bafdcf6e10a7b35acea0719c",
-        "report.json": "acbf3d3d93612409a3a64d425e3f69e911f5ba46ef47a82875eacc30a13e5f70"},
+        "dataset.json": "722ef715b260cca6ca1d6cb5a1d0d9119acc4b3eabf775ea4f87c04befd6ddab",
+        "events.csv": "d90fa83eb04d09bef36067514c8de97257c3f45debaa862eb24fdf6f7ddc5ed1",
+        "model.fhop": "2d1cfe56b5a660bee1db0f7a2c90be8158ee767343ad14b691ceb1d9265b4172",
+        "model.fhop.train.json": "5be3f147fe3ffc98b33978006fb4ab866605de01193fb884361463eac8e9eacd",
+        "model.h": "157f4034a232848275e215d84e100172fd6ff7483a9ae062d9b73b47e1d8f2de",
+        "model_flat.fhop": "2d1cfe56b5a660bee1db0f7a2c90be8158ee767343ad14b691ceb1d9265b4172",
+        "report.json": "59ff7800368df20c2dfa38dae1ae95e08bea9adfd6525d988a85adb9ba03d271"},
     ("recommend impute --in {d}/sparse.csv --out {d}/filled.csv",): {
         "filled.csv": "5ca282740ecbdee06c5933ed1cd8269dc408a84c69b985bd2757f60617d40df5"},
     ("recommend impute --in {d}/sparse.csv --missing-as-zero --out {d}/filled.csv",): {
@@ -87,11 +87,11 @@ PINNED = {
     ("gen-dataset --source C --rows 300 --seed 1 --out {d}/dataset.json",
      "train --dataset {d}/dataset.json --epochs 20 --seed 1 --out {d}/model.fhop",
      "simulate --config {d}/sim.json --out {d}/report.json --events {d}/events.csv"): {
-        "dataset.json": "97efcde31f72ebed1b8d5202b15922e6d3b28b0efd07a58755bdfbda54f3354a",
-        "events.csv": "2aadc33dd2dcd2ef83b0e015ed87d18e456212c6b80c6bc1257539086ebdf372",
-        "model.fhop": "f2f778a76923ad9ceec6f098eabd98c3347bfb2723f8d8efb41a056fccf6b81d",
-        "model.fhop.train.json": "bd5ee7d039040d6794b92ab278090638bd256f928d41c57afee0a08d742bcfb9",
-        "report.json": "77c6da564319cdce6693e28b1231587a1419a5a16d12da3340dba11195487fa1"},
+        "dataset.json": "4370707268f4140391ff499c8f9c34bca44d51b35730d1d628461db8cee38134",
+        "events.csv": "0e29aabb562e7fa7be15d4c07096db01bd227a664b9d132a461805e75b5d0192",
+        "model.fhop": "c951c71a322155f21b38d7163154a3d271b813cae2f777374a199447c9d86abd",
+        "model.fhop.train.json": "566f0e05ed55e50b3ba0d61742566a9f10a0b1356329c4ab0cbf6f52041409dc",
+        "report.json": "271b28c263fdbda90a096e37a11a6342c3ee6c59c3893efbe30b4942c8d2222f"},
     ("recommend study --sparsities 10,50,90 --seeds 2 --out {d}/study.json",): {
         "study.json": "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"},
     ("figdata --figure strategy-comparison --in {d}/comparison_in.csv --out-dir {d}",): {
@@ -106,9 +106,9 @@ PINNED = {
         "fig_model_sizes.csv": "16aa98931ae78cb543a919c053cca92dc82c19665316e160c1c9e63f757b8a1d"},
     ("gen-dataset --rows 4 --seed 1 --out {d}/dataset.json",
      "train --dataset {d}/dataset.json --epochs 2 --out {d}/model.fhop"): {
-        "dataset.json": "74fcc777aa54bdfb47b755b635448b9cceae00f1b73e3137ccf295e027b156a6",
-        "model.fhop": "9e861f00887eaaf97bc06214238371aead5357f9ac23a3990183b0a6f86b4857",
-        "model.fhop.train.json": "9a83661d99be4aecab9695f1ef7610dceef60089b28b132f3c6ee2ed48a36fa5"},
+        "dataset.json": "d469ad3df94cb18ff0a5ecc76663e0ca7c0a74a0e2566ca1ac312e28ba3ee75d",
+        "model.fhop": "94aab3eabfebedcb7ed188a1e8529b3458d69e6bbd7fffa6a7dd2d7c08d15d4f",
+        "model.fhop.train.json": "b0e3ef2cc98b54e77bfac7031ae0506f9a5857f9f234068240cdf3a0388a5137"},
     ("optimize --scenario {data}/scenarios/tiny_single_node.json --out {d}/result.json",): {
         "result.json": "664179043b30fc27445513273738e42b147c1581dcf68cf20fa9d98bd3c3332c"},
 }

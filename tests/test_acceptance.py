@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lorahop import cli, core, optimizer, predictor, recommender, sim, telemetry, trace
-from lorahop.pipeline import run_pipeline
+from lorahop.pipeline import compare_strategies_on_trace, run_pipeline
 from conftest import random_scenario
 from oracle import enumerate_oracle, parse_c_array, report_row
 
@@ -91,22 +91,63 @@ def test_criterion_3_trace_fidelity(bundled_trace):
     print(f"\nPASS criterion 3: jitter-0 fixed-channel runs reproduce all {cells} trace cells")
 
 
-def test_criterion_4_predictor_beats_random(bundled_trace, tmp_path):
-    started = time.monotonic()
-    comparison, _ = run_pipeline(bundled_trace, tmp_path, seed=7)
-    best = 0.0
+def criterion_4(comparison):
+    """(the `comparison.csv` rows that break criterion 4, the best RSSI improvement): the
+    predictor's PDR must be at least 0.98 and its |RSSI| no larger than random's at every
+    size, and the best improvement at least 30%."""
+    broken, best = [], 0.0
     for row in comparison:
         _, metric, random_hop, predictor_hop, improvement = row
         if metric == "rssi":
-            assert abs(predictor_hop) <= abs(random_hop), row   # predictor RSSI at least as strong
             best = max(best, improvement)
-        elif metric == "pdr":
-            assert predictor_hop >= 0.98, row
+            if abs(predictor_hop) > abs(random_hop):   # predictor RSSI weaker than random's
+                broken.append(row)
+        elif metric == "pdr" and predictor_hop < 0.98:
+            broken.append(row)
+    return broken, best
+
+
+def test_criterion_4_predictor_beats_random(bundled_trace, tmp_path):
+    started = time.monotonic()
+    comparison, _ = run_pipeline(bundled_trace, tmp_path, seed=7)
+    broken, best = criterion_4(comparison)
+    assert not broken, broken
     elapsed = time.monotonic() - started
     assert best >= 30.0
     assert elapsed < 120
     print(f"\nPASS criterion 4: predictor dominates random at all sizes, "
           f"max RSSI improvement {best:.1f}% >= 30%, PDR >= 0.98, in {elapsed:.1f}s")
+
+
+# fixed before any result was seen: neither pick seeds from the results nor drop a failing one
+CRITERION_4_SEEDS = range(20)
+
+
+def test_criterion_4_holds_on_a_fixed_seed_set(bundled_trace):
+    """`pipeline`'s models for every seed of the set, trained in one stacked call with one
+    seed per model (each ends as its own `pipeline` pass leaves it), then compared as
+    `pipeline` compares them."""
+    started = time.monotonic()
+    sources = ("A", "B")
+    datasets, models, seeds = [], [], []
+    for seed in CRITERION_4_SEEDS:
+        for src in sources:   # `run_pipeline`'s 5,000 rows, 60 epochs and seeds
+            dataset = telemetry.generate_labeled_dataset(bundled_trace, src, 5000, seed)
+            datasets.append(dataset)
+            models.append(predictor.init_model(dataset.features.shape[1], dataset.num_freqs,
+                                               seed=seed))
+            seeds.append(seed)
+    predictor.train(models, datasets, epochs=60, seed=seeds)
+    failed = {}
+    for j, seed in enumerate(CRITERION_4_SEEDS):
+        comparison, _, _ = compare_strategies_on_trace(
+            bundled_trace, sources, models[j * len(sources):(j + 1) * len(sources)], seed)
+        broken, best = criterion_4(comparison)
+        if broken or best < 30.0:
+            failed[seed] = (broken, best)
+    assert not failed, failed
+    print(f"\nPASS criterion 4 on seeds {CRITERION_4_SEEDS.start}-{CRITERION_4_SEEDS.stop - 1} "
+          f"x sources {','.join(sources)}, in {time.monotonic() - started:.1f}s")
 
 
 def test_criterion_5_prediction_accuracy(bundled_trace):

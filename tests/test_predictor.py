@@ -357,8 +357,9 @@ def model_report(report, j):
 @pytest.mark.parametrize("batch_size", [1, 8, 100])
 @pytest.mark.parametrize("n_rows", [1, 4, 7, 90])
 def test_stacked_training_equals_each_models_own(n_rows, batch_size):
-    """Stacks of 1, 2 and 3 models end with each model's own `train` bytes and curves; under
-    5 rows the curves are null, and a 100-row batch is larger than any training split."""
+    """Stacks of 1, 2 and 3 models, on one seed or one seed each, end with each model's own
+    `train` bytes and curves; under 5 rows the curves are null, and a 100-row batch is
+    larger than any training split."""
     for seed in (0, 1):
         rng = np.random.default_rng([seed, n_rows])
         datasets = [dataset_of((rng.normal(size=6), int(rng.integers(0, 3)))
@@ -367,21 +368,24 @@ def test_stacked_training_equals_each_models_own(n_rows, batch_size):
         def fresh(j):   # each model its own weights and L1 weight
             return predictor.init_model(6, 3, seed=10 * seed + j, l1_lambda=(1e-4, 1e-3, 0.0)[j])
 
-        def run(models, rows):
+        def run(models, rows, seeds):
             return predictor.train(models, rows, epochs=3, batch_size=batch_size, lr=0.01,
-                                   seed=seed)
-        alone = []
-        for j, rows in enumerate(datasets):
-            model = fresh(j)
-            report = run(model, rows)
-            alone.append((report, predictor.export_flat(model)))
-        for k in (1, 2, 3):
-            models = [fresh(j) for j in range(k)]
-            report = run(models, datasets[:k])
-            assert report.split_sizes == alone[0][0].split_sizes
-            for j, model in enumerate(models):
-                assert predictor.export_flat(model) == alone[j][1]
-                assert model_report(report, j).to_json() == alone[j][0].to_json()
+                                   seed=seeds)
+        for seeds in ([seed] * 3, [seed, seed + 2, 2**33 + seed]):
+            alone = []
+            for j, rows in enumerate(datasets):
+                model = fresh(j)
+                report = run(model, rows, seeds[j])
+                alone.append((report, predictor.export_flat(model)))
+            for k in (1, 2, 3):
+                # a list of seeds, and one seed for the whole stack where they are all equal
+                for stack_seed in [seeds[:k]] + ([seed] if len(set(seeds)) == 1 else []):
+                    models = [fresh(j) for j in range(k)]
+                    report = run(models, datasets[:k], stack_seed)
+                    assert report.split_sizes == alone[0][0].split_sizes
+                    for j, model in enumerate(models):
+                        assert predictor.export_flat(model) == alone[j][1]
+                        assert model_report(report, j).to_json() == alone[j][0].to_json()
 
 
 def test_stacked_training_rejects_mismatched_lists():
@@ -397,6 +401,10 @@ def test_stacked_training_rejects_mismatched_lists():
     for models, datasets, message in cases:
         with pytest.raises(ValueError, match=message):
             predictor.train(models, datasets, epochs=1)
+    for seeds in ([], [0, 1, 2]):
+        with pytest.raises(ValueError, match="one seed per model"):
+            predictor.train([model, predictor.init_model(4, 2)], [rows, rows], epochs=1,
+                            seed=seeds)
     # each dataset gets one model's checks, with one model's messages
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ts=1, num_freqs=2)
     bad = dataset_of([((np.nan, 0.0, 0.0, 0.0), 0)] + [((0.0,) * 4, 1)] * 19)
