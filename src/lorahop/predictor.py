@@ -113,7 +113,10 @@ def _softmax(logits):
 
 
 def forward(model, features):
-    """Softmax class probabilities for one feature vector or a batch.
+    """Softmax class probabilities for one feature vector or a batch, on one path:
+    `matmul` takes a vector as one row on the same kernel, so a vector's
+    probabilities have the bits of its row in a batch.  Each layer adds its bias
+    and takes the ReLU in place, on the array its `matmul` just made.
 
     The model's arrays may be float32, as stored, or float64: the features are
     float64, so every layer computes in float64 either way, with the same bits.
@@ -122,17 +125,19 @@ def forward(model, features):
     float64 once, as `sim.PredictorHopStrategy` does.
     """
     x = np.asarray(features, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} features, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input features")
-    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
-    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
-    probs = _softmax(h2 @ model.w3 + model.b3)
-    return probs[0] if squeeze else probs
+    h = x @ model.w1
+    h += model.b1
+    np.maximum(h, 0.0, out=h)
+    h = h @ model.w2
+    h += model.b2
+    np.maximum(h, 0.0, out=h)
+    logits = h @ model.w3
+    logits += model.b3
+    return _softmax(logits)
 
 
 class ParamStack:

@@ -213,6 +213,8 @@ def synthetic_ratings(num_soils=500, num_plants=20, seed=0):
     of cells get a +/-1 perturbation.  Guarantees every rating value 1..5
     appears in the profiles.
     """
+    if num_soils < 1 or num_plants < 1:
+        raise ValueError(f"need at least 1 soil and 1 plant, got {num_soils} x {num_plants}")
     rng = np.random.default_rng(seed)
     profiles = rng.integers(RATING_MIN, RATING_MAX + 1, size=(_ARCHETYPES, num_plants))
     for v in range(RATING_MIN, RATING_MAX + 1):
@@ -228,6 +230,7 @@ def synthetic_ratings(num_soils=500, num_plants=20, seed=0):
 def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
               num_seeds=5, k_neighbors=20, base_seed=0, missing_as_zero=False):
     """Full sparsity sweep: returns per-sparsity confusion and accuracy stats."""
+    _distinct_sparsities(sparsities)
     full = synthetic_ratings(num_soils, num_plants, seed=base_seed)
     report = {"num_soils": num_soils, "num_plants": num_plants,
               "k_neighbors": k_neighbors, "base_seed": base_seed,
@@ -272,15 +275,24 @@ def _counts(what, cells, shape):
     return cells
 
 
+def _distinct_sparsities(sparsities):
+    """`sparsities` as given, checked to hold no value twice: each names its own figure."""
+    if len(set(sparsities)) != len(sparsities):
+        raise ValueError(f"sparsities must be distinct, got {list(sparsities)}")
+    return sparsities
+
+
 def confusion_tables(data):
     """The `figdata` tables (file name, header, rows) of a `study_to_json` document's bytes:
     each sparsity's 5x5 confusion matrix, then the rating distribution, cells as given."""
     report = json.loads(data)
-    tables = [(f"fig_confusion_sparsity{check_sparsity(entry['sparsity_pct'])}.csv",
+    entries = report["sparsities"]
+    pcts = _distinct_sparsities([check_sparsity(entry["sparsity_pct"]) for entry in entries])
+    tables = [(f"fig_confusion_sparsity{pct}.csv",
                ["true\\pred"] + [str(v) for v in range(RATING_MIN, RATING_MAX + 1)],
                [[t] + row for t, row in enumerate(_counts("confusion", entry["confusion"], (5, 5)),
                                                   start=RATING_MIN)])
-              for entry in report["sparsities"]]
+              for pct, entry in zip(pcts, entries)]
     return tables + [("fig_rating_distribution.csv", ["rating", "count"],
                       list(enumerate(_counts("distribution", report["distribution"], (5,)),
                                      start=RATING_MIN)))]

@@ -187,6 +187,19 @@ class _StringCells(dict):
         return cells
 
 
+class _CarrierCells(dict):
+    """A carrier in MHz -> (its JSON text, its CSV cell), each made once per distinct value.
+    Zeros and NaN are made on every call, never kept: 0.0 and -0.0 are one key, and a NaN
+    is no key, since it equals nothing."""
+
+    def __missing__(self, freq):
+        text = repr(freq)
+        cells = (_JSON_NONFINITE.get(text, text), text)
+        if freq != 0 and freq == freq:   # neither a zero nor NaN
+            self[freq] = cells
+        return cells
+
+
 @dataclass
 class ReportRow:
     node: str
@@ -220,22 +233,24 @@ class SimReport:
         events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
         `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
         pass over the events.  Each value is formatted once, RSSI and SNR rounded to 6
-        decimals; JSON spells strings and non-finite floats as `json` does."""
+        decimals, and each distinct name and carrier once per call; JSON spells strings
+        and non-finite floats as `json` does."""
         order = sorted(range(len(EVENT_FIELDS)), key=EVENT_FIELDS.__getitem__)
         json_event = "{" + ", ".join(f"{json.dumps(EVENT_FIELDS[i])}: %s" for i in order) + "}"
         in_key_order = itemgetter(*order)
         csv_line = ",".join(["%s"] * len(EVENT_FIELDS)) + "\r\n"
-        strings = _StringCells()
+        strings, carriers = _StringCells(), _CarrierCells()
         fh.write('{"events": [')
         if events_fh is not None:
             events_fh.write(csv_line % tuple(strings[name][1] for name in EVENT_FIELDS))
         sep = ""
         for e in self.events:
             slot, size = str(e.slot), str(e.size)
-            freq, rssi, snr = repr(e.freq_mhz), repr(round(e.rssi, 6)), repr(round(e.snr, 6))
+            rssi, snr = repr(round(e.rssi, 6)), repr(round(e.snr, 6))
             (node, node_cell), (gateway, gateway_cell) = strings[e.node], strings[e.gateway]
+            freq_json, freq = carriers[e.freq_mhz]
             fh.write(sep + json_event % in_key_order((
-                slot, node, gateway, _JSON_NONFINITE.get(freq, freq), size,
+                slot, node, gateway, freq_json, size,
                 _JSON_NONFINITE.get(rssi, rssi), _JSON_NONFINITE.get(snr, snr),
                 _JSON_BOOL[e.delivered], _JSON_BOOL[e.collided], _JSON_BOOL[e.hopped])))
             sep = ", "
@@ -276,6 +291,7 @@ def run(config, trace):
              for k, spec in enumerate(config.nodes)]
     record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries
     threshold = config.capture_threshold_db
+    steps = [(node, node.spec.strategy.choose, node.sampler.sample) for node in nodes]
 
     events = []
     slot = 0
@@ -283,22 +299,23 @@ def run(config, trace):
         for _ in range(config.packets_per_size):
             slot += 1
             txs = []
-            by_freq = {}
-            avail = np.zeros(len(freqs))
-            for node in nodes:
-                f_idx = node.spec.strategy.choose(node, freqs)
+            counts = [0] * len(freqs)
+            for node, choose, sample in steps:
+                f_idx = choose(node, freqs)
                 hopped = node.current_freq_idx is not None and f_idx != node.current_freq_idx
                 node.current_freq_idx = f_idx
-                avail[f_idx] += 1.0
+                counts[f_idx] += 1
                 freq = freqs[f_idx]
-                delivered, rssi, snr = node.sampler.sample(node.source, freq, size)
-                e = SlotEvent(slot, node.source, "GW0", freq, size,
-                              rssi, snr, delivered, False, hopped)
-                txs.append(e)
-                by_freq.setdefault(f_idx, []).append(e)
+                delivered, rssi, snr = sample(node.source, freq, size)
+                txs.append(SlotEvent(slot, node.source, "GW0", freq, size,
+                                     rssi, snr, delivered, False, hopped))
+            avail = np.array(counts, dtype=np.float64)
 
             # capture: strongest survives with enough margin, otherwise all lost
-            if len(by_freq) < len(txs):
+            if max(counts) > 1:
+                by_freq = {}   # trace frequencies are distinct
+                for e in txs:
+                    by_freq.setdefault(e.freq_mhz, []).append(e)
                 for group in by_freq.values():
                     if len(group) < 2:
                         continue

@@ -336,6 +336,16 @@ MALFORMED_INPUTS = {
     "sparsity not a number": lambda d: [
         "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
         "--sparsities", "abc", "--out", str(d / "study.json")],
+    "generate 0 soils": lambda d: [
+        "recommend", "generate", "--soils", "0", "--plants", "5", "--out", str(d / "m.csv")],
+    "generate 0 plants": lambda d: [
+        "recommend", "generate", "--soils", "20", "--plants", "0", "--out", str(d / "m.csv")],
+    "sparsity 10 twice": lambda d: [
+        "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
+        "--sparsities", "10,10", "--out", str(d / "study.json")],
+    "study report with sparsity 10 twice": lambda d: [
+        "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"), "--in", _write_json(
+            d / "study.json", {**_study_doc(10), "sparsities": _study_doc(10)["sparsities"] * 2})],
     "scalar demand": lambda d: [
         "optimize", "--out", str(d / "o.json"),
         "--scenario", _write_json(d / "scenario.json", {**_scenario_doc(), "demand": 6})],

@@ -55,10 +55,17 @@ def test_forward_probabilities():
     assert (probs >= 0).all()
     single = predictor.forward(m, x[0])
     assert single.shape == (3,)
+    # a vector takes the batch's path: the bits of its (1, d) row, as stored and as float64
+    m64 = predictor.FcnnModel(*(np.asarray(p, dtype=np.float64) for p in m.params()))
+    for model in (m, m64):
+        for row in x:
+            assert (predictor.forward(model, row).tobytes()
+                    == predictor.forward(model, row[None])[0].tobytes())
     with pytest.raises(ValueError):
         predictor.forward(m, np.full(6, np.nan))
-    with pytest.raises(ValueError):
-        predictor.forward(m, np.zeros(7))
+    for model in (m, m64):
+        with pytest.raises(ValueError):
+            predictor.forward(model, np.zeros(7))
 
 
 def test_gradient_check_cross_entropy():

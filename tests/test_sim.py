@@ -82,6 +82,29 @@ def test_capture_resolution(bundled_trace):
     assert collided > 0
 
 
+def test_capture_among_three_on_one_channel_spares_the_lone_node(bundled_trace):
+    # D replays A's links, so on 869 MHz A and D are about as strong and C far weaker: the
+    # strongest's margin over the second falls on both sides of a 1 dB threshold
+    four = trace.ChannelTrace({**bundled_trace.entries, **{
+        ("D", *key[1:]): entry for key, entry in bundled_trace.entries.items() if key[0] == "A"}})
+    cfg = sim.SimConfig(nodes=tuple(
+        sim.NodeSpec(source=src, strategy=sim.FixedStrategy(freq))
+        for src, freq in (("A", 869.0), ("B", 868.0), ("C", 869.0), ("D", 869.0))),
+        packets_per_size=20, rng_seed=5, capture_threshold_db=1.0)
+    report = sim.run(cfg, four)
+    outcomes = set()
+    for k in range(0, len(report.events), 4):
+        a, b, c, d = report.events[k:k + 4]
+        assert not b.collided   # alone on its channel
+        strongest, second, _ = sorted((a, c, d), key=lambda e: e.rssi, reverse=True)
+        captured = strongest.rssi - second.rssi >= 1.0
+        assert [e for e in (a, c, d) if e.delivered] == ([strongest] if captured else [])
+        assert [e.collided for e in (a, c, d)] == [e is not strongest or not captured
+                                                  for e in (a, c, d)]
+        outcomes.add(captured)
+    assert outcomes == {False, True}
+
+
 def test_capture_threshold_infinite_blocks_all(bundled_trace):
     cfg = sim.SimConfig(nodes=(sim.NodeSpec(source="A", strategy=sim.FixedStrategy(869.0)),
                                sim.NodeSpec(source="B", strategy=sim.FixedStrategy(869.0))),
@@ -161,10 +184,12 @@ ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565
 
 
 def _odd_events(events):
-    """`events` renamed and re-valued in turn with `ODD_NAMES` and `ODD_VALUES`."""
+    """`events` renamed and re-valued in turn with `ODD_NAMES` and `ODD_VALUES`, and three in
+    five moved to a carrier of NaN, 0.0 or -0.0."""
     return [dataclasses.replace(
         e, node=ODD_NAMES[k % len(ODD_NAMES)], gateway=ODD_NAMES[(3 * k + 1) % len(ODD_NAMES)],
-        freq_mhz=float("nan") if k % 5 == 0 else e.freq_mhz, rssi=ODD_VALUES[k % len(ODD_VALUES)],
+        freq_mhz=(float("nan"), 0.0, -0.0, e.freq_mhz, e.freq_mhz)[k % 5],
+        rssi=ODD_VALUES[k % len(ODD_VALUES)],
         snr=ODD_VALUES[(k + 2) % len(ODD_VALUES)]) for k, e in enumerate(events)]
 
 
