@@ -22,6 +22,7 @@ _ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
 _NOISE_PROB = 0.08    # share of synthetic cells moved by +/-1
 _BLOCK_ROWS = 128     # rows `impute` fills at once: its memory is O(_BLOCK_ROWS x rows)
 _INT32_KEY_ROWS = 1 << 15   # rows up to which `impute`'s keys (at most n << bits) fit int32
+_F32_EXACT_COLS = ((1 << 24) - 1) // 25   # columns while 25 x columns < 2**24: exact float32 sums
 
 
 def present_mask(matrix):
@@ -44,20 +45,27 @@ def check_matrix(matrix):
 def similarity_matrix(matrix, missing_as_zero=False, rows=slice(None)):
     """Cosine similarities of the matrix's `rows` with every row; NaN where undefined.
 
-    Ratings are small integers, so every sum below is exact: a block of rows is
-    bit-equal to those rows of the full matrix, whatever BLAS kernel its shape takes.
+    Ratings are integers in [1, 5] (`check_matrix`), so each of the three products
+    is an integer sum of at most 25 x columns.  While that stays below 2**24, up to
+    `_F32_EXACT_COLS` columns, float32 holds every partial sum exactly: the products
+    run in float32 and are cast to float64 for the arithmetic that follows.  Past
+    the guard they run in float64.  Either way every sum is exact, so a block of
+    rows is bit-equal to those rows of the full matrix, whatever BLAS kernel its
+    shape takes.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    mask = present_mask(m).astype(np.float64)
     z = np.nan_to_num(m)
-    sim = z[rows] @ z.T
+    exact = np.float32 if m.shape[1] <= _F32_EXACT_COLS else np.float64
+    mask = present_mask(m).astype(exact)
+    zx = z.astype(exact)
+    sim = (zx[rows] @ zx.T).astype(np.float64)
     if missing_as_zero:
         norms = np.linalg.norm(z, axis=1)
         denom = np.outer(norms[rows], norms) * (mask[rows] @ mask.T > 0)   # 0 for disjoint support
     else:
-        sq = z * z
-        denom = sq[rows] @ mask.T     # |x|^2 over the common support with each y
-        denom *= mask[rows] @ sq.T    # times |y|^2 over it
+        sq = zx * zx
+        denom = (sq[rows] @ mask.T).astype(np.float64)   # |x|^2 over the support shared with y
+        denom *= mask[rows] @ sq.T                       # times |y|^2 over it
         np.sqrt(denom, out=denom)     # 0 (or NaN, from inf * 0) without common support
     with np.errstate(invalid="ignore", divide="ignore"):
         sim /= denom
@@ -112,15 +120,17 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     per row and sort like the order above, whatever order the (unstable) sort
     gave equal values; an undefined similarity gets `never` = n << bits, above
     every defined key, and never votes.  Per column, a partition of the
-    holders' keys picks the k best, sorted back into order; the voter is the
-    key's low bits.  Weight and weighted sum are zero-padded numpy row sums
-    over them in that order, so the result does not depend on the BLAS build.
-    Cells with no neighbor or no positive weight take the row mean.
+    holders' keys picks the k best, sorted back into order, into one row of k
+    keys per missing cell, padded with `never`; the voter is the key's low bits.
+    The cells then vote in slices of `_BLOCK_ROWS`: weight and weighted sum
+    are zero-padded numpy row sums over each cell's k keys in that order, so
+    the result depends neither on the slicing nor on the BLAS build.  Cells
+    with no neighbor or no positive weight take the row mean.
 
     Rows are filled in blocks of `_BLOCK_ROWS`: each block takes its rows of
-    the similarity matrix and their keys, fills its missing cells column by
-    column and drops them, so memory grows as `_BLOCK_ROWS` x rows.  A cell
-    reads only its own row's similarities, so the blocks change no output byte.
+    the similarity matrix and their keys, fills its missing cells and drops
+    them, so memory grows as `_BLOCK_ROWS` x rows.  A cell reads only its own
+    row's similarities, so the blocks change no output byte.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be at least 1")
@@ -134,6 +144,8 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     bits = (n - 1).bit_length()
     low, never = (1 << bits) - 1, n << bits
     itype = np.int32 if n <= _INT32_KEY_ROWS else np.int64
+    places = np.arange(n, dtype=itype)
+    holders = [np.flatnonzero(column) for column in mask.T]
     out = sparse.copy()
     for lo in range(0, n, _BLOCK_ROWS):
         block = slice(lo, min(lo + _BLOCK_ROWS, n))
@@ -145,39 +157,49 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
         undefined = np.isnan(sim)
         vals = np.negative(sim)
         vals[undefined] = np.inf                          # undefined sorts last
-        o = np.argsort(vals, axis=1).astype(itype)        # ties in any order
+        o = np.argsort(vals, axis=1).astype(itype, copy=False)   # ties in any order
         vals.sort(axis=1)
-        first = np.tile(np.arange(n, dtype=itype), (b, 1))
-        first[:, 1:][vals[:, 1:] == vals[:, :-1]] = 0
+        starts = np.empty((b, n), dtype=bool)             # a sorted value differs from the last
+        starts[:, 0] = True
+        np.not_equal(vals[:, 1:], vals[:, :-1], out=starts[:, 1:])
         del vals
+        first = starts * places                           # its place where it does, else 0
+        del starts
         np.maximum.accumulate(first, axis=1, out=first)   # first place of each value
         first <<= bits
         first |= o
+        o += places[:b, None] * n                         # flat offsets: b x n fits itype
         key = np.empty_like(first)
-        np.put_along_axis(key, o, first, axis=1)
+        key.reshape(-1)[o] = first
         del o, first
         key[undefined] = never
 
-        for j in range(sparse.shape[1]):
-            missing = np.flatnonzero(~mask[block, j])     # rows of the block
-            if not missing.size:
+        # the block's missing cells by column, then row; one row of k keys each
+        cols, rows = np.nonzero(~mask[block].T)
+        bounds = np.searchsorted(cols, np.arange(sparse.shape[1] + 1)).tolist()
+        keys = np.full((rows.size, k), never, dtype=itype)
+        for j, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            if start == end:
                 continue
-            keys = key[missing][:, mask[:, j]]
-            if keys.shape[1] > k:
-                keys = np.partition(keys, k - 1, axis=1)[:, :k]
-            keys.sort(axis=1)
-            voted = keys < never
-            voter = keys & low
-            # one C-ordered gather: a Fortran-ordered one changes the bits of the row sums
-            sims, ratings = np.zeros((2, missing.size, k))
-            np.copyto(sims[:, :keys.shape[1]], np.take(sim, voter + (missing * n)[:, None]),
-                      where=voted)
-            np.copyto(ratings[:, :keys.shape[1]], sparse[voter, j], where=voted)
+            column = key.take(rows[start:end], axis=0).take(holders[j], axis=1)
+            if column.shape[1] > k:
+                column = np.partition(column, k - 1, axis=1)[:, :k]
+            column.sort(axis=1)
+            keys[start:end, :column.shape[1]] = column
+        del key
+
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            row, col = rows[start:start + _BLOCK_ROWS], cols[start:start + _BLOCK_ROWS]
+            best = keys[start:start + _BLOCK_ROWS]
+            voted = best < never
+            voter = best & low
+            # C-ordered (cells, k) rows: a Fortran-ordered gather changes the bits of the sums
+            sims = np.where(voted, np.take(sim, voter + (row * n)[:, None]), 0.0)
+            ratings = np.where(voted, sparse[voter, col[:, None]], 0.0)
             weight = sims.sum(axis=1)
-            cells = lo + missing
             value = np.divide((sims * ratings).sum(axis=1), weight,
-                              out=row_means[cells], where=weight > 0)
-            out[cells, j] = np.clip(_round_half_up(value), RATING_MIN, RATING_MAX)
+                              out=row_means[lo + row], where=weight > 0)
+            out[lo + row, col] = np.clip(_round_half_up(value), RATING_MIN, RATING_MAX)
     return out
 
 
@@ -230,6 +252,8 @@ def synthetic_ratings(num_soils=500, num_plants=20, seed=0):
 def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
               num_seeds=5, k_neighbors=20, base_seed=0, missing_as_zero=False):
     """Full sparsity sweep: returns per-sparsity confusion and accuracy stats."""
+    if num_seeds < 1:
+        raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
     _distinct_sparsities(sparsities)
     full = synthetic_ratings(num_soils, num_plants, seed=base_seed)
     report = {"num_soils": num_soils, "num_plants": num_plants,

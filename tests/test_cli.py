@@ -336,6 +336,12 @@ MALFORMED_INPUTS = {
     "sparsity not a number": lambda d: [
         "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "1",
         "--sparsities", "abc", "--out", str(d / "study.json")],
+    "study with 0 seeds": lambda d: [
+        "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "0",
+        "--out", str(d / "study.json")],
+    "study with -2 seeds": lambda d: [
+        "recommend", "study", "--soils", "20", "--plants", "5", "--seeds", "-2",
+        "--out", str(d / "study.json")],
     "generate 0 soils": lambda d: [
         "recommend", "generate", "--soils", "0", "--plants", "5", "--out", str(d / "m.csv")],
     "generate 0 plants": lambda d: [

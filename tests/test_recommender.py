@@ -72,6 +72,37 @@ def test_similarity_matrix_row_blocks_are_bit_equal_to_the_full_matrix(n, missin
                     assert np.vstack(blocks).tobytes() == whole.tobytes()
 
 
+def test_float32_guard_keeps_every_product_below_2_to_the_24():
+    # a product sums at most 25 (5 x 5) per column: float32 is exact while that stays below 2**24
+    assert 25 * rec._F32_EXACT_COLS < 2**24 <= 25 * (rec._F32_EXACT_COLS + 1)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+def test_float32_products_are_byte_equal_to_float64_products(monkeypatch, missing_as_zero):
+    """At the guard 0 every column count takes the float64 products: the float32 ones must
+    give the same bytes, for the full matrix, row slices and `impute`."""
+    def outputs():
+        whole = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+        sliced = [rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero,
+                                        rows=slice(lo, lo + size))
+                  for size in (7, rec._BLOCK_ROWS) for lo in range(0, n, size)]
+        return [whole, *sliced, *(rec.impute(sparse, k_neighbors=k,
+                                             missing_as_zero=missing_as_zero) for k in (3, 20))]
+
+    # at 400 columns most sums pass 2,048, where a float narrower than float32 stops being exact
+    shapes = [(300, 20), (2 * rec._BLOCK_ROWS + 1, 12), (9, 3), (40, 400)]
+    for seed, (n, columns) in enumerate(shapes):
+        random = np.random.default_rng(seed).integers(1, 6, size=(n, columns)).astype(float)
+        for full in (rec.synthetic_ratings(n, columns, seed=seed), random):
+            for pct in (0, 50, 60):
+                sparse = rec.sparsify(full, pct, seed=[seed, pct])
+                float32 = outputs()
+                with monkeypatch.context() as m:
+                    m.setattr(rec, "_F32_EXACT_COLS", 0)
+                    float64 = outputs()
+                assert [a.tobytes() for a in float32] == [a.tobytes() for a in float64]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_similarity_matrix_symmetric(seed):
@@ -363,6 +394,22 @@ def test_impute_rows_with_every_similarity_undefined_match_the_stable_order(
     _assert_impute_is_byte_equal_to_stable_order(sparse, k, missing_as_zero)
     filled = rec.impute(sparse, k_neighbors=k, missing_as_zero=missing_as_zero)
     assert (filled[3] == 4).all() and (filled[7] == 1).all()
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("pct", [10, 90])
+def test_impute_votes_in_slices_at_the_study_shape(pct, missing_as_zero):
+    """The study's matrix: a block's missing cells span several vote slices of `_BLOCK_ROWS`
+    cells, and at 90% some cells have fewer than k holders with a defined similarity."""
+    sparse = rec.sparsify(rec.synthetic_ratings(500, 20, seed=0), pct, seed=[0, pct, 0])
+    mask = rec.present_mask(sparse)
+    assert (~mask[:rec._BLOCK_ROWS]).sum() > rec._BLOCK_ROWS
+    if pct == 90:
+        sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
+        np.fill_diagonal(sim, np.nan)
+        defined = (~np.isnan(sim)).astype(int) @ mask   # [i, j]: holders of j defined for row i
+        assert (defined[~mask] < 20).any()
+    _assert_impute_is_byte_equal_to_stable_order(sparse, 20, missing_as_zero)
 
 
 @pytest.mark.parametrize("pct", [10, 90])
