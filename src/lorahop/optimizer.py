@@ -12,6 +12,9 @@ solver prunes a partial schedule when its lower bound (committed collisions
 and hops, hops forced later, and nodes that slot H-1 cannot take) reaches
 the incumbent.  The first incumbent is a run heuristic's value, a primal
 heuristic (Berthold 2006) that prunes only bounds above it until the first leaf.
+The heuristic gives each node in turn its cheapest run on one channel, but
+takes a run that leaves the later nodes fewer collision-free places than their
+shortest runs need only when no other run is open (the room rule).
 
 The solver also skips schedules that are relabellings of one it visits
 (lex-leader symmetry breaking, Margot 2010).  Nodes with equal demand are
@@ -96,8 +99,9 @@ def _max_flow(capacity, source, sink):
         queue = deque([source])
         while queue and parent[sink] == -1:
             u = queue.popleft()
+            cap_u, flow_u = capacity[u], flow[u]
             for v in range(n):
-                if parent[v] == -1 and capacity[u][v] - flow[u][v] > 0:
+                if parent[v] == -1 and cap_u[v] - flow_u[v] > 0:
                     parent[v] = u
                     queue.append(v)
         if parent[sink] == -1:
@@ -138,10 +142,12 @@ def _symbols_by_flow(scenario, choices):
     for i, t, c in active:
         counts[(t, c)] = counts.get((t, c), 0) + 1
 
+    slots = [0] * n_nodes
+    for i, t, c in active:
+        slots[i] += 1
     supply = []
     for i in range(n_nodes):
-        k = sum(1 for a in active if a[0] == i)
-        extra = scenario.demand[i] - k * bmin
+        extra = scenario.demand[i] - slots[i] * bmin
         if extra < 0:
             return None
         supply.append(extra)
@@ -185,31 +191,78 @@ def _run_incumbent(scenario, slot_bounds, alpha, beta):
 
     Each node in turn takes its cheapest contiguous run on one channel within its
     slot bounds, the gateway capacity and B_f // B_min users: 2 alpha per user
-    already on each channel-slot, beta per run end inside the horizon."""
+    already on each channel-slot, beta per run end inside the horizon.
+
+    Room rule: a run that would leave fewer collision-free places than the later
+    nodes' shortest runs need (the sum of their k_lo) is taken only when no other
+    run is open.  Places are counted per slot and gateway as min(channels with no
+    user, gateway capacity left) and kept up to date as runs are placed.  Per node,
+    prefix sums over each channel's slots (users, places lost, closed slots) price
+    every run in O(1).  Without the rule the first nodes of a 3-slot instance take
+    whole-horizon runs on every carrier, and the later ones can only collide."""
     n_nodes, horizon, f_n = scenario.num_nodes, scenario.horizon, scenario.num_freqs
-    gw_cap, n_ch = scenario.gateway_capacity, scenario.num_gateways * f_n
+    n_gw = scenario.num_gateways
+    gw_cap, n_ch = scenario.gateway_capacity, n_gw * f_n
     max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
     occ = [[0] * n_ch for _ in range(horizon)]
-    gw_load = [[0] * scenario.num_gateways for _ in range(horizon)]
+    gw_load = [[0] * n_gw for _ in range(horizon)]
+    # collision-free places per slot and gateway, their channels with no user, and the total
+    places = [[min(f_n, cap) for cap in gw_cap] for _ in range(horizon)]
+    unused = [[f_n] * n_gw for _ in range(horizon)]
+    room = horizon * sum(min(f_n, cap) for cap in gw_cap)
+    need = sum(k_lo for k_lo, _ in slot_bounds)
     choices = [-1] * (n_nodes * horizon)
     coll = hops = 0
+    # a longer run from the same start costs no less unless it ends the horizon
+    spans_of = {(k_lo, k_hi): [(start, start + k_lo) for start in range(horizon - k_lo + 1)
+                               if k_lo] + [(horizon - k, horizon) for k in range(k_lo + 1, k_hi + 1)]
+                for k_lo, k_hi in set(slot_bounds)}
     for i, (k_lo, k_hi) in enumerate(slot_bounds):
-        # a longer run from the same start costs no less unless it ends the horizon
-        spans = [range(start, start + k_lo) for start in range(horizon - k_lo + 1) if k_lo] \
-            + [range(horizon - k, horizon) for k in range(k_lo + 1, k_hi + 1)]
-        runs = [(2 * sum(occ[t][c] for t in span), (span.start > 0) + (span.stop < horizon),
-                 span, c) for span in spans for c in range(n_ch)
-                if all(gw_load[t][c // f_n] < gw_cap[c // f_n] and occ[t][c] < max_users[c]
-                       for t in span)]
-        if runs:   # else the node stays idle and the symbol flow fails
-            run_coll, run_hops, span, c = min(runs, key=lambda r: alpha * r[0] + beta * r[1])
+        need -= k_lo
+        prefix = []     # per channel, (users, places lost, closed slots) over slots 0..t-1
+        for c in range(n_ch):
+            g, users = c // f_n, max_users[c]
+            cap = gw_cap[g]
+            sums = [(0, 0, 0)]
+            run_coll = lost = closed = 0
+            for t in range(horizon):
+                o, load = occ[t][c], gw_load[t][g]
+                if load >= cap or o >= users:
+                    closed += 1
+                else:
+                    run_coll += o
+                    lost += places[t][g] - min(unused[t][g] - (o == 0), cap - load - 1)
+                sums.append((run_coll, lost, closed))
+            prefix.append(sums)
+        # the first cheapest open run, one that leaves room before one that does not
+        run, run_key = None, (True, float("inf"))
+        for start, stop in spans_of[k_lo, k_hi]:
+            run_hops = (start > 0) + (stop < horizon)
+            for c in range(n_ch):
+                coll_a, lost_a, closed_a = prefix[c][start]
+                coll_b, lost_b, closed_b = prefix[c][stop]
+                if closed_a == closed_b:
+                    run_coll = 2 * (coll_b - coll_a)
+                    key = (room - (lost_b - lost_a) < need, alpha * run_coll + beta * run_hops)
+                    if key < run_key:
+                        run, run_key = (start, stop, c, run_coll, run_hops), key
+        if run:   # else the node stays idle and the symbol flow fails
+            start, stop, c, run_coll, run_hops = run
             coll, hops = coll + run_coll, hops + run_hops
-            for t in span:
+            g = c // f_n
+            for t in range(start, stop):
+                unused[t][g] -= occ[t][c] == 0
                 occ[t][c] += 1
-                gw_load[t][c // f_n] += 1
+                gw_load[t][g] += 1
+                left = min(unused[t][g], gw_cap[g] - gw_load[t][g])
+                room -= places[t][g] - left
+                places[t][g] = left
                 choices[t * n_nodes + i] = c
-    if any(occ[t - 1][c] >= 2 and occ[t][c] != 1 for t in range(1, horizon) for c in range(n_ch)) \
-            or _symbols_by_flow(scenario, choices) is None:
+    for t in range(1, horizon):
+        for c in range(n_ch):
+            if occ[t - 1][c] >= 2 and occ[t][c] != 1:
+                return float("inf")
+    if _symbols_by_flow(scenario, choices) is None:
         return float("inf")
     return alpha * coll + beta * hops
 

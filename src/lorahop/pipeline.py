@@ -19,6 +19,8 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     for src in sources:
         if src not in trace_obj.sources:
             raise ValueError(f"trace has no source {src!r}")
+    if len(set(sources)) != len(sources):   # each names its own files and comparison rows
+        raise ValueError(f"sources must be distinct, got {list(sources)}")
     out_dir = Path(out_dir)
     # every source trains, in one stacked pass, before any file is written: the first
     # dataset checks rows and seed, `train` checks epochs, and a failing source writes nothing

@@ -277,6 +277,9 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
         raise ValueError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not 0 < lr < math.inf:
         raise ValueError(f"learning rate must be finite and positive, got {lr}")
+    for mdl in models:
+        if not 0 <= mdl.l1_lambda < math.inf:
+            raise ValueError(f"l1_lambda must be finite and non-negative, got {mdl.l1_lambda}")
     if len({(len(ds), ds.features.shape[1]) for ds in datasets}) > 1:
         raise ValueError("stacked datasets differ in row count or feature width")
     if len({(mdl.input_dim, mdl.num_channels) for mdl in models}) > 1:

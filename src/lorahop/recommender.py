@@ -251,7 +251,10 @@ def synthetic_ratings(num_soils=500, num_plants=20, seed=0):
 
 def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
               num_seeds=5, k_neighbors=20, base_seed=0, missing_as_zero=False):
-    """Full sparsity sweep: returns per-sparsity confusion and accuracy stats."""
+    """Full sparsity sweep: returns per-sparsity confusion and accuracy stats.
+
+    A seed whose sparsity removes no cell has no accuracy (null); `mean_accuracy` is the
+    mean over the seeds that have one, or null if none has."""
     if num_seeds < 1:
         raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
     _distinct_sparsities(sparsities)
@@ -271,16 +274,19 @@ def run_study(num_soils=500, num_plants=20, sparsities=(10, 30, 50, 70, 90),
             removed = np.isnan(sparse)
             confusion, per_class = evaluate(full, imputed, removed)
             confusions += confusion
-            per_seed_acc.append(float(np.diag(confusion).sum() / confusion.sum()))
+            # null when the sparsity removes no cell: nothing was scored
+            cells = confusion.sum()
+            per_seed_acc.append(float(np.diag(confusion).sum() / cells) if cells else None)
             per_class_acc.append(per_class)
         per_class_acc = np.vstack(per_class_acc)
         seeds_with_class = np.count_nonzero(~np.isnan(per_class_acc), axis=0)
         mean_per_class = np.divide(np.nansum(per_class_acc, axis=0), seeds_with_class,
                                    out=np.full(5, np.nan), where=seeds_with_class > 0)
+        scored = [acc for acc in per_seed_acc if acc is not None]
         report["sparsities"].append({
             "sparsity_pct": pct,
             "confusion": confusions.tolist(),
-            "mean_accuracy": float(np.mean(per_seed_acc)),
+            "mean_accuracy": float(np.mean(scored)) if scored else None,
             "per_seed_accuracy": per_seed_acc,
             "per_class_accuracy": [None if np.isnan(v) else float(v) for v in mean_per_class],
         })

@@ -3,7 +3,7 @@
 Each helper here is a second, independent way to compute something `lorahop`
 computes once: a schedule's weighted objective and the exhaustive schedule
 oracle for `optimizer.solve_exact`, a recursive symbol search for its max-flow
-check, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
+check, a rescan of every run for its run heuristic, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
 `recommender.impute`, a parser for `predictor.export_c_array` headers, a
 row lookup on simulator reports, and the whole-document writers that
 `telemetry.write_dataset` and `sim.SimReport.write` replaced.
@@ -166,6 +166,51 @@ def enumerate_oracle(scenario, alpha=1.0, beta=0.1, cap=10_000_000):
             )
     raise optimizer.Infeasible(core.ConstraintFamily.DEMAND.value,
                                "exhaustive enumeration found no schedule")
+
+
+def run_heuristic_by_rescan(scenario, slot_bounds, alpha, beta):
+    """`optimizer._run_incumbent`'s value with no running counts: each open run is priced
+    slot by slot, and the collision-free places it would leave are counted again over the
+    whole occupancy with the run placed."""
+    horizon, f_n, n_gw = scenario.horizon, scenario.num_freqs, scenario.num_gateways
+    n_ch, n_nodes = n_gw * f_n, scenario.num_nodes
+    max_users = [scenario.freq_capacity[c % f_n] // scenario.min_symbols for c in range(n_ch)]
+    occ = np.zeros((horizon, n_ch), dtype=np.int64)
+
+    def places(occ):
+        by_gw = occ.reshape(horizon, n_gw, f_n)
+        return int(np.minimum((by_gw == 0).sum(axis=2),
+                              np.asarray(scenario.gateway_capacity) - by_gw.sum(axis=2)).sum())
+
+    choices = [-1] * (n_nodes * horizon)
+    coll = hops = 0
+    for i, (k_lo, k_hi) in enumerate(slot_bounds):
+        need = sum(lo for lo, _ in slot_bounds[i + 1:])
+        spans = [range(start, start + k_lo) for start in range(horizon - k_lo + 1) if k_lo] \
+            + [range(horizon - k, horizon) for k in range(k_lo + 1, k_hi + 1)]
+        best = None
+        for span in spans:
+            for c in range(n_ch):
+                g = c // f_n
+                if not all(occ[t, g * f_n:(g + 1) * f_n].sum() < scenario.gateway_capacity[g]
+                           and occ[t, c] < max_users[c] for t in span):
+                    continue
+                run_coll = 2 * int(sum(occ[t, c] for t in span))
+                run_hops = (span.start > 0) + (span.stop < horizon)
+                placed = occ.copy()
+                placed[list(span), c] += 1
+                key = (places(placed) < need, alpha * run_coll + beta * run_hops)
+                if best is None or key < best[0]:
+                    best = key, placed, span, c, run_coll, run_hops
+        if best is not None:
+            _, occ, span, c, run_coll, run_hops = best
+            coll, hops = coll + run_coll, hops + run_hops
+            for t in span:
+                choices[t * n_nodes + i] = c
+    evicted = ((occ[:-1] >= 2) & (occ[1:] != 1)).any()
+    if evicted or optimizer._symbols_by_flow(scenario, choices) is None:
+        return float("inf")
+    return alpha * coll + beta * hops
 
 
 def cosine(x, y, missing_as_zero=False):

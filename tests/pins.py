@@ -51,7 +51,7 @@ PINNED = {
         "report_predictor.json": "c4bde7ba2b8637a8f9255f698ae4bb5bacefa2961ac0fd409f406759c325772e",
         "report_random.json": "46e6df55254ba75e3c60f4b3259ac7e81048c92835144011448a436b020becf1"},
     ("optimize --scenario {data}/scenarios/three_nodes_two_freqs.json --out {d}/result.json",): {
-        "result.json": "7d3d39e65e226c847c9fe29032ed911f1d086c74797a28b168fae1886cf93c23"},
+        "result.json": "124147849cd0f2e9e3934e9fc61475894227d6e925b5faa9a569447a850e5fb3"},
     ("gen-dataset --source C --rows 300 --ts 4 --seed 5 --out {d}/dataset.json",
      "train --dataset {d}/dataset.json --epochs 20 --seed 5 --out {d}/model.fhop",
      "export --model {d}/model.fhop --format c_array --out {d}/model.h",

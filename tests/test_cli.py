@@ -415,6 +415,9 @@ MALFORMED_INPUTS = {
     "negative learning rate": lambda d: _train(d, "--lr", "-1"),
     "learning rate nan": lambda d: _train(d, "--lr", "nan"),
     "learning rate inf": lambda d: _train(d, "--lr", "inf"),
+    "l1 weight nan": lambda d: _train(d, "--l1", "nan"),
+    "l1 weight inf": lambda d: _train(d, "--l1", "inf"),
+    "negative l1 weight": lambda d: _train(d, "--l1", "-1"),
     "comparison table without its header": lambda d: [
         "figdata", "--figure", "strategy-comparison", "--out-dir", str(d / "figs"),
         "--in", _write_text(d / "comparison.csv", "30,rssi,-90.0,-80.0,11.1\n")],
@@ -446,6 +449,9 @@ MALFORMED_INPUTS = {
     "rating distribution of 4 counts": lambda d: [
         "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
         "--in", _write_json(d / "study.json", {**_study_doc(10), "distribution": [1, 2, 3, 4]})],
+    "pipeline with source A twice": lambda d: [
+        "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A,A", "--rows", "20",
+        "--epochs", "1"],
     "pipeline with negative epochs": lambda d: [
         "pipeline", "--out-dir", str(d / "pipe"), "--sources", "A", "--rows", "20",
         "--epochs", "-1"],
@@ -551,6 +557,19 @@ def test_train_curves_are_strict_json_on_tiny_datasets(tmp_path, rows):
     for name in ("val_loss", "val_accuracy"):
         assert len(curves[name]) == 2
         assert all((v is None) == missing for v in curves[name])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_study_accuracy_is_strict_json_when_no_cell_is_removed(tmp_path):
+    """Sparsities 0 and 10 remove none of 6 cells: nothing is scored, so accuracy is null."""
+    out = tmp_path / "study.json"
+    assert run(["recommend", "study", "--soils", "3", "--plants", "2", "--seeds", "2",
+                "--sparsities", "0,10,50", "--out", str(out)]) == 0
+    entries = _strict_json(out)["sparsities"]
+    for entry in entries[:2]:
+        assert entry["mean_accuracy"] is None and entry["per_seed_accuracy"] == [None, None]
+    assert all(isinstance(acc, float) for acc in entries[2]["per_seed_accuracy"])
+    assert entries[2]["mean_accuracy"] == np.mean(entries[2]["per_seed_accuracy"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # divergence is caught before overflow
