@@ -1,9 +1,11 @@
-"""Two-hidden-layer dense network (width 10, softmax head) for channel prediction.
+"""Two-hidden-layer dense network (width 10, one logit per channel) for channel prediction.
 
 Pure numpy: forward pass, cross-entropy + L1 training with Adam, and two
 deployable exports (a compact little-endian flat binary and a C byte-array
 header).  Parameters are stored as float32 so the flat export round-trips
-bit-exactly; arithmetic runs in float64.
+bit-exactly; arithmetic runs in float64.  Softmax appears only in the training
+loss.  Inference takes the channel of the largest logit, as a microcontroller
+does: softmax is monotone, so that is the most probable channel.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ def _softmax(logits):
 
 
 def forward(model, features):
-    """Softmax class probabilities for one feature vector or a batch, on one path:
-    `matmul` takes a vector as one row on the same kernel, so a vector's
-    probabilities have the bits of its row in a batch.  Each layer adds its bias
-    and takes the ReLU in place, on the array its `matmul` just made.
+    """The output layer's logits, one per channel, for one feature vector or a batch, on
+    one path: `matmul` takes a vector as one row on the same kernel, so a vector's logits
+    have the bits of its row in a batch.  Each layer adds its bias and takes the ReLU in
+    place, on the array its `matmul` just made.  `_softmax` of the logits gives the class
+    probabilities, which only the training loss reads.
 
     The model's arrays may be float32, as stored, or float64: the features are
     float64, so every layer computes in float64 either way, with the same bits.
@@ -137,7 +140,7 @@ def forward(model, features):
     np.maximum(h, 0.0, out=h)
     logits = h @ model.w3
     logits += model.b3
-    return _softmax(logits)
+    return logits
 
 
 class ParamStack:
@@ -367,7 +370,8 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
 
 
 def predict_channel(model, window):
-    """Argmax channel for a telemetry window; ties go to the lowest index."""
+    """The channel of the largest logit for a telemetry window; ties go to the lowest
+    index."""
     return int(forward(model, window.snapshot()).argmax())
 
 

@@ -31,6 +31,9 @@ class Strategy:
 
     window_slots = None   # the slots of telemetry the strategy reads: none
 
+    def check(self, freqs):
+        """Raise ValueError if the strategy cannot choose among the trace's carriers."""
+
     def choose(self, node, freqs):
         raise NotImplementedError
 
@@ -41,15 +44,22 @@ class FixedStrategy(Strategy):
     def __init__(self, freq_mhz):
         self.freq_mhz = float(freq_mhz)
 
+    def check(self, freqs):
+        if self.freq_mhz not in freqs:
+            raise ValueError(f"fixed carrier {self.freq_mhz} MHz is not in the trace, "
+                             f"whose carriers are {freqs}")
+
     def choose(self, node, freqs):
         return freqs.index(self.freq_mhz)
 
 
 class RandomHopStrategy(Strategy):
+    """A uniform channel index per packet, from the node's `draws`."""
+
     kind = "random_hop"
 
     def choose(self, node, freqs):
-        return int(node.rng.integers(0, len(freqs)))
+        return next(node.draws)
 
 
 class SensingHopStrategy(Strategy):
@@ -77,6 +87,11 @@ class PredictorHopStrategy(Strategy):
         self.window_slots, rest = divmod(model.input_dim, model.num_channels + 2)
         if rest:
             raise ValueError(f"model input width {model.input_dim} is not whole slots")
+
+    def check(self, freqs):
+        if self.model.num_channels != len(freqs):
+            raise ValueError(f"predictor model chooses among {self.model.num_channels} "
+                             f"channels, the trace has {len(freqs)}")
 
     def choose(self, node, freqs):
         return predictor_mod.predict_channel(self.model, node.window)
@@ -262,15 +277,27 @@ class SimReport:
         fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
 
 
+_DRAWS_PER_CALL = 1024   # channel indices `_chunked_integers` draws per call to the generator
+
+
+def _chunked_integers(rng, high):
+    """rng's `integers(0, high)` one at a time, drawn `_DRAWS_PER_CALL` per call to the
+    generator: the same stream as one call per draw."""
+    while True:
+        yield from rng.integers(0, high, _DRAWS_PER_CALL).tolist()
+
+
 class _NodeState:
-    """All of one simulated node's state; `last_avail` is the vector it last recorded."""
+    """All of one simulated node's state; `last_avail` is the vector it last recorded, and
+    `draws` its stream of uniform channel indices."""
 
     def __init__(self, spec, config, trace, num_freqs, index):
         self.spec = spec
         self.source = spec.source
         ts = spec.strategy.window_slots
         self.window = None if ts is None else TelemetryWindow(ts, num_freqs)
-        self.rng = np.random.default_rng([config.rng_seed, 0x50, index])
+        self.draws = _chunked_integers(np.random.default_rng([config.rng_seed, 0x50, index]),
+                                       num_freqs)
         self.sampler = ChannelSampler(
             trace, seed=[config.rng_seed, 0x5A, index], block_len=config.packets_per_size,
             rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)
@@ -287,6 +314,8 @@ def run(config, trace):
     sources = [spec.source for spec in config.nodes]
     if len(set(sources)) != len(sources):
         raise ValueError("node sources must be distinct")
+    for spec in config.nodes:
+        spec.strategy.check(freqs)
     nodes = [_NodeState(spec, config, trace, len(freqs), k)
              for k, spec in enumerate(config.nodes)]
     record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries

@@ -1,15 +1,17 @@
 """End-node telemetry: sliding windows of channel availability, RSSI and SNR.
 
-Windows feed the channel predictor; `generate_labeled_dataset` replays a
-single node against a trace on every candidate channel per row and labels each
-row with the channel that realized the highest RSSI.  It draws every outcome
-as three arrays, from three generators: delivery per (row, channel), RSSI and
-SNR jitter per (row, channel), and two uniforms per row that pick the channel
-the window records.  A quarter of the rows record the outcome of a uniformly
-drawn channel instead of the label's, lost packets included, so the windows
-hold losses as a node's own mistakes put them there at run time.  All windows are then built
-as one array, returned as a `Dataset` of feature and label arrays that also
-records its window length and channel count.
+Windows feed the channel predictor; a `TelemetryWindow` keeps its window laid
+out as the model's input vector, so a snapshot is one copy.
+`generate_labeled_dataset` replays a single node against a trace on every
+candidate channel per row and labels each row with the channel that realized
+the highest RSSI.  It draws every outcome as three arrays, from three
+generators: delivery per (row, channel), RSSI and SNR jitter per (row,
+channel), and two uniforms per row that pick the channel the window records.
+A quarter of the rows record the outcome of a uniformly drawn channel instead
+of the label's, lost packets included, so the windows hold losses as a node's
+own mistakes put them there at run time.  All windows are then built as one
+array, returned as a `Dataset` of feature and label arrays that also records
+its window length and channel count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JI
 DEFAULT_WINDOW_SLOTS = 8
 RSSI_NORM_DBM = -120.0
 SNR_NORM_DB = 10.0
-_SPARE_ROWS = 64   # buffer rows beyond a window: its rows move to the front once per 65 records
 _ROWS_PER_WRITE = 256   # dataset rows `write_dataset` formats and writes at a time
 _NORMALIZATION = "v1"   # features of RSSI / RSSI_NORM_DBM and SNR / SNR_NORM_DB
 _EXPLORE_P = 0.25   # share of dataset rows whose window slot follows a uniformly drawn channel
@@ -35,11 +36,11 @@ _EXPLORE_P = 0.25   # share of dataset rows whose window slot follows a uniforml
 class TelemetryWindow:
     """The last `ts` slots of per-frequency availability, RSSI and SNR.
 
-    Rows are appended to three buffers (availability, RSSI, SNR) that hold
-    `_SPARE_ROWS` rows beyond the window; when they are full, the window's
-    last ts - 1 rows move to the front.  So `record` writes one row, and
-    `snapshot` joins one slice of each buffer.  RSSI and SNR are stored
-    normalised, as `snapshot` returns them.
+    The window is kept as the model's input vector: ts * F availabilities, then ts
+    RSSI values, then ts SNR values, each part oldest first, RSSI and SNR
+    normalised.  Slots not recorded yet hold the cold-start values.  `record`
+    shifts each part one slot towards the front and writes the new slot at its
+    end; `snapshot` copies the vector.
     """
 
     def __init__(self, ts, num_freqs):
@@ -47,13 +48,16 @@ class TelemetryWindow:
             raise ValueError("ts and num_freqs must be positive")
         self.ts = int(ts)
         self.num_freqs = int(num_freqs)
-        # rows [_end - ts, _end) are the window, oldest first; rows not recorded
-        # yet hold the cold-start values
-        rows = self.ts + _SPARE_ROWS
-        self._avail = np.zeros((rows, self.num_freqs))
-        self._rssi = np.full(rows, RSSI_FLOOR_DBM / RSSI_NORM_DBM)
-        self._snr = np.full(rows, SNR_FLOOR_DB / SNR_NORM_DB)
-        self._end = self.ts
+        n_avail = self.ts * self.num_freqs
+        self._features = f = np.zeros(self.feature_dim(self.ts, self.num_freqs))
+        f[n_avail:n_avail + self.ts] = RSSI_FLOOR_DBM / RSSI_NORM_DBM
+        f[n_avail + self.ts:] = SNR_FLOOR_DB / SNR_NORM_DB
+        # (destination, source) of the two shifts.  RSSI and SNR shift as one run: SNR's
+        # oldest value lands in RSSI's newest place, which `record` then writes.
+        self._shifts = ((f[:n_avail - self.num_freqs], f[self.num_freqs:n_avail]),
+                        (f[n_avail:-1], f[n_avail + 1:]))
+        self._new_avail = f[n_avail - self.num_freqs:n_avail]
+        self._new_rssi = n_avail + self.ts - 1
 
     def record(self, availability_vec, rssi, snr):
         vec = availability_vec
@@ -61,22 +65,17 @@ class TelemetryWindow:
             vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.num_freqs,):
             raise ValueError(f"availability vector must have length {self.num_freqs}")
-        end = self._end
-        if end == len(self._rssi):
-            keep = self.ts - 1
-            for buf in (self._avail, self._rssi, self._snr):
-                buf[:keep] = buf[end - keep:end]
-            end = keep
-        self._avail[end] = vec
-        self._rssi[end] = float(rssi) / RSSI_NORM_DBM
-        self._snr[end] = float(snr) / SNR_NORM_DB
-        self._end = end + 1
+        (avail_to, avail_from), (link_to, link_from) = self._shifts
+        avail_to[...] = avail_from
+        link_to[...] = link_from
+        self._new_avail[...] = vec
+        f = self._features
+        f[self._new_rssi] = float(rssi) / RSSI_NORM_DBM
+        f[-1] = float(snr) / SNR_NORM_DB
 
     def snapshot(self):
-        """Flatten to ts*(F+2) features, oldest first, cold-start slots padded."""
-        start, end = self._end - self.ts, self._end
-        return np.concatenate([self._avail[start:end].ravel(), self._rssi[start:end],
-                               self._snr[start:end]])
+        """The ts*(F+2) features, oldest first, cold-start slots padded: a copy."""
+        return self._features.copy()
 
     @staticmethod
     def feature_dim(ts, num_freqs):

@@ -30,8 +30,10 @@ DATA = Path(cli.__file__).resolve().parent / "data"
 # The C dataset at 300 rows is two of the dataset writer's 256-row blocks, the last one
 # partial, and `sparse.csv` is three of impute's 128-row blocks.  The five-command row trains
 # a ts-4 model, exports it both ways and runs it as the predictor_hop node of `sim.json`; the
-# three-command row runs a default ts-8 model there.  A 4-row dataset has no validation or
-# test split, so its training curves hold null.
+# three-command row runs a default ts-8 model there.  The last row runs a ts-4 model as the
+# predictor_hop node of `sim_gateway_predictor.json`, whose window records only the delivered
+# slots, 144 of its 360.  A 4-row dataset has no validation or test split, so its training
+# curves hold null.
 
 PINNED = {
     ("gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json",): {
@@ -111,6 +113,14 @@ PINNED = {
         "model.fhop.train.json": "b0e3ef2cc98b54e77bfac7031ae0506f9a5857f9f234068240cdf3a0388a5137"},
     ("optimize --scenario {data}/scenarios/tiny_single_node.json --out {d}/result.json",): {
         "result.json": "664179043b30fc27445513273738e42b147c1581dcf68cf20fa9d98bd3c3332c"},
+    ("gen-dataset --source C --rows 200 --ts 4 --seed 8 --out {d}/dataset.json",
+     "train --dataset {d}/dataset.json --epochs 10 --seed 8 --out {d}/model.fhop",
+     "simulate --config {d}/sim_gateway_predictor.json --out {d}/report.json --events {d}/events.csv"): {
+        "dataset.json": "599c98cca94933037a4c8b1bb433b28dbacce9cc4f74510584c10e4e5a859efd",
+        "events.csv": "4d4eeebeff9a389fb767ec48fa82e4c78c9077621ee5833fd8e4b04fde7231e6",
+        "model.fhop": "1167e9f2932f28037251dd4e94d0747a0633a14dc5f76abb27d59ed546d146dc",
+        "model.fhop.train.json": "f4025dbbb83bf5b56a4bd12f37e85d19f25f1a7605b6bde57adc0ca242ec46fb",
+        "report.json": "cd4654064e8872d1faf4fda6409c964736c12fd87280bebae3b8b772b421ca04"},
 }
 
 # name -> the bytes or JSON document of an input no command makes; "{d}" is the row's directory
@@ -132,6 +142,12 @@ INPUTS = {
                   {"source": "B", "strategy": {"kind": "sensing_hop"}},
                   {"source": "C", "strategy": {"kind": "random_hop"}}],
         "packets_per_size": 30, "seed": 5, "predictor_placement": "gateway"},
+    # a predictor node under gateway placement: its window records only the delivered slots
+    "sim_gateway_predictor.json": {
+        "nodes": [{"source": "C", "strategy": {"kind": "predictor_hop", "model": "{d}/model.fhop"}},
+                  {"source": "A", "strategy": {"kind": "random_hop"}},
+                  {"source": "B", "strategy": {"kind": "sensing_hop"}}],
+        "packets_per_size": 60, "seed": 6, "predictor_placement": "gateway"},
     # a comparison table as `pipeline` writes it, one improvement undefined
     "comparison_in.csv": (
         b"size,metric,random_hop,predictor_hop,improvement\r\n"

@@ -388,6 +388,10 @@ MALFORMED_INPUTS = {
     # a predictor node's window is as wide as its model's input: these fit no window
     "4-channel model on the 3-channel trace": lambda d: _predictor_sim(
         d, predictor.init_model(8 * (4 + 2), 4)),   # 8 slots of 4 channels
+    "2-channel model on the 3-channel trace": lambda d: _predictor_sim(
+        d, predictor.init_model(8 * (2 + 2), 2)),   # 8 slots of 2 channels
+    "fixed carrier the trace lacks": lambda d: _sim(
+        d, nodes=[{"source": "A", "strategy": {"kind": "fixed", "freq": 123.0}}]),
     "model narrower than one slot": lambda d: _predictor_sim(d, predictor.init_model(3, 3)),
     "2-channel model 5 inputs wide": lambda d: _predictor_sim(d, predictor.init_model(5, 2)),
     "demand 2.7": lambda d: [
@@ -520,6 +524,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
 def test_a_model_that_fits_no_window_writes_no_report(tmp_path, case):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("fixed carrier the trace lacks", "fixed carrier 123.0 MHz is not in the trace, "
+                                      "whose carriers are [868.0, 869.0, 870.0]"),
+    ("2-channel model on the 3-channel trace",
+     "predictor model chooses among 2 channels, the trace has 3"),
+    ("4-channel model on the 3-channel trace",
+     "predictor model chooses among 4 channels, the trace has 3")])
+def test_a_strategy_the_trace_cannot_run_is_named(tmp_path, capsys, case, message):
+    assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
 
 
 @pytest.mark.parametrize("figure", ["strategy-comparison", "confusion"])

@@ -46,11 +46,12 @@ def test_init_is_seeded_and_shaped():
         predictor.init_model(12, 1)
 
 
-def test_forward_probabilities():
+def test_forward_logits():
     m = predictor.init_model(6, 3, seed=0)
     x = np.random.default_rng(1).normal(size=(5, 6))
-    probs = predictor.forward(m, x)
-    assert probs.shape == (5, 3)
+    logits = predictor.forward(m, x)
+    assert logits.shape == (5, 3)
+    probs = predictor._softmax(logits.copy())
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert (probs >= 0).all()
     single = predictor.forward(m, x[0])
@@ -66,6 +67,39 @@ def test_forward_probabilities():
     for model in (m, m64):
         with pytest.raises(ValueError):
             predictor.forward(model, np.zeros(7))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_channel_is_the_most_probable_channel(dtype):
+    """On 10,000 windows of random slots, the largest logit is the largest probability."""
+    ts, nf = 8, 3
+    model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(ts, nf), nf, seed=4)
+    model = predictor.FcnnModel(*(np.asarray(p, dtype=dtype) for p in model.params()))
+    window = telemetry.TelemetryWindow(ts=ts, num_freqs=nf)
+    rng = np.random.default_rng(6)
+    snapshots, choices = [], []
+    for _ in range(10_000):
+        window.record(rng.integers(0, 4, nf).astype(np.float64), -140 * rng.random(),
+                      rng.uniform(-20, 15))
+        snapshots.append(window.snapshot())
+        choices.append(predictor.predict_channel(model, window))
+    probs = predictor._softmax(predictor.forward(model, np.array(snapshots)))
+    assert choices == probs.argmax(axis=1).tolist()
+    assert set(choices) == {0, 1, 2}
+
+
+def test_predict_channel_takes_the_larger_of_two_logits_one_ulp_apart():
+    """Softmax rounds logits 0.1 and the next float up to one probability; the logits
+    still differ, and the larger wins."""
+    a = 0.1
+    ts, nf = 2, 3
+    model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(ts, nf), nf, seed=0)
+    model = predictor.FcnnModel(*(np.asarray(p, dtype=np.float64) for p in model.params()))
+    model.w3 = np.zeros_like(model.w3)
+    model.b3 = np.array([a, np.nextafter(a, np.inf), 0.0])
+    probs = predictor._softmax(model.b3.copy())
+    assert probs[0] == probs[1]
+    assert predictor.predict_channel(model, telemetry.TelemetryWindow(ts=ts, num_freqs=nf)) == 1
 
 
 def test_gradient_check_cross_entropy():

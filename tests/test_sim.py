@@ -120,6 +120,22 @@ def test_hops_counted_for_random_strategy(bundled_trace):
     assert sum(r.hops for r in report.rows) > 0
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_random_hop_choices_are_one_draw_per_slot(bundled_trace, seed):
+    """The choices, drawn `_DRAWS_PER_CALL` at a time, are the node generator's stream of
+    one `integers(0, F)` call per slot, across chunk boundaries."""
+    strategy = sim.RandomHopStrategy()
+    config = sim.SimConfig(nodes=(sim.NodeSpec(source="A", strategy=strategy),), rng_seed=seed)
+    n_slots = 2 * sim._DRAWS_PER_CALL + 5
+    for nf in range(1, 10):
+        freqs = [868.0 + k for k in range(nf)]
+        for index in (0, 2):
+            node = sim._NodeState(config.nodes[0], config, bundled_trace, nf, index)
+            rng = np.random.default_rng([seed, 0x50, index])
+            assert ([strategy.choose(node, freqs) for _ in range(n_slots)]
+                    == [int(rng.integers(0, nf)) for _ in range(n_slots)])
+
+
 def _spy_on_windows(monkeypatch):
     """The (ts, num_freqs) of each `TelemetryWindow` the simulator builds, in order."""
     built, window = [], sim.TelemetryWindow

@@ -63,39 +63,37 @@ def test_snapshot_dim_invariant(ts, nf, n_records):
     assert w.snapshot().shape == (TelemetryWindow.feature_dim(ts, nf),)
 
 
-class ShiftingWindow:
-    """Reference window: one (ts, F+2) array of raw values, shifted one row per record."""
+class RowListWindow:
+    """Reference window: a list of raw [availability..., RSSI, SNR] rows, newest last, that
+    starts with `ts` cold-start rows."""
 
     def __init__(self, ts, num_freqs):
-        self.ts, self.num_freqs = ts, num_freqs
-        self._rows = np.zeros((ts, num_freqs + 2))
-        self._rows[:, -2] = trace.RSSI_FLOOR_DBM
-        self._rows[:, -1] = trace.SNR_FLOOR_DB
+        self.ts = ts
+        self.rows = [[0.0] * num_freqs + [trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB]] * ts
 
     def record(self, availability_vec, rssi, snr):
-        rows = self._rows
-        rows[:-1] = rows[1:]
-        rows[-1, :self.num_freqs] = np.asarray(availability_vec, dtype=np.float64)
-        rows[-1, -2] = rssi
-        rows[-1, -1] = snr
+        self.rows.append([float(a) for a in availability_vec] + [float(rssi), float(snr)])
 
     def snapshot(self):
-        rows = self._rows
-        return np.concatenate([rows[:, :self.num_freqs].ravel(),
-                               rows[:, -2] / telemetry.RSSI_NORM_DBM,
-                               rows[:, -1] / telemetry.SNR_NORM_DB])
+        rows = self.rows[-self.ts:]
+        return np.array([a for row in rows for a in row[:-2]]
+                        + [row[-2] / telemetry.RSSI_NORM_DBM for row in rows]
+                        + [row[-1] / telemetry.SNR_NORM_DB for row in rows])
 
 
-def test_window_matches_the_shifting_reference_across_compactions():
+def test_window_matches_the_list_of_rows_reference():
     rng = np.random.default_rng(11)
-    n_records = 3 * (telemetry._SPARE_ROWS + 1) + 20
+    n_records = 215
     # link values as the simulator passes them, and as other callers may
     as_types = (float, int, np.float64, np.float32)
     for ts in range(1, 10):
         for nf in range(1, 5):
-            window, reference = TelemetryWindow(ts=ts, num_freqs=nf), ShiftingWindow(ts, nf)
+            window, reference = TelemetryWindow(ts=ts, num_freqs=nf), RowListWindow(ts, nf)
+            taken = []   # every snapshot, with its bytes when it was taken
             for k in range(n_records + 1):
-                assert window.snapshot().tobytes() == reference.snapshot().tobytes()
+                snap = window.snapshot()
+                assert snap.tobytes() == reference.snapshot().tobytes()
+                taken.append((snap, snap.tobytes()))
                 if k == n_records:
                     break
                 avail = rng.integers(0, 4, nf).astype(np.float64)
@@ -105,6 +103,8 @@ def test_window_matches_the_shifting_reference_across_compactions():
                 rssi, snr = to_type(-140 * rng.random()), to_type(rng.uniform(-20, 15))
                 window.record(avail, rssi, snr)
                 reference.record(avail, rssi, snr)
+            # a snapshot is a copy: later records leave it as it was
+            assert all(snap.tobytes() == bits for snap, bits in taken)
 
 
 def test_dataset_deterministic(bundled_trace):
