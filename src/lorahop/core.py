@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -171,6 +171,12 @@ def integers(what, values):
     if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
         raise TypeError(f"{what} must be integers, got {values!r}")
     return tuple(int(v) for v in values)
+
+
+def reals(what, values):
+    """The one rule for real config values: `Real` (numpy too), not `bool`."""
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
+        raise TypeError(f"{what} must be real numbers, got {values!r}")
 
 
 def check_weights(alpha, beta):

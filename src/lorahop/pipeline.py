@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from . import predictor, sim, telemetry
 
 
@@ -60,8 +62,11 @@ def compare_strategies_on_trace(trace_obj, sources, models, seed):
             config = sim.SimConfig(nodes=(sim.NodeSpec(source=src, strategy=strategy),),
                                    rng_seed=seed)
             reports.append(sim.run(config, trace_obj))
-        return sim.SimReport(rows=[r for rep in reports for r in rep.rows],
-                             events=[e for rep in reports for e in rep.events])
+        # each run has one node, so a merged event's node is its run's index
+        events = np.concatenate([rep.events for rep in reports]).view(np.recarray)
+        events.node = np.repeat(np.arange(len(reports)), [len(rep.events) for rep in reports])
+        return sim.SimReport(rows=[r for rep in reports for r in rep.rows], events=events,
+                             sources=list(sources), freqs=list(trace_obj.frequencies))
 
     report_random = run_all(sim.RandomHopStrategy() for _ in sources)
     report_pred = run_all(sim.PredictorHopStrategy(model) for model in models)

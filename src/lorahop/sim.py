@@ -14,12 +14,11 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
-from numbers import Real
 from operator import itemgetter
 
 import numpy as np
 
-from .core import integers
+from .core import integers, reals
 from .telemetry import TelemetryWindow
 from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
                     DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler)
@@ -42,6 +41,7 @@ class FixedStrategy(Strategy):
     kind = "fixed"
 
     def __init__(self, freq_mhz):
+        reals("fixed carriers", (freq_mhz,))
         self.freq_mhz = float(freq_mhz)
 
     def check(self, freqs):
@@ -124,9 +124,8 @@ class SimConfig:
         # checked here: a run may never read a field (one node never meets the capture rule)
         integers("packets_per_size, seed and sizes",
                  (self.packets_per_size, self.rng_seed, *self.payload_schedule))
-        reals = (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db)
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in reals):
-            raise TypeError("capture_threshold_db and the jitters must be real numbers")
+        reals("capture_threshold_db and the jitters",
+              (self.capture_threshold_db, self.rssi_jitter_db, self.snr_jitter_db))
         if not (0 <= self.rssi_jitter_db <= _MAX_JITTER_DB
                 and 0 <= self.snr_jitter_db <= _MAX_JITTER_DB
                 and not np.isnan(self.capture_threshold_db)):   # an infinite threshold is valid
@@ -167,52 +166,29 @@ class SimConfig:
         return cls(nodes=nodes, **{name: doc[key] for key, name in keys.items() if key in doc})
 
 
-@dataclass(slots=True)
-class SlotEvent:
-    """One transmission: the run's only per-transmission record, kept unrounded."""
-
-    slot: int
-    node: str
-    gateway: str
-    freq_mhz: float
-    size: int
-    rssi: float
-    snr: float
-    delivered: bool
-    collided: bool
-    hopped: bool
-
-    def observed(self):
-        """(rssi, snr) as the gateway reports them: the floor values for a lost packet."""
-        return (self.rssi, self.snr) if self.delivered else (RSSI_FLOOR_DBM, SNR_FLOOR_DB)
-
-
-EVENT_FIELDS = tuple(f.name for f in fields(SlotEvent))
+EVENT_FIELDS = ("slot", "node", "gateway", "freq_mhz", "size", "rssi", "snr",
+                "delivered", "collided", "hopped")   # the output columns of one transmission
+# `SimReport.events`: the output columns but the gateway, which is "GW0" for every
+# transmission; `node` and `freq_mhz` are indices into the report's `sources` and `freqs`
+EVENT_DTYPE = np.dtype([("slot", np.int64), ("node", np.int64), ("freq_mhz", np.int64),
+                        ("size", np.int64), ("rssi", np.float64), ("snr", np.float64),
+                        ("delivered", bool), ("collided", bool), ("hopped", bool)])
+_WRITE_BLOCK = 1024   # events the writer makes Python values of at a time, not the run's
 _JSON_BOOL, _CSV_BOOL = ("false", "true"), ("0", "1")   # indexed by a bool
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # by float repr
 
 
-class _StringCells(dict):
-    """A string -> (its JSON string, its CSV cell), each made once per distinct string."""
-
-    def __missing__(self, text):
-        buf = io.StringIO()
-        csv.writer(buf).writerow([text, ""])   # in a row of two: a lone "" would be quoted
-        cells = self[text] = (json.dumps(text), buf.getvalue()[:-len(",\r\n")])
-        return cells
+def _text_cells(text):
+    """(the JSON string, the CSV cell) of a string."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])   # in a row of two: a lone "" would be quoted
+    return json.dumps(text), buf.getvalue()[:-len(",\r\n")]
 
 
-class _CarrierCells(dict):
-    """A carrier in MHz -> (its JSON text, its CSV cell), each made once per distinct value.
-    Zeros and NaN are made on every call, never kept: 0.0 and -0.0 are one key, and a NaN
-    is no key, since it equals nothing."""
-
-    def __missing__(self, freq):
-        text = repr(freq)
-        cells = (_JSON_NONFINITE.get(text, text), text)
-        if freq != 0 and freq == freq:   # neither a zero nor NaN
-            self[freq] = cells
-        return cells
+def _carrier_cells(freq):
+    """(the JSON text, the CSV cell) of a carrier in MHz."""
+    text = repr(freq)
+    return _JSON_NONFINITE.get(text, text), text
 
 
 @dataclass
@@ -237,7 +213,9 @@ class ReportRow:
 @dataclass
 class SimReport:
     rows: list
-    events: list
+    events: np.recarray   # one record per transmission (`EVENT_DTYPE`), unrounded
+    sources: list         # the node names `events.node` indexes
+    freqs: list           # the carriers in MHz `events.freq_mhz` indexes
 
     @property
     def sizes(self):
@@ -248,31 +226,35 @@ class SimReport:
         events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
         `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
         pass over the events.  Each value is formatted once, RSSI and SNR rounded to 6
-        decimals, and each distinct name and carrier once per call; JSON spells strings
-        and non-finite floats as `json` does."""
+        decimals, and each name and carrier once per call; JSON spells strings and
+        non-finite floats as `json` does."""
         order = sorted(range(len(EVENT_FIELDS)), key=EVENT_FIELDS.__getitem__)
         json_event = "{" + ", ".join(f"{json.dumps(EVENT_FIELDS[i])}: %s" for i in order) + "}"
         in_key_order = itemgetter(*order)
         csv_line = ",".join(["%s"] * len(EVENT_FIELDS)) + "\r\n"
-        strings, carriers = _StringCells(), _CarrierCells()
+        names = [_text_cells(name) for name in self.sources]
+        carriers = [_carrier_cells(freq) for freq in self.freqs]
+        gateway, gateway_cell = _text_cells("GW0")
         fh.write('{"events": [')
         if events_fh is not None:
-            events_fh.write(csv_line % tuple(strings[name][1] for name in EVENT_FIELDS))
+            events_fh.write(csv_line % tuple(_text_cells(name)[1] for name in EVENT_FIELDS))
+        columns = [self.events[name] for name in EVENT_DTYPE.names]
         sep = ""
-        for e in self.events:
-            slot, size = str(e.slot), str(e.size)
-            rssi, snr = repr(round(e.rssi, 6)), repr(round(e.snr, 6))
-            (node, node_cell), (gateway, gateway_cell) = strings[e.node], strings[e.gateway]
-            freq_json, freq = carriers[e.freq_mhz]
-            fh.write(sep + json_event % in_key_order((
-                slot, node, gateway, freq_json, size,
-                _JSON_NONFINITE.get(rssi, rssi), _JSON_NONFINITE.get(snr, snr),
-                _JSON_BOOL[e.delivered], _JSON_BOOL[e.collided], _JSON_BOOL[e.hopped])))
-            sep = ", "
-            if events_fh is not None:
-                events_fh.write(csv_line % (
-                    slot, node_cell, gateway_cell, freq, size, rssi, snr,
-                    _CSV_BOOL[e.delivered], _CSV_BOOL[e.collided], _CSV_BOOL[e.hopped]))
+        for start in range(0, len(self.events), _WRITE_BLOCK):
+            for slot, k, f, size, rssi, snr, ok, hit, hop in zip(
+                    *(c[start:start + _WRITE_BLOCK].tolist() for c in columns)):
+                slot, size = str(slot), str(size)
+                rssi, snr = repr(round(rssi, 6)), repr(round(snr, 6))
+                (node, node_cell), (freq_json, freq) = names[k], carriers[f]
+                fh.write(sep + json_event % in_key_order((
+                    slot, node, gateway, freq_json, size,
+                    _JSON_NONFINITE.get(rssi, rssi), _JSON_NONFINITE.get(snr, snr),
+                    _JSON_BOOL[ok], _JSON_BOOL[hit], _JSON_BOOL[hop])))
+                sep = ", "
+                if events_fh is not None:
+                    events_fh.write(csv_line % (
+                        slot, node_cell, gateway_cell, freq, size, rssi, snr,
+                        _CSV_BOOL[ok], _CSV_BOOL[hit], _CSV_BOOL[hop]))
         rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
         fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
 
@@ -305,83 +287,86 @@ class _NodeState:
         self.current_freq_idx = None
 
 
+def _capture(txs, threshold):
+    """Resolve a slot's transmissions ([channel, delivered, rssi, snr, collided, hopped]
+    each) in place: of those sharing a channel, the strongest survives if its margin over
+    the second reaches `threshold`, and every other one is lost to the collision."""
+    by_channel = {}
+    for tx in txs:
+        by_channel.setdefault(tx[0], []).append(tx)
+    for group in by_channel.values():
+        if len(group) > 1:
+            group.sort(key=itemgetter(2), reverse=True)   # stable: ties keep node order
+            for tx in group[1 if group[0][2] - group[1][2] >= threshold else 0:]:
+                tx[1], tx[4] = False, True
+
+
 def run(config, trace):
     """Execute the full payload schedule; deterministic given (config, trace, seed)."""
     freqs = list(trace.frequencies)
     for size in config.payload_schedule:
         if size not in trace.sizes:
             raise ValueError(f"payload size {size} not present in the trace")
+    sizes = np.array(config.payload_schedule, dtype=np.int64)   # one past int64 fails here
     sources = [spec.source for spec in config.nodes]
+    if not sources:
+        raise ValueError("a simulation needs at least one node")
     if len(set(sources)) != len(sources):
         raise ValueError("node sources must be distinct")
     for spec in config.nodes:
+        if spec.source not in trace.sources:
+            raise ValueError(f"node source {spec.source!r} is not in the trace, "
+                             f"whose sources are {trace.sources}")
         spec.strategy.check(freqs)
     nodes = [_NodeState(spec, config, trace, len(freqs), k)
              for k, spec in enumerate(config.nodes)]
     record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries
-    threshold = config.capture_threshold_db
     steps = [(node, node.spec.strategy.choose, node.sampler.sample) for node in nodes]
 
-    events = []
-    slot = 0
+    columns = [[] for _ in range(6)]   # channel, delivered, rssi, snr, collided, hopped
     for size in config.payload_schedule:
         for _ in range(config.packets_per_size):
-            slot += 1
             txs = []
             counts = [0] * len(freqs)
             for node, choose, sample in steps:
                 f_idx = choose(node, freqs)
-                hopped = node.current_freq_idx is not None and f_idx != node.current_freq_idx
-                node.current_freq_idx = f_idx
+                last, node.current_freq_idx = node.current_freq_idx, f_idx
                 counts[f_idx] += 1
-                freq = freqs[f_idx]
-                delivered, rssi, snr = sample(node.source, freq, size)
-                txs.append(SlotEvent(slot, node.source, "GW0", freq, size,
-                                     rssi, snr, delivered, False, hopped))
-            avail = np.array(counts, dtype=np.float64)
-
-            # capture: strongest survives with enough margin, otherwise all lost
+                txs.append([f_idx, *sample(node.source, freqs[f_idx], size), False,
+                            last is not None and f_idx != last])   # not collided; hopped
             if max(counts) > 1:
-                by_freq = {}   # trace frequencies are distinct
-                for e in txs:
-                    by_freq.setdefault(e.freq_mhz, []).append(e)
-                for group in by_freq.values():
-                    if len(group) < 2:
-                        continue
-                    group.sort(key=lambda e: e.rssi, reverse=True)
-                    margin = group[0].rssi - group[1].rssi
-                    for j, e in enumerate(group):
-                        if j == 0 and margin >= threshold:
-                            continue
-                        e.delivered = False
-                        e.collided = True
-
-            for node, e in zip(nodes, txs):
-                if record_lost or e.delivered:
+                _capture(txs, config.capture_threshold_db)
+            avail = np.array(counts, dtype=np.float64)
+            for node, (_, delivered, rssi, snr, _, _) in zip(nodes, txs):
+                if record_lost or delivered:
                     node.last_avail = avail
-                    if node.window is not None:
-                        node.window.record(avail, *e.observed())
-            events += txs
+                    if node.window is not None:   # a lost packet reads at the floor values
+                        node.window.record(avail, *((rssi, snr) if delivered
+                                                    else (RSSI_FLOOR_DBM, SNR_FLOOR_DB)))
+            for column, values in zip(columns, zip(*txs)):
+                column += values
 
-    by_key = {}
-    for e in events:
-        by_key.setdefault((e.node, e.size), []).append(e)
+    n = len(nodes)
+    block, slots = config.packets_per_size * n, config.packets_per_size * len(sizes)
+    chan, delivered, rssi, snr, collided, hopped = columns
+    events = np.rec.fromarrays(
+        [np.repeat(np.arange(1, slots + 1), n), np.tile(np.arange(n), slots), chan,
+         np.repeat(sizes, block), rssi, snr, delivered, collided, hopped], dtype=EVENT_DTYPE)
     rows = []
-    for node in nodes:
-        for size in config.payload_schedule:
-            group = by_key[(node.source, size)]
-            ok = [e for e in group if e.delivered]
-            observed = [e.observed() for e in group]
+    for k, node in enumerate(nodes):
+        for b, size in enumerate(config.payload_schedule):
+            e = events[b * block + k:(b + 1) * block:n]
+            ok = e.delivered
             rows.append(ReportRow(
                 node=node.source, size=size, strategy=node.spec.strategy.kind,
-                sent=len(group), delivered=len(ok),
-                collisions=sum(e.collided for e in group), hops=sum(e.hopped for e in group),
-                mean_rssi=float(np.mean([e.rssi for e in ok])) if ok else RSSI_FLOOR_DBM,
-                mean_snr=float(np.mean([e.snr for e in ok])) if ok else SNR_FLOOR_DB,
-                mean_rssi_all=float(np.mean([rssi for rssi, _ in observed])),
-                mean_snr_all=float(np.mean([snr for _, snr in observed])),
+                sent=len(e), delivered=int(ok.sum()),
+                collisions=int(e.collided.sum()), hops=int(e.hopped.sum()),
+                mean_rssi=float(np.mean(e.rssi[ok])) if ok.any() else RSSI_FLOOR_DBM,
+                mean_snr=float(np.mean(e.snr[ok])) if ok.any() else SNR_FLOOR_DB,
+                mean_rssi_all=float(np.mean(np.where(ok, e.rssi, RSSI_FLOOR_DBM))),
+                mean_snr_all=float(np.mean(np.where(ok, e.snr, SNR_FLOOR_DB))),
             ))
-    return SimReport(rows=rows, events=events)
+    return SimReport(rows=rows, events=events, sources=sources, freqs=freqs)
 
 
 COMPARISON_FIELDS = ("size", "metric", "random_hop", "predictor_hop", "improvement")

@@ -5,7 +5,8 @@ computes once: a schedule's weighted objective and the exhaustive schedule
 oracle for `optimizer.solve_exact`, a recursive symbol search for its max-flow
 check, a rescan of every run for its run heuristic, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
 `recommender.impute`, a parser for `predictor.export_c_array` headers, a
-row lookup on simulator reports, and the whole-document writers that
+row lookup on simulator reports, the per-(node, size) grouping that made
+simulator report rows, and the whole-document writers that
 `telemetry.write_dataset` and `sim.SimReport.write` replaced.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from lorahop import core, optimizer, predictor, recommender, sim
+from lorahop import core, optimizer, predictor, recommender, sim, trace
 
 _ORACLE_CHUNK = 200_000   # choice vectors the oracle scores per numpy pass
 
@@ -303,20 +304,49 @@ def dataset_to_json(dataset):
     return json.dumps(doc, sort_keys=True)
 
 
-def event_dict(event):
-    """A `sim.SlotEvent`'s output form, keys in field order; RSSI and SNR rounded to 6
-    decimals."""
-    return {"slot": event.slot, "node": event.node, "gateway": event.gateway,
-            "freq_mhz": event.freq_mhz, "size": event.size,
-            "rssi": round(event.rssi, 6), "snr": round(event.snr, 6),
-            "delivered": event.delivered, "collided": event.collided, "hopped": event.hopped}
+def event_dicts(report):
+    """Each event of a `sim.SimReport` as a dict of Python values, keys in `sim.EVENT_FIELDS`
+    order, its node and carrier looked up in the report's `sources` and `freqs`."""
+    return [dict(zip(sim.EVENT_FIELDS, (slot, report.sources[node], "GW0", report.freqs[freq],
+                                        size, *rest)))
+            for slot, node, freq, size, *rest in report.events.tolist()]   # `EVENT_DTYPE` order
+
+
+def rows_by_grouping(report, config):
+    """The `sim.ReportRow`s of a report of `config`, made as `sim.run` made them before its
+    events were columns: the events grouped by (node, size) in a dict, and each mean an
+    `np.mean` over a Python list, lost packets at the floor values in the `_all` means."""
+    by_key = {}
+    for e in event_dicts(report):
+        by_key.setdefault((e["node"], e["size"]), []).append(e)
+    rows = []
+    for spec in config.nodes:
+        for size in config.payload_schedule:
+            group = by_key[(spec.source, size)]
+            ok = [e for e in group if e["delivered"]]
+            observed = [(e["rssi"], e["snr"]) if e["delivered"]
+                        else (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB) for e in group]
+            rows.append(sim.ReportRow(
+                node=spec.source, size=size, strategy=spec.strategy.kind, sent=len(group),
+                delivered=len(ok), collisions=sum(e["collided"] for e in group),
+                hops=sum(e["hopped"] for e in group),
+                mean_rssi=float(np.mean([e["rssi"] for e in ok])) if ok else trace.RSSI_FLOOR_DBM,
+                mean_snr=float(np.mean([e["snr"] for e in ok])) if ok else trace.SNR_FLOOR_DB,
+                mean_rssi_all=float(np.mean([rssi for rssi, _ in observed])),
+                mean_snr_all=float(np.mean([snr for _, snr in observed]))))
+    return rows
+
+
+def _output_form(event):
+    """An event dict as the report writes it: RSSI and SNR rounded to 6 decimals."""
+    return {**event, "rssi": round(event["rssi"], 6), "snr": round(event["snr"], 6)}
 
 
 def report_to_json(report):
     """The `sim.SimReport` document built as one tree, then one string."""
     doc = {
         "rows": [dict(asdict(r), pdr=r.pdr) for r in report.rows],
-        "events": [event_dict(e) for e in report.events],
+        "events": [_output_form(e) for e in event_dicts(report)],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -327,6 +357,6 @@ def events_csv(report):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(sim.EVENT_FIELDS)
-    writer.writerows([int(v) if isinstance(v, bool) else v for v in event_dict(e).values()]
-                     for e in report.events)
+    writer.writerows([int(v) if isinstance(v, bool) else v for v in _output_form(e).values()]
+                     for e in event_dicts(report))
     return buf.getvalue()

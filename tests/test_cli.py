@@ -392,6 +392,16 @@ MALFORMED_INPUTS = {
         d, predictor.init_model(8 * (2 + 2), 2)),   # 8 slots of 2 channels
     "fixed carrier the trace lacks": lambda d: _sim(
         d, nodes=[{"source": "A", "strategy": {"kind": "fixed", "freq": 123.0}}]),
+    "fixed carrier as a string": lambda d: _sim(
+        d, nodes=[{"source": "A", "strategy": {"kind": "fixed", "freq": "868"}}]),
+    "fixed carrier true": lambda d: _sim(
+        d, nodes=[{"source": "A", "strategy": {"kind": "fixed", "freq": True}}]),
+    "node source the trace lacks": lambda d: _sim(
+        d, nodes=[{"source": "Z", "strategy": {"kind": "random_hop"}}]),
+    "no nodes": lambda d: _sim(d, nodes=[]),
+    "payload size past int64": lambda d: _sim(d, payload_schedule=[2**63]) + [
+        "--trace", _write_text(d / "trace.csv",
+                               FUZZ_TRACE_CSV.decode().replace(",30,", f",{2**63},"))],
     "model narrower than one slot": lambda d: _predictor_sim(d, predictor.init_model(3, 3)),
     "2-channel model 5 inputs wide": lambda d: _predictor_sim(d, predictor.init_model(5, 2)),
     "demand 2.7": lambda d: [
@@ -532,7 +542,9 @@ def test_a_model_that_fits_no_window_writes_no_report(tmp_path, case):
     ("2-channel model on the 3-channel trace",
      "predictor model chooses among 2 channels, the trace has 3"),
     ("4-channel model on the 3-channel trace",
-     "predictor model chooses among 4 channels, the trace has 3")])
+     "predictor model chooses among 4 channels, the trace has 3"),
+    ("node source the trace lacks",
+     "node source 'Z' is not in the trace, whose sources are ['A', 'B', 'C']")])
 def test_a_strategy_the_trace_cannot_run_is_named(tmp_path, capsys, case, message):
     assert run(MALFORMED_INPUTS[case](tmp_path)) == 2
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from lorahop import predictor, sim, telemetry, trace
-from oracle import events_csv, report_row, report_to_json
+from oracle import events_csv, report_row, report_to_json, rows_by_grouping
 
 
 def fixed_config(source="A", freq=869.0, seed=0, **kw):
@@ -199,18 +198,19 @@ ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x
 ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565, 1e16]
 
 
-def _odd_events(events):
-    """`events` renamed and re-valued in turn with `ODD_NAMES` and `ODD_VALUES`, and three in
-    five moved to a carrier of NaN, 0.0 or -0.0."""
-    return [dataclasses.replace(
-        e, node=ODD_NAMES[k % len(ODD_NAMES)], gateway=ODD_NAMES[(3 * k + 1) % len(ODD_NAMES)],
-        freq_mhz=(float("nan"), 0.0, -0.0, e.freq_mhz, e.freq_mhz)[k % 5],
-        rssi=ODD_VALUES[k % len(ODD_VALUES)],
-        snr=ODD_VALUES[(k + 2) % len(ODD_VALUES)]) for k, e in enumerate(events)]
+def _odd_report(report):
+    """`report` with its events' nodes renamed in turn with `ODD_NAMES`, their RSSI and SNR
+    re-valued with `ODD_VALUES`, and three in five moved to a carrier of NaN, 0.0 or -0.0."""
+    events, k = report.events.copy(), np.arange(len(report.events))
+    events.node = k % len(ODD_NAMES)
+    events.freq_mhz = np.where(k % 5 < 3, k % 5, 3 + events.freq_mhz)
+    events.rssi, events.snr = np.take(ODD_VALUES, [k, k + 2], mode="wrap")
+    return sim.SimReport(rows=report.rows, events=events, sources=ODD_NAMES,
+                         freqs=[float("nan"), 0.0, -0.0, *report.freqs])
 
 
 @pytest.mark.parametrize("case", ["contended", "odd names and values", "no payload sizes"])
-def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, case):
+def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, monkeypatch, case):
     nodes = tuple(sim.NodeSpec(source=src, strategy=strategy) for src, strategy in zip(
         "ABC", (sim.FixedStrategy(869.0), sim.FixedStrategy(869.0), sim.RandomHopStrategy())))
     config = sim.SimConfig(nodes=nodes, packets_per_size=10, rng_seed=2,
@@ -218,21 +218,39 @@ def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, case):
                            else trace.DEFAULT_PAYLOAD_SCHEDULE)
     report = sim.run(config, bundled_trace)
     if case == "odd names and values":
-        report = sim.SimReport(rows=report.rows, events=_odd_events(report.events))
-    doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
-    report.write(doc, events)
-    report.write(doc_only)
-    assert doc.getvalue() == doc_only.getvalue() == report_to_json(report)
-    assert events.getvalue() == events_csv(report)
+        report = _odd_report(report)
+    for block in (sim._WRITE_BLOCK, 7):   # 180 events in one block, or in 26 ending in 5
+        doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_WRITE_BLOCK", block)
+            report.write(doc, events)
+            report.write(doc_only)
+        assert doc.getvalue() == doc_only.getvalue() == report_to_json(report)
+        assert events.getvalue() == events_csv(report)
+
+
+@pytest.mark.parametrize("placement", ["end_node", "gateway"])
+def test_rows_are_the_grouped_means_of_the_events(bundled_trace, placement):
+    model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(4, 3), 3, seed=1)
+    strategies = (sim.PredictorHopStrategy(model), sim.SensingHopStrategy(),
+                  sim.RandomHopStrategy())
+    config = sim.SimConfig(nodes=tuple(sim.NodeSpec(source=src, strategy=strategy)
+                                       for src, strategy in zip("ABC", strategies)),
+                           packets_per_size=20, rng_seed=4, predictor_placement=placement)
+    report = sim.run(config, bundled_trace)
+    assert sum(r.collisions for r in report.rows) > 0
+    assert report.rows == rows_by_grouping(report, config)
 
 
 def test_write_peak_memory_stays_under_a_megabyte_for_36000_events():
     # the bench's contended run: the whole-document writers peak at about 24 MB
     rng = np.random.default_rng(0)
-    rssi, snr = (-60.0 + 10.0 * rng.normal(size=(2, 36_000))).tolist()
-    report = sim.SimReport(rows=[], events=[
-        sim.SlotEvent(k // 3 + 1, "ABC"[k % 3], "GW0", 868.0 + k % 3, 30, rssi[k], snr[k],
-                      k % 4 != 0, k % 4 == 0, k % 7 == 0) for k in range(36_000)])
+    k = np.arange(36_000)
+    events = np.rec.fromarrays([k // 3 + 1, k % 3, k % 3, np.full_like(k, 30),
+                                *(-60.0 + 10.0 * rng.normal(size=(2, 36_000))),
+                                k % 4 != 0, k % 4 == 0, k % 7 == 0], dtype=sim.EVENT_DTYPE)
+    report = sim.SimReport(rows=[], events=events, sources=["A", "B", "C"],
+                           freqs=[868.0, 869.0, 870.0])
     with open(os.devnull, "w") as fh, open(os.devnull, "w", newline="") as events_fh:
         tracemalloc.start()
         try:
@@ -250,8 +268,8 @@ def test_compare_strategies_formulas():
     rows_b = [sim.ReportRow(node="A", size=30, strategy="random_hop", sent=50,
                             delivered=40, collisions=0, hops=10, mean_rssi=-100.0,
                             mean_snr=6.5, mean_rssi_all=-108.0, mean_snr_all=6.5)]
-    table = sim.compare_strategies(sim.SimReport(rows=rows_a, events=[]),
-                                   sim.SimReport(rows=rows_b, events=[]))
+    table = sim.compare_strategies(*(sim.SimReport(rows=rows, events=None, sources=["A"],
+                                                   freqs=[]) for rows in (rows_a, rows_b)))
     improvement = {metric: impr for _, metric, _, _, impr in table}
     assert improvement["rssi"] == pytest.approx(63.0, abs=0.05)
     assert improvement["snr"] == pytest.approx(44.6, abs=0.05)
@@ -276,6 +294,8 @@ def test_sim_config_rejects_out_of_range_values(field, value):
 
 
 def test_sim_config_accepts_numpy_numbers_and_infinite_threshold():
-    config = fixed_config(seed=np.int64(3), capture_threshold_db=float("inf"),
-                          rssi_jitter_db=np.float32(0.5), payload_schedule=(np.int32(30),))
+    config = fixed_config(freq=np.float32(869.0), seed=np.int64(3),
+                          capture_threshold_db=float("inf"), rssi_jitter_db=np.float32(0.5),
+                          payload_schedule=(np.int32(30),))
     assert config.capture_threshold_db == float("inf")
+    assert config.nodes[0].strategy.freq_mhz == sim.FixedStrategy(869).freq_mhz == 869.0
