@@ -27,6 +27,7 @@ FLAT_VERSION = 1
 _FLAT_HEADER = struct.Struct("<4sBII")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _F32_MAX = float(np.finfo(np.float32).max)
+_PATIENCE = 3   # epochs without a lower validation loss before a model stops training
 
 
 class ModelFormatError(ValueError):
@@ -61,13 +62,14 @@ class FcnnModel:
 
 @dataclass
 class TrainReport:
-    """Training curves, one entry per epoch.  The report of a stack (`train` on lists) holds
-    a list with one value per model in each entry and in `test_accuracy`."""
+    """One model's training curves, one entry per epoch it ran.  `stop_epoch` is the number
+    of epochs it ran: the `epochs` budget, or fewer if its validation loss stopped falling."""
     train_loss: list
     val_loss: list
     val_accuracy: list
     test_accuracy: float
     split_sizes: tuple
+    stop_epoch: int
 
     def to_json(self):
         """The training curves document.  NaN, the figure of a split too small to hold a row
@@ -154,15 +156,16 @@ class ParamStack:
     vector is a float64 copy of the models' arrays, or `flat`, which the views then share.
     """
 
+    _ORDER = (0, 2, 4, 1, 3, 5)   # w1 w2 w3 b1 b2 b3
+
     def __init__(self, models, flat=None):
         k = len(models)
         shapes = _param_shapes(models[0].input_dim, models[0].num_channels)
-        order = (0, 2, 4, 1, 3, 5)   # w1 w2 w3 b1 b2 b3
         if flat is None:
             flat = np.concatenate([m.params()[i].astype(np.float64).ravel()
-                                   for i in order for m in models])
+                                   for i in self._ORDER for m in models])
         self.models, self.flat = models, flat
-        stacked = dict(zip(order, _views(flat, [(k, *shapes[i]) for i in order])))
+        stacked = dict(zip(self._ORDER, _views(flat, [(k, *shapes[i]) for i in self._ORDER])))
         self.arrays = [stacked[i] for i in range(6)]
         weights = self.arrays[0::2]
         self.weights = flat[:sum(w.size for w in weights)]
@@ -176,6 +179,12 @@ class ParamStack:
     def like(self, flat):
         """The same models' stack over another vector of this layout."""
         return ParamStack(self.models, flat)
+
+    def take(self, keep, flat):
+        """`flat`, a vector of this layout, cut to the models at the ascending indices `keep`:
+        a new vector laid out as the stack of those models alone."""
+        arrays = self.like(flat).arrays
+        return np.concatenate([arrays[i][keep].ravel() for i in self._ORDER])
 
     def model(self, k):
         return FcnnModel(*(a[k] for a in self.arrays))
@@ -255,24 +264,48 @@ def _divergence(losses, params):
     raise AssertionError("no model failed")
 
 
+class StackReports(list):
+    """`train`'s result for a stack: one `TrainReport` per model, in model order.  It also
+    answers, as one model's report does, the three fields that `perfbench/tracing.py` reads
+    from every `train` result: the shared `split_sizes`, `val_loss` with one entry per epoch
+    the stack ran (one validation pass each) and `test_accuracy`, one value per model."""
+
+    @property
+    def split_sizes(self):
+        return self[0].split_sizes
+
+    @property
+    def val_loss(self):
+        return max((report.val_loss for report in self), key=len)
+
+    @property
+    def test_accuracy(self):
+        return [report.test_accuracy for report in self]
+
+
 def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     """Adam on the training split of a `telemetry.Dataset`; deterministic given the seed.
+
+    After each epoch the model keeps the parameters of its lowest validation loss so far,
+    and it stops after `_PATIENCE` epochs without a lower one (Prechelt's patience rule),
+    ending with those parameters; `epochs` is the most it runs.  Without a validation split
+    (under 5 rows) it runs every epoch and keeps the last.
 
     `model` and `dataset` may also be equal-length lists, the way `forward` takes one vector
     or a batch, and `seed` then a list of the same length, one per model.  The models then
     train in lockstep, one stacked `loss_and_grads` call and one Adam update per step, each
-    with the split and batch order of its own seed (of `seed`, if that is one value), so
-    each ends as its own `train` would leave it, bit for bit.  The report's per-epoch
-    entries and its `test_accuracy` are then lists with one value per model.  If any model
-    diverges, every model is left unchanged and the error is that of the lowest-index model
-    that failed at the first step where one did.
+    with the split and batch order of its own seed (of `seed`, if that is one value); a
+    stopped model leaves the stack, so each ends as its own `train` would leave it, bit for
+    bit, and the result is a `StackReports` of their own reports.  If any model diverges,
+    every model is left unchanged and the error is that of the lowest-index model that
+    failed at the first step where one did.
     """
     single = isinstance(model, FcnnModel)
     models, datasets = ([model], [dataset]) if single else (list(model), list(dataset))
     if not models or len(models) != len(datasets):
         raise ValueError(f"need one dataset per model, got {len(datasets)} for {len(models)}")
-    seeds = [seed] if single or not isinstance(seed, (list, tuple)) else list(seed)
-    if len(seeds) not in (1, len(models)):
+    seeds = [seed] * len(models) if single or not isinstance(seed, (list, tuple)) else seed
+    if len(seeds) != len(models):
         raise ValueError(f"need one seed per model, got {len(seeds)} for {len(models)}")
     if any(len(ds) < 1 for ds in datasets):
         raise ValueError("empty dataset")
@@ -296,36 +329,39 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
     ys = [np.asarray(ds.labels, dtype=np.intp) for ds in datasets]
     k = len(models)
     rngs = [np.random.default_rng(s) for s in seeds]
-    # per model, its split: (k, size) arrays, the rows of one seed repeated if it is shared
-    tr, va, te = (np.broadcast_to(np.stack(part), (k, len(part[0])))
-                  for part in zip(*(_split_indices(len(ys[0]), rng) for rng in rngs)))
+    splits = [_split_indices(len(ys[0]), rng) for rng in rngs]
+    tr, va, te = (np.stack(part) for part in zip(*splits))   # (k, size): each model's rows
+    n_tr, n_va = tr.shape[1], va.shape[1]
 
-    # Adam updates `params.flat` in place via `s`, `t`; gradients go into `grads.flat`
+    # `active` holds the models still training, as indices into `models`, and `params`
+    # stacks them alone.  Adam updates `params.flat` in place via `s`, `t`; gradients go into
+    # `grads.flat`.  `best` holds every model's parameters at its best epoch so far.
+    active = list(range(k))
     params = ParamStack(models)
     grads = params.like(np.zeros_like(params.flat))
     flat, grad = params.flat, grads.flat
     m, v, s, t = (np.zeros_like(flat) for _ in range(4))
+    best = params.like(flat.copy())
     # each epoch gathers every model's labels in its batch order into `y_ep`, and each step
     # gathers every model's batch of features from its own dataset into `x_b`
-    n_tr = tr.shape[1]
     x_b = np.empty((k, min(batch_size, n_tr), xs[0].shape[1]))
     y_ep = np.empty((k, n_tr), dtype=np.intp)
     x_va = np.stack([x[rows] for x, rows in zip(xs, va)])
     y_va = np.stack([y[rows] for y, rows in zip(ys, va)])
     step = 0
-    train_losses, val_losses, val_accs = [], [], []
+    curves = [([], [], []) for _ in models]   # per model: train loss, val loss, val accuracy
+    best_loss, waited = [math.inf] * k, [0] * k
 
     for _ in range(epochs):
-        orders = np.broadcast_to(np.stack([rows[rng.permutation(n_tr)]
-                                           for rows, rng in zip(tr, rngs)]), (k, n_tr))
-        for y, y_out, order in zip(ys, y_ep, orders):
-            y.take(order, out=y_out)
-        epoch_loss = [0.0] * k
+        orders = np.stack([tr[j][rngs[j].permutation(n_tr)] for j in active])
+        for j, y_out, order in zip(active, y_ep, orders):
+            ys[j].take(order, out=y_out)
+        epoch_loss = [0.0] * len(active)
         for start in range(0, n_tr, batch_size):
             batches = orders[:, start:start + batch_size]
             nb = batches.shape[1]
-            for x, x_out, batch in zip(xs, x_b, batches):
-                x.take(batch, axis=0, out=x_out[:nb])
+            for j, x_out, batch in zip(active, x_b, batches):
+                xs[j].take(batch, axis=0, out=x_out[:nb])
             loss, _ = loss_and_grads(params, x_b[:, :nb], y_ep[:, start:start + nb], out=grads)
             epoch_loss = [total + value * nb for total, value in zip(epoch_loss, loss)]
             step += 1
@@ -342,31 +378,43 @@ def train(model, dataset, epochs=200, batch_size=32, lr=1e-3, seed=0):
             if not (all(map(math.isfinite, loss))
                     and np.maximum.reduce(np.abs(flat, out=t)) <= _F32_MAX):
                 raise _divergence(loss, params)
-        train_losses.append([float(total / n_tr) for total in epoch_loss])
-        if va.shape[1]:
-            vl, _ = loss_and_grads(params, x_va, y_va, grads=False)
-            val_losses.append([float(value) for value in vl])
+        if n_va:
+            val_loss, _ = loss_and_grads(params, x_va, y_va, grads=False)
             # accuracy of the float32 models that would be exported after this epoch
             exported = params.like(flat.astype(np.float32))
-            val_accs.append([float((forward(exported.model(j), x_va[j]).argmax(axis=1)
-                                    == y_va[j]).mean()) for j in range(k)])
+            val_acc = [float((forward(exported.model(p), x_va[p]).argmax(axis=1)
+                              == y_va[p]).mean()) for p in range(len(active))]
         else:
-            val_losses.append([float("nan")] * k)
-            val_accs.append([float("nan")] * k)
+            val_loss = val_acc = [float("nan")] * len(active)
+        for p, j in enumerate(active):
+            for curve, value in zip(curves[j], (epoch_loss[p] / n_tr, val_loss[p], val_acc[p])):
+                curve.append(float(value))
+            if not n_va or val_loss[p] < best_loss[j]:
+                best_loss[j], waited[j] = val_loss[p], 0
+                for kept, now in zip(best.arrays, params.arrays):
+                    kept[j] = now[p]
+            else:
+                waited[j] += 1
+        keep = [p for p, j in enumerate(active) if waited[j] < _PATIENCE]
+        if not keep:
+            break
+        if len(keep) < len(active):   # the stopped models leave the stack
+            active = [active[p] for p in keep]
+            m, v, flat = (params.take(keep, vec) for vec in (m, v, flat))
+            params = ParamStack([models[j] for j in active], flat)
+            grads = params.like(np.zeros_like(flat))
+            grad, s, t = grads.flat, np.empty_like(flat), np.empty_like(flat)
+            x_b, y_ep, x_va, y_va = x_b[:len(keep)], y_ep[:len(keep)], x_va[keep], y_va[keep]
 
-    test_accs = []
+    reports = StackReports()
     for j, (mdl, x, y, rows) in enumerate(zip(models, xs, ys, te)):
-        mdl.set_params(a[j] for a in params.arrays)
-        test_accs.append(float((forward(mdl, x[rows]).argmax(axis=1) == y[rows]).mean())
-                         if len(rows) else float("nan"))
-
-    def per_model(values):   # one model's report holds its own values, a stack's their lists
-        return values[0] if single else values
-    return TrainReport(train_loss=[per_model(e) for e in train_losses],
-                       val_loss=[per_model(e) for e in val_losses],
-                       val_accuracy=[per_model(e) for e in val_accs],
-                       test_accuracy=per_model(test_accs),
-                       split_sizes=(n_tr, va.shape[1], te.shape[1]))
+        mdl.set_params(a[j] for a in best.arrays)
+        test_acc = (float((forward(mdl, x[rows]).argmax(axis=1) == y[rows]).mean())
+                    if len(rows) else float("nan"))
+        reports.append(TrainReport(*curves[j], test_accuracy=test_acc,
+                                   split_sizes=(n_tr, n_va, te.shape[1]),
+                                   stop_epoch=len(curves[j][0])))
+    return reports[0] if single else reports
 
 
 def predict_channel(model, window):

@@ -62,7 +62,7 @@ PINNED = {
         "dataset.json": "722ef715b260cca6ca1d6cb5a1d0d9119acc4b3eabf775ea4f87c04befd6ddab",
         "events.csv": "d90fa83eb04d09bef36067514c8de97257c3f45debaa862eb24fdf6f7ddc5ed1",
         "model.fhop": "2d1cfe56b5a660bee1db0f7a2c90be8158ee767343ad14b691ceb1d9265b4172",
-        "model.fhop.train.json": "5be3f147fe3ffc98b33978006fb4ab866605de01193fb884361463eac8e9eacd",
+        "model.fhop.train.json": "a5dde35fd8d62a27828d541bca52e2dfa67dded05163e9d800f8c03b08856bce",
         "model.h": "157f4034a232848275e215d84e100172fd6ff7483a9ae062d9b73b47e1d8f2de",
         "model_flat.fhop": "2d1cfe56b5a660bee1db0f7a2c90be8158ee767343ad14b691ceb1d9265b4172",
         "report.json": "59ff7800368df20c2dfa38dae1ae95e08bea9adfd6525d988a85adb9ba03d271"},
@@ -92,7 +92,7 @@ PINNED = {
         "dataset.json": "4370707268f4140391ff499c8f9c34bca44d51b35730d1d628461db8cee38134",
         "events.csv": "0e29aabb562e7fa7be15d4c07096db01bd227a664b9d132a461805e75b5d0192",
         "model.fhop": "c951c71a322155f21b38d7163154a3d271b813cae2f777374a199447c9d86abd",
-        "model.fhop.train.json": "566f0e05ed55e50b3ba0d61742566a9f10a0b1356329c4ab0cbf6f52041409dc",
+        "model.fhop.train.json": "6c7e4a27b9908827784fcc2025aa42926c41cef657adaf5e325b3fca07bf1875",
         "report.json": "271b28c263fdbda90a096e37a11a6342c3ee6c59c3893efbe30b4942c8d2222f"},
     ("recommend study --sparsities 10,50,90 --seeds 2 --out {d}/study.json",): {
         "study.json": "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"},
@@ -110,7 +110,7 @@ PINNED = {
      "train --dataset {d}/dataset.json --epochs 2 --out {d}/model.fhop"): {
         "dataset.json": "d469ad3df94cb18ff0a5ecc76663e0ca7c0a74a0e2566ca1ac312e28ba3ee75d",
         "model.fhop": "94aab3eabfebedcb7ed188a1e8529b3458d69e6bbd7fffa6a7dd2d7c08d15d4f",
-        "model.fhop.train.json": "b0e3ef2cc98b54e77bfac7031ae0506f9a5857f9f234068240cdf3a0388a5137"},
+        "model.fhop.train.json": "eebe88659d0199fbb3fb327c2ff9dcdc0ec98ba78c27a1af21dba6123d894a31"},
     ("optimize --scenario {data}/scenarios/tiny_single_node.json --out {d}/result.json",): {
         "result.json": "664179043b30fc27445513273738e42b147c1581dcf68cf20fa9d98bd3c3332c"},
     ("gen-dataset --source C --rows 200 --ts 4 --seed 8 --out {d}/dataset.json",
@@ -119,7 +119,7 @@ PINNED = {
         "dataset.json": "599c98cca94933037a4c8b1bb433b28dbacce9cc4f74510584c10e4e5a859efd",
         "events.csv": "4d4eeebeff9a389fb767ec48fa82e4c78c9077621ee5833fd8e4b04fde7231e6",
         "model.fhop": "1167e9f2932f28037251dd4e94d0747a0633a14dc5f76abb27d59ed546d146dc",
-        "model.fhop.train.json": "f4025dbbb83bf5b56a4bd12f37e85d19f25f1a7605b6bde57adc0ca242ec46fb",
+        "model.fhop.train.json": "e8c4b3d07c6497116ff777848f78f2ae467ed1955bf145980901ede97db3363f",
         "report.json": "cd4654064e8872d1faf4fda6409c964736c12fd87280bebae3b8b772b421ca04"},
 }
 

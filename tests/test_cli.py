@@ -119,7 +119,7 @@ def test_gen_dataset_and_train_and_export(tmp_path):
                 "--seed", "1", "--out", str(model)]) == 0
     assert model.stat().st_size > 0
     curves = json.loads(Path(str(model) + ".train.json").read_text())
-    assert len(curves["train_loss"]) == 3
+    assert len(curves["train_loss"]) == curves["stop_epoch"] == 3
 
     c_file = tmp_path / "model.h"
     assert run(["export", "--model", str(model), "--format", "c_array",

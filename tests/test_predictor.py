@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,10 +297,12 @@ def test_train_rejects_non_finite_features():
 
 
 def reference_train(model, rows, epochs, batch_size, lr, seed, seen,
-                    beta1=0.9, beta2=0.999, eps=1e-8):
+                    beta1=0.9, beta2=0.999, eps=1e-8, patience=3):
     """Adam kept per tensor, one update per tensor and step, and validation accuracy
     on the float32 cast of the parameters: the loop that `train` must match bit for bit.
-    Appends to `seen` the parameters of every loss evaluation, concatenated."""
+    After each epoch it copies the parameters of the lowest validation loss so far, and it
+    stops after `patience` epochs without a lower one, returning that copy.  Appends to
+    `seen` the parameters of every loss evaluation, concatenated."""
     x, y = rows.features, rows.labels
     rng = np.random.default_rng(seed)
     tr, va, _ = predictor._split_indices(len(rows), rng)
@@ -307,6 +311,7 @@ def reference_train(model, rows, epochs, batch_size, lr, seed, seen,
     v = [np.zeros_like(p) for p in params]
     step = 0
     train_losses, val_losses, val_accs = [], [], []
+    best_params, best_loss, waited = params, np.inf, 0
     for _ in range(epochs):
         order = tr[rng.permutation(len(tr))]
         epoch_loss = 0.0
@@ -327,12 +332,19 @@ def reference_train(model, rows, epochs, batch_size, lr, seed, seen,
         val_losses.append(float(reference_loss_and_grads(model, x[va], y[va], params)[0]))
         as_f32 = predictor.FcnnModel(*[p.astype(np.float32) for p in params])
         val_accs.append(float((predictor.forward(as_f32, x[va]).argmax(axis=1) == y[va]).mean()))
-    return params, train_losses, val_losses, val_accs
+        if val_losses[-1] < best_loss:
+            best_params, best_loss, waited = [p.copy() for p in params], val_losses[-1], 0
+        else:
+            waited += 1
+            if waited == patience:
+                break
+    return best_params, train_losses, val_losses, val_accs
 
 
-def train_beside_reference(batch_size):
+def train_beside_reference(batch_size, epochs=3, lr=0.01):
     """Run `train` and `reference_train` on one seeded dataset, assert that they match
-    bit for bit, and return the parameters each passed to `loss_and_grads`."""
+    bit for bit, and return the parameters each passed to `loss_and_grads`, and the
+    report."""
     rng = np.random.default_rng(8)
     rows = dataset_of((rng.normal(size=6), int(rng.integers(0, 3))) for _ in range(90))
     # the float64 parameters of every step and validation, which the float32 export and
@@ -345,33 +357,47 @@ def train_beside_reference(batch_size):
         return real_loss_and_grads(params, x, labels, **kwargs)
 
     params, train_losses, val_losses, val_accs = reference_train(
-        predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=3,
-        batch_size=batch_size, lr=0.01, seed=2, seen=reference_seen)
+        predictor.init_model(6, 3, seed=4, l1_lambda=1e-3), rows, epochs=epochs,
+        batch_size=batch_size, lr=lr, seed=2, seen=reference_seen)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(predictor, "loss_and_grads", spy)
         model = predictor.init_model(6, 3, seed=4, l1_lambda=1e-3)
-        report = predictor.train(model, rows, epochs=3, batch_size=batch_size, lr=0.01,
+        report = predictor.train(model, rows, epochs=epochs, batch_size=batch_size, lr=lr,
                                  seed=2)
     assert len(seen) == len(reference_seen)
     assert all(np.array_equal(a, b) for a, b in zip(seen, reference_seen))
     assert report.train_loss == train_losses
     assert report.val_loss == val_losses
     assert report.val_accuracy == val_accs
+    assert report.stop_epoch == len(val_losses)
     for got, want in zip(model.params(), params):
         assert got.dtype == np.float32
         assert np.array_equal(got, want.astype(np.float32))
-    return seen, reference_seen
+    return seen, reference_seen, report
 
 
 def test_train_matches_per_tensor_adam_bit_for_bit():
-    seen, reference_seen = train_beside_reference(batch_size=8)
+    seen, reference_seen, report = train_beside_reference(batch_size=8)
     assert len(seen) == len(reference_seen) == 3 * (54 // 8 + 1 + 1)
     # the edges of slicing batches from the gathered epoch: one row per batch, and one
     # batch larger than the 54-row training split
-    seen, reference_seen = train_beside_reference(batch_size=1)
+    seen, reference_seen, report = train_beside_reference(batch_size=1)
     assert len(seen) == len(reference_seen) == 3 * (54 + 1)
-    seen, reference_seen = train_beside_reference(batch_size=60)
+    # validation loss rose after epoch 1: the model ends with epoch 1's parameters
+    assert report.val_loss.index(min(report.val_loss)) == 0
+    seen, reference_seen, report = train_beside_reference(batch_size=60)
     assert len(seen) == len(reference_seen) == 3 * (1 + 1)
+    # the stop fires inside a 40-epoch budget, 3 epochs after the lowest validation loss
+    seen, reference_seen, report = train_beside_reference(batch_size=8, epochs=40)
+    assert report.stop_epoch == 6 and len(seen) == 6 * (54 // 8 + 1 + 1)
+    assert report.val_loss.index(min(report.val_loss)) == 2
+    # a slow run lowers its validation loss at every epoch, and the stop never fires
+    _, _, report = train_beside_reference(batch_size=60, epochs=40, lr=1e-3)
+    assert report.stop_epoch == 40
+    assert report.val_loss == sorted(report.val_loss, reverse=True)
+    # at lr 1e-300 no step moves a loss: an equal validation loss is no improvement
+    _, _, report = train_beside_reference(batch_size=60, epochs=10, lr=1e-300)
+    assert report.stop_epoch == 4 and len(set(report.val_loss)) == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -387,21 +413,15 @@ def test_diverging_train_fails_before_overflow_and_leaves_the_model_unchanged():
     assert all(np.array_equal(p, q) for p, q in zip(before, model.params()))
 
 
-def model_report(report, j):
-    """Model j's values in a stack's report, laid out as one model's report holds them."""
-    return predictor.TrainReport(
-        train_loss=[e[j] for e in report.train_loss], val_loss=[e[j] for e in report.val_loss],
-        val_accuracy=[e[j] for e in report.val_accuracy],
-        test_accuracy=report.test_accuracy[j], split_sizes=report.split_sizes)
-
-
 @pytest.mark.parametrize("batch_size", [1, 8, 100])
 @pytest.mark.parametrize("n_rows", [1, 4, 7, 90])
 def test_stacked_training_equals_each_models_own(n_rows, batch_size):
     """Stacks of 1, 2 and 3 models, on one seed or one seed each, end with each model's own
-    `train` bytes and curves; under 5 rows the curves are null, and a 100-row batch is
-    larger than any training split."""
-    for seed in (0, 1):
+    `train` bytes and report; under 5 rows the curves are null, and a 100-row batch is
+    larger than any training split.  In 3 epochs no model stops; in 25 they stop at
+    different epochs."""
+    stops = set()
+    for seed, epochs in itertools.product((0, 1), (3, 25)):
         rng = np.random.default_rng([seed, n_rows])
         datasets = [dataset_of((rng.normal(size=6), int(rng.integers(0, 3)))
                                for _ in range(n_rows)) for _ in range(3)]
@@ -410,7 +430,7 @@ def test_stacked_training_equals_each_models_own(n_rows, batch_size):
             return predictor.init_model(6, 3, seed=10 * seed + j, l1_lambda=(1e-4, 1e-3, 0.0)[j])
 
         def run(models, rows, seeds):
-            return predictor.train(models, rows, epochs=3, batch_size=batch_size, lr=0.01,
+            return predictor.train(models, rows, epochs=epochs, batch_size=batch_size, lr=0.01,
                                    seed=seeds)
         for seeds in ([seed] * 3, [seed, seed + 2, 2**33 + seed]):
             alone = []
@@ -418,15 +438,57 @@ def test_stacked_training_equals_each_models_own(n_rows, batch_size):
                 model = fresh(j)
                 report = run(model, rows, seeds[j])
                 alone.append((report, predictor.export_flat(model)))
+                stops.add(report.stop_epoch)
             for k in (1, 2, 3):
                 # a list of seeds, and one seed for the whole stack where they are all equal
                 for stack_seed in [seeds[:k]] + ([seed] if len(set(seeds)) == 1 else []):
                     models = [fresh(j) for j in range(k)]
-                    report = run(models, datasets[:k], stack_seed)
-                    assert report.split_sizes == alone[0][0].split_sizes
-                    for j, model in enumerate(models):
+                    reports = run(models, datasets[:k], stack_seed)
+                    assert isinstance(reports, list) and len(reports) == k
+                    for j, (model, report) in enumerate(zip(models, reports)):
                         assert predictor.export_flat(model) == alone[j][1]
-                        assert model_report(report, j).to_json() == alone[j][0].to_json()
+                        assert report.to_json() == alone[j][0].to_json()
+    # under 5 rows there is no validation split, and every model runs all its epochs
+    assert stops == {3, 25} if n_rows < 5 else len(stops - {3, 25}) > 1
+
+
+def test_a_stopped_model_leaves_its_stack():
+    """After its stop epoch a model is in no `loss_and_grads` call, while the rest of its
+    stack trains on; each model ends with its own `train` bytes."""
+    rng = np.random.default_rng([1, 90])
+    datasets = [dataset_of((rng.normal(size=6), int(rng.integers(0, 3))) for _ in range(90))
+                for _ in range(3)]
+    seeds = [1, 3, 2**33 + 1]
+
+    def fresh(j):
+        return predictor.init_model(6, 3, seed=10 + j, l1_lambda=(1e-4, 1e-3, 0.0)[j])
+
+    alone = []
+    for j in range(3):
+        model = fresh(j)
+        report = predictor.train(model, datasets[j], epochs=40, batch_size=8, lr=0.01,
+                                 seed=seeds[j])
+        alone.append((report.stop_epoch, predictor.export_flat(model)))
+    assert len({stop for stop, _ in alone}) == 3   # three different stops inside the budget
+    calls = []   # per loss_and_grads call, the models it stacks
+    real_loss_and_grads = predictor.loss_and_grads
+
+    def spy(params, x, labels, **kwargs):
+        calls.append(list(params.models))
+        return real_loss_and_grads(params, x, labels, **kwargs)
+
+    models = [fresh(j) for j in range(3)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(predictor, "loss_and_grads", spy)
+        reports = predictor.train(models, datasets, epochs=40, batch_size=8, lr=0.01, seed=seeds)
+    per_epoch = 54 // 8 + 1 + 1   # Adam steps and one validation
+    assert len(calls) == max(stop for stop, _ in alone) * per_epoch
+    for j, (model, report) in enumerate(zip(models, reports)):
+        stop, flat = alone[j]
+        assert report.stop_epoch == stop
+        assert predictor.export_flat(model) == flat
+        trained_in = [any(m is model for m in stack) for stack in calls]
+        assert trained_in == [call < stop * per_epoch for call in range(len(calls))]
 
 
 def test_stacked_training_rejects_mismatched_lists():
