@@ -176,6 +176,23 @@ EVENT_DTYPE = np.dtype([("slot", np.int64), ("node", np.int64), ("freq_mhz", np.
 _WRITE_BLOCK = 1024   # events the writer makes Python values of at a time, not the run's
 _JSON_BOOL, _CSV_BOOL = ("false", "true"), ("0", "1")   # indexed by a bool
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # by float repr
+# An event as `json.dumps(sort_keys=True)` writes it: its head, the text up to "rssi",
+# holds the fields that take few values, and the rest the four that take many
+_JSON_HEAD = ('{"collided": %s, "delivered": %s, "freq_mhz": %s, "gateway": %s, '
+              '"hopped": %s, "node": %s, "rssi": ')
+_JSON_EVENT = '%s%s%s, "size": %s, "slot": %s, "snr": %s}'   # separator, head, rssi, ...
+
+
+class _Texts(dict):
+    """Text by key, made by `make(key)` the first time a key is looked up."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
 
 
 def _text_cells(text):
@@ -225,36 +242,51 @@ class SimReport:
         """Write the report document (`json.dumps(..., sort_keys=True)` of its rows and
         events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
         `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
-        pass over the events.  Each value is formatted once, RSSI and SNR rounded to 6
-        decimals, and each name and carrier once per call; JSON spells strings and
-        non-finite floats as `json` does."""
-        order = sorted(range(len(EVENT_FIELDS)), key=EVENT_FIELDS.__getitem__)
-        json_event = "{" + ", ".join(f"{json.dumps(EVENT_FIELDS[i])}: %s" for i in order) + "}"
-        in_key_order = itemgetter(*order)
-        csv_line = ",".join(["%s"] * len(EVENT_FIELDS)) + "\r\n"
+        pass over the events.  Slot, size, RSSI and SNR are formatted per event, RSSI and
+        SNR rounded to 6 decimals.  The rest of an event's text takes few values, each made
+        once: on first use, in JSON the text before "rssi", by node, carrier and the three
+        flags, and in CSV the cells between slot and size, by node and carrier; the CSV
+        line's end is one of eight, by the flags.  JSON spells strings and non-finite
+        floats as `json` does."""
+        nf = len(self.freqs)
         names = [_text_cells(name) for name in self.sources]
         carriers = [_carrier_cells(freq) for freq in self.freqs]
-        gateway, gateway_cell = _text_cells("GW0")
+        gateway = _text_cells("GW0")
+
+        # an event's pair is node * nf + carrier, its flags delivered * 4 + collided * 2
+        # + hopped, and the key of its JSON head pair * 8 + flags
+        def json_head(key):
+            (k, f), flag = divmod(key >> 3, nf), key & 7
+            return _JSON_HEAD % (_JSON_BOOL[flag >> 1 & 1], _JSON_BOOL[flag >> 2],
+                                 carriers[f][0], gateway[0], _JSON_BOOL[flag & 1], names[k][0])
+
+        def csv_cells(pair):
+            k, f = divmod(pair, nf)
+            return f",{names[k][1]},{gateway[1]},{carriers[f][1]},"
+
+        heads, cells = _Texts(json_head), _Texts(csv_cells)
+        flag_cells = [f",{_CSV_BOOL[flag >> 2]},{_CSV_BOOL[flag >> 1 & 1]},"
+                      f"{_CSV_BOOL[flag & 1]}\r\n" for flag in range(8)]
         fh.write('{"events": [')
         if events_fh is not None:
-            events_fh.write(csv_line % tuple(_text_cells(name)[1] for name in EVENT_FIELDS))
-        columns = [self.events[name] for name in EVENT_DTYPE.names]
+            events_fh.write(",".join(_text_cells(name)[1] for name in EVENT_FIELDS) + "\r\n")
+        write, write_csv = fh.write, None if events_fh is None else events_fh.write
+        columns = {name: self.events[name] for name in EVENT_DTYPE.names}
         sep = ""
         for start in range(0, len(self.events), _WRITE_BLOCK):
-            for slot, k, f, size, rssi, snr, ok, hit, hop in zip(
-                    *(c[start:start + _WRITE_BLOCK].tolist() for c in columns)):
+            c = {name: column[start:start + _WRITE_BLOCK] for name, column in columns.items()}
+            pairs = c["node"] * nf + c["freq_mhz"]
+            flags = c["delivered"] * 4 + c["collided"] * 2 + c["hopped"]
+            for slot, size, rssi, snr, head, pair, flag in zip(
+                    *(c[name].tolist() for name in ("slot", "size", "rssi", "snr")),
+                    (pairs * 8 + flags).tolist(), pairs.tolist(), flags.tolist()):
                 slot, size = str(slot), str(size)
                 rssi, snr = repr(round(rssi, 6)), repr(round(snr, 6))
-                (node, node_cell), (freq_json, freq) = names[k], carriers[f]
-                fh.write(sep + json_event % in_key_order((
-                    slot, node, gateway, freq_json, size,
-                    _JSON_NONFINITE.get(rssi, rssi), _JSON_NONFINITE.get(snr, snr),
-                    _JSON_BOOL[ok], _JSON_BOOL[hit], _JSON_BOOL[hop])))
+                write(_JSON_EVENT % (sep, heads[head], _JSON_NONFINITE.get(rssi, rssi), size,
+                                     slot, _JSON_NONFINITE.get(snr, snr)))
                 sep = ", "
-                if events_fh is not None:
-                    events_fh.write(csv_line % (
-                        slot, node_cell, gateway_cell, freq, size, rssi, snr,
-                        _CSV_BOOL[ok], _CSV_BOOL[hit], _CSV_BOOL[hop]))
+                if write_csv is not None:
+                    write_csv(f"{slot}{cells[pair]}{size},{rssi},{snr}{flag_cells[flag]}")
         rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
         fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
 
@@ -284,18 +316,16 @@ class _NodeState:
             trace, seed=[config.rng_seed, 0x5A, index], block_len=config.packets_per_size,
             rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)
         self.last_avail = None
-        self.current_freq_idx = None
 
 
-def _capture(txs, threshold):
-    """Resolve a slot's transmissions ([channel, delivered, rssi, snr, collided, hopped]
-    each) in place: of those sharing a channel, the strongest survives if its margin over
-    the second reaches `threshold`, and every other one is lost to the collision."""
-    by_channel = {}
-    for tx in txs:
-        by_channel.setdefault(tx[0], []).append(tx)
-    for group in by_channel.values():
-        if len(group) > 1:
+def _capture(txs, counts, threshold):
+    """Resolve a slot's transmissions ([channel, delivered, rssi, snr, collided] each) in
+    place, given each channel's count of them: of those sharing a channel, the strongest
+    survives if its margin over the second reaches `threshold`, and every other one is lost
+    to the collision."""
+    for f, count in enumerate(counts):
+        if count > 1:
+            group = [tx for tx in txs if tx[0] == f]
             group.sort(key=itemgetter(2), reverse=True)   # stable: ties keep node order
             for tx in group[1 if group[0][2] - group[1][2] >= threshold else 0:]:
                 tx[1], tx[4] = False, True
@@ -321,34 +351,39 @@ def run(config, trace):
     nodes = [_NodeState(spec, config, trace, len(freqs), k)
              for k, spec in enumerate(config.nodes)]
     record_lost = config.predictor_placement == "end_node"   # a gateway hears only deliveries
-    steps = [(node, node.spec.strategy.choose, node.sampler.sample) for node in nodes]
+    threshold = config.capture_threshold_db
+    steps = [(node, node.spec.strategy.choose, node.sampler.sample, node.source)
+             for node in nodes]
+    records = [(node, None if node.window is None else node.window.record) for node in nodes]
 
-    columns = [[] for _ in range(6)]   # channel, delivered, rssi, snr, collided, hopped
+    columns = [[] for _ in range(5)]   # channel, delivered, rssi, snr, collided
     for size in config.payload_schedule:
         for _ in range(config.packets_per_size):
             txs = []
             counts = [0] * len(freqs)
-            for node, choose, sample in steps:
+            for node, choose, sample, source in steps:
                 f_idx = choose(node, freqs)
-                last, node.current_freq_idx = node.current_freq_idx, f_idx
                 counts[f_idx] += 1
-                txs.append([f_idx, *sample(node.source, freqs[f_idx], size), False,
-                            last is not None and f_idx != last])   # not collided; hopped
+                txs.append([f_idx, *sample(source, freqs[f_idx], size), False])
             if max(counts) > 1:
-                _capture(txs, config.capture_threshold_db)
+                _capture(txs, counts, threshold)
             avail = np.array(counts, dtype=np.float64)
-            for node, (_, delivered, rssi, snr, _, _) in zip(nodes, txs):
+            for (node, record), (_, delivered, rssi, snr, _) in zip(records, txs):
                 if record_lost or delivered:
                     node.last_avail = avail
-                    if node.window is not None:   # a lost packet reads at the floor values
-                        node.window.record(avail, *((rssi, snr) if delivered
-                                                    else (RSSI_FLOOR_DBM, SNR_FLOOR_DB)))
+                    if record is not None and delivered:
+                        record(avail, rssi, snr)
+                    elif record is not None:   # a lost packet reads at the floor values
+                        record(avail, RSSI_FLOOR_DBM, SNR_FLOOR_DB)
             for column, values in zip(columns, zip(*txs)):
                 column += values
 
     n = len(nodes)
     block, slots = config.packets_per_size * n, config.packets_per_size * len(sizes)
-    chan, delivered, rssi, snr, collided, hopped = columns
+    chan, delivered, rssi, snr, collided = columns
+    chan = np.array(chan, dtype=np.int64)
+    hopped = np.zeros(len(chan), dtype=bool)   # a node hops when it leaves its last channel
+    np.not_equal(chan[n:], chan[:-n], out=hopped[n:])
     events = np.rec.fromarrays(
         [np.repeat(np.arange(1, slots + 1), n), np.tile(np.arange(n), slots), chan,
          np.repeat(sizes, block), rssi, snr, delivered, collided, hopped], dtype=EVENT_DTYPE)

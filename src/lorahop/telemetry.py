@@ -141,7 +141,7 @@ def generate_labeled_dataset(trace, source, n_rows, seed, ts=DEFAULT_WINDOW_SLOT
     delivered = np.random.default_rng([seed, 0]).random((n_rows, num_freqs)) < pdr
     jitter = np.random.default_rng([seed, 1]).standard_normal((n_rows, num_freqs, 2))
     explore = np.random.default_rng([seed, 2]).random((n_rows, 2))
-    # `TraceEntry.with_noise` on arrays: minimum(0, x) is x unless 0 < x, as min(x, 0.0)
+    # `ChannelSampler`'s link model on arrays: minimum(0, x) is x unless 0 < x, as min(x, 0.0)
     rssi = np.where(delivered,
                     np.minimum(0.0, mean_rssi + jitter[..., 0] * DEFAULT_RSSI_JITTER_DB),
                     RSSI_FLOOR_DBM)

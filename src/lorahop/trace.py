@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import io
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -42,12 +43,6 @@ class TraceEntry:
     mean_snr: float
     pdr: float
     sample_count: int
-
-    def with_noise(self, z_rssi, z_snr, rssi_jitter_db, snr_jitter_db):
-        """(rssi, snr): the means plus two standard normal draws scaled by the jitters,
-        RSSI clamped at 0 dBm.  Callers draw the RSSI normal first."""
-        return (min(self.mean_rssi + z_rssi * rssi_jitter_db, 0.0),
-                self.mean_snr + z_snr * snr_jitter_db)
 
 
 class ChannelTrace:
@@ -125,21 +120,28 @@ class ChannelSampler:
 
     Delivery per (source, frequency, size) follows the trace PDR exactly over a
     full block of `block_len` transmissions: the block holds round(pdr * L)
-    successes in an order shuffled by the seeded generator.  RSSI/SNR are the
-    trace means plus Gaussian jitter (`TraceEntry.with_noise`); the jitter
-    generator is read in chunks of standard normals, two per call (RSSI, then
-    SNR), which is the same stream as one `normal(0, 1)` draw at a time.
+    successes in an order shuffled by the seeded generator.  RSSI and SNR are
+    each the trace mean plus a standard normal times its jitter, RSSI clamped at
+    0 dBm as `min(rssi, 0.0)` clamps it (a -0.0 stays).  The two normals of a
+    call, RSSI's first, are read by index from a list the jitter generator
+    refills `_JITTER_CHUNK` at a time, which is the same stream as one
+    `normal(0, 1)` draw at a time.  Each key's state is made on its first call
+    and found again under any equal key (`870` and `870.0` hash alike).
     """
 
     def __init__(self, trace, seed, block_len=DEFAULT_BLOCK_LEN,
                  rssi_jitter_db=DEFAULT_RSSI_JITTER_DB, snr_jitter_db=DEFAULT_SNR_JITTER_DB):
         self.trace = trace
         self.block_len = int(block_len)
+        if self.block_len < 1:   # each key's delivery pattern repeats every block_len calls
+            raise ValueError(f"block_len must be >= 1, got {block_len}")
         self.rssi_jitter_db = float(rssi_jitter_db)
         self.snr_jitter_db = float(snr_jitter_db)
         self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-        self._keys = {}   # key -> [delivery pattern as 0/1 bytes, cursor, TraceEntry]
-        self._normals = _chunked_normals(np.random.default_rng(self._seed + [0xA5]))
+        # (source, freq, size) -> (its delivery pattern as an endless cycle, mean RSSI, mean SNR)
+        self._keys = {}
+        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
+        self._normals, self._next = [], 0   # the drawn normals, and the index of the next
 
     def _start(self, key):
         entry = self.trace.lookup(*key)
@@ -148,23 +150,22 @@ class ChannelSampler:
         pat[:n_ok] = True
         rng = np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())])
         rng.shuffle(pat)
-        return [pat.tobytes(), 0, entry]
+        return itertools.cycle(pat.tolist()), entry.mean_rssi, entry.mean_snr
 
     def sample(self, source, freq_mhz, size_bytes):
         """One transmission attempt: (delivered, rssi_dbm, snr_db)."""
-        key = (source, float(freq_mhz), int(size_bytes))
-        try:
-            state = self._keys[key]
-        except KeyError:
-            state = self._keys[key] = self._start(key)
-        pattern, cursor, entry = state
-        state[1] = cursor + 1
-        rssi, snr = entry.with_noise(next(self._normals), next(self._normals),
-                                     self.rssi_jitter_db, self.snr_jitter_db)
-        return pattern[cursor % self.block_len] == 1, rssi, snr
-
-
-def _chunked_normals(rng):
-    """rng's standard normals one at a time, drawn `_JITTER_CHUNK` per call to the generator."""
-    while True:
-        yield from rng.standard_normal(_JITTER_CHUNK).tolist()
+        state = self._keys.get((source, freq_mhz, size_bytes))
+        if state is None:   # a key not met before, or met with another type
+            key = (source, float(freq_mhz), int(size_bytes))
+            state = self._keys.get(key)
+            if state is None:
+                state = self._keys[key] = self._start(key)
+        pattern, mean_rssi, mean_snr = state
+        i, normals = self._next, self._normals
+        if i == len(normals):   # `_JITTER_CHUNK` is even: a call's two never straddle a refill
+            i, normals = 0, self._jitter_rng.standard_normal(_JITTER_CHUNK).tolist()
+            self._normals = normals
+        self._next = i + 2
+        rssi = mean_rssi + normals[i] * self.rssi_jitter_db
+        return (next(pattern), 0.0 if 0.0 < rssi else rssi,   # min(rssi, 0.0)
+                mean_snr + normals[i + 1] * self.snr_jitter_db)

@@ -6,15 +6,18 @@ oracle for `optimizer.solve_exact`, a recursive symbol search for its max-flow
 check, a rescan of every run for its run heuristic, a per-pair cosine for `recommender.similarity_matrix`, a stable-sort
 `recommender.impute`, a parser for `predictor.export_c_array` headers, a
 row lookup on simulator reports, the per-(node, size) grouping that made
-simulator report rows, and the whole-document writers that
-`telemetry.write_dataset` and `sim.SimReport.write` replaced.
+simulator report rows, the whole-document writers that
+`telemetry.write_dataset` and `sim.SimReport.write` replaced, a `ChannelSampler`
+that draws one normal at a time, and the simulator's slot loop run on it.
 """
 
 import csv
 import io
 import json
 import re
+import zlib
 from dataclasses import asdict
+from operator import itemgetter
 
 import numpy as np
 
@@ -360,3 +363,79 @@ def events_csv(report):
     writer.writerows([int(v) if isinstance(v, bool) else v for v in _output_form(e).values()]
                      for e in event_dicts(report))
     return buf.getvalue()
+
+
+class ReferenceSampler:
+    """`ChannelSampler` with a pattern and a cursor dict, a trace lookup per call and one
+    `normal(0, 1)` draw at a time: the outcomes `sample` must match value for value."""
+
+    def __init__(self, trace_obj, seed, block_len=trace.DEFAULT_BLOCK_LEN,
+                 rssi_jitter_db=trace.DEFAULT_RSSI_JITTER_DB,
+                 snr_jitter_db=trace.DEFAULT_SNR_JITTER_DB):
+        self.trace = trace_obj
+        self.block_len = block_len
+        self.rssi_jitter_db, self.snr_jitter_db = rssi_jitter_db, snr_jitter_db
+        self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
+        self._patterns, self._cursor = {}, {}
+        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
+
+    def sample(self, source, freq_mhz, size_bytes):
+        key = (source, float(freq_mhz), int(size_bytes))
+        if key not in self._patterns:
+            entry = self.trace.lookup(*key)
+            pat = np.zeros(self.block_len, dtype=bool)
+            pat[:int(round(entry.pdr * self.block_len))] = True
+            np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())]).shuffle(pat)
+            self._patterns[key], self._cursor[key] = pat, 0
+        cur = self._cursor[key]
+        delivered = bool(self._patterns[key][cur % self.block_len])
+        self._cursor[key] = cur + 1
+        entry, rng = self.trace.lookup(*key), self._jitter_rng
+        rssi = min(entry.mean_rssi + rng.normal(0.0, 1.0) * self.rssi_jitter_db, 0.0)
+        return delivered, rssi, entry.mean_snr + rng.normal(0.0, 1.0) * self.snr_jitter_db
+
+
+def events_by_slot_loop(config, trace_obj):
+    """`sim.run`'s events as `report.events.tolist()` gives them, from a slot loop that keeps
+    each node's last channel, groups a slot's transmissions by channel in a dict, makes a
+    new availability vector each slot and draws each node's outcomes from a
+    `ReferenceSampler` seeded as `sim.run` seeds the node's sampler."""
+    freqs = list(trace_obj.frequencies)
+    nodes = [sim._NodeState(spec, config, trace_obj, len(freqs), k)
+             for k, spec in enumerate(config.nodes)]
+    for k, node in enumerate(nodes):
+        node.sampler = ReferenceSampler(
+            trace_obj, [config.rng_seed, 0x5A, k], block_len=config.packets_per_size,
+            rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)
+    last = [None] * len(nodes)
+    events, slot = [], 0
+    for size in config.payload_schedule:
+        for _ in range(config.packets_per_size):
+            slot += 1
+            txs = []   # [channel, delivered, rssi, snr, collided, hopped] per node
+            for k, node in enumerate(nodes):
+                f_idx = node.spec.strategy.choose(node, freqs)
+                txs.append([f_idx, *node.sampler.sample(node.source, freqs[f_idx], size),
+                            False, last[k] is not None and f_idx != last[k]])
+                last[k] = f_idx
+            by_channel = {}
+            for tx in txs:
+                by_channel.setdefault(tx[0], []).append(tx)
+            for group in by_channel.values():
+                if len(group) > 1:   # the strongest survives a margin of the threshold
+                    group.sort(key=itemgetter(2), reverse=True)
+                    margin = group[0][2] - group[1][2]
+                    for tx in group[1 if margin >= config.capture_threshold_db else 0:]:
+                        tx[1], tx[4] = False, True
+            avail = np.zeros(len(freqs))
+            for tx in txs:
+                avail[tx[0]] += 1.0
+            for node, (_, delivered, rssi, snr, _, _) in zip(nodes, txs):
+                if config.predictor_placement == "end_node" or delivered:
+                    node.last_avail = avail
+                    if node.window is not None:
+                        node.window.record(avail, *((rssi, snr) if delivered else
+                                                    (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB)))
+            events += [(slot, k, f_idx, size, rssi, snr, delivered, collided, hopped)
+                       for k, (f_idx, delivered, rssi, snr, collided, hopped) in enumerate(txs)]
+    return events

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lorahop import predictor, sim, telemetry, trace
-from oracle import events_csv, report_row, report_to_json, rows_by_grouping
+from oracle import (events_by_slot_loop, events_csv, report_row, report_to_json,
+                    rows_by_grouping)
 
 
 def fixed_config(source="A", freq=869.0, seed=0, **kw):
@@ -173,7 +174,6 @@ def test_nodes_whose_strategy_reads_no_window_build_none(bundled_trace, monkeypa
 def test_sensing_strategy_avoids_busy_channel(bundled_trace):
     node = type("N", (), {})()
     node.last_avail = np.array([2.0, 0.0, 1.0])
-    node.current_freq_idx = 0
     strat = sim.SensingHopStrategy()
     assert strat.choose(node, [868.0, 869.0, 870.0]) == 1
 
@@ -198,6 +198,17 @@ ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x
 ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565, 1e16]
 
 
+def _all_flags_report(report):
+    """`report` with every (delivered, collided, hopped) combination on every node and
+    carrier, the carriers NaN, 0.0 and -0.0 among them."""
+    events, k = report.events.copy(), np.arange(len(report.events))
+    events.node, events.freq_mhz = k % 3, k // 3 % 6
+    flags = k // 18 % 8
+    events.delivered, events.collided, events.hopped = flags >> 2, flags >> 1 & 1, flags & 1
+    return sim.SimReport(rows=report.rows, events=events, sources=["A", "B", "C"],
+                         freqs=[float("nan"), 0.0, -0.0, *report.freqs])
+
+
 def _odd_report(report):
     """`report` with its events' nodes renamed in turn with `ODD_NAMES`, their RSSI and SNR
     re-valued with `ODD_VALUES`, and three in five moved to a carrier of NaN, 0.0 or -0.0."""
@@ -209,7 +220,8 @@ def _odd_report(report):
                          freqs=[float("nan"), 0.0, -0.0, *report.freqs])
 
 
-@pytest.mark.parametrize("case", ["contended", "odd names and values", "no payload sizes"])
+@pytest.mark.parametrize("case", ["contended", "odd names and values", "every flag combination",
+                                  "no payload sizes"])
 def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, monkeypatch, case):
     nodes = tuple(sim.NodeSpec(source=src, strategy=strategy) for src, strategy in zip(
         "ABC", (sim.FixedStrategy(869.0), sim.FixedStrategy(869.0), sim.RandomHopStrategy())))
@@ -219,6 +231,10 @@ def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, monkey
     report = sim.run(config, bundled_trace)
     if case == "odd names and values":
         report = _odd_report(report)
+    if case == "every flag combination":
+        report = _all_flags_report(report)
+        keys = {(e.node, e.freq_mhz, e.delivered, e.collided, e.hopped) for e in report.events}
+        assert len(keys) == 3 * 6 * 8
     for block in (sim._WRITE_BLOCK, 7):   # 180 events in one block, or in 26 ending in 5
         doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
         with monkeypatch.context() as m:
@@ -240,6 +256,33 @@ def test_rows_are_the_grouped_means_of_the_events(bundled_trace, placement):
     report = sim.run(config, bundled_trace)
     assert sum(r.collisions for r in report.rows) > 0
     assert report.rows == rows_by_grouping(report, config)
+
+
+@pytest.mark.parametrize("placement", ["end_node", "gateway"])
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 6.0, float("inf")])
+def test_run_matches_the_reference_slot_loop(bundled_trace, placement, threshold):
+    # the bench's three strategies on shared channels, with the widest RSSI jitter a config
+    # takes: the sources' links come within 6 dB of each other and often clamp at 0 dBm,
+    # where the strongest ties and node order decides.  At 0 dB every shared channel keeps
+    # its strongest, at inf none does, and at 1 and 6 dB some do
+    model = predictor.init_model(telemetry.TelemetryWindow.feature_dim(4, 3), 3, seed=2)
+    strategies = (sim.PredictorHopStrategy(model), sim.SensingHopStrategy(),
+                  sim.RandomHopStrategy())
+    config = sim.SimConfig(nodes=tuple(sim.NodeSpec(source=src, strategy=strategy)
+                                       for src, strategy in zip("ABC", strategies)),
+                           packets_per_size=30, rng_seed=3, capture_threshold_db=threshold,
+                           rssi_jitter_db=100.0, predictor_placement=placement)
+    report = sim.run(config, bundled_trace)
+    events = events_by_slot_loop(config, bundled_trace)
+    assert report.events.tolist() == events
+    reference = sim.SimReport(rows=[], events=np.rec.array(events, dtype=sim.EVENT_DTYPE),
+                              sources=report.sources, freqs=report.freqs)
+    assert report.rows == rows_by_grouping(reference, config)
+    shared = {}
+    for slot, _, f_idx, _, _, _, _, collided, _ in events:
+        shared.setdefault((slot, f_idx), []).append(collided)
+    all_lost = {all(group) for group in shared.values() if len(group) > 1}
+    assert all_lost == {0.0: {False}, float("inf"): {True}}.get(threshold, {False, True})
 
 
 def test_write_peak_memory_stays_under_a_megabyte_for_36000_events():

@@ -223,8 +223,8 @@ def _reference_dataset(trace_obj, source, ts, n_rows, seed):
             entry = trace_obj.lookup(source, freq, size)
             delivered = deliver.random() < entry.pdr
             z_rssi, z_snr = jitter.standard_normal(), jitter.standard_normal()
-            realized.append(entry.with_noise(z_rssi, z_snr, trace.DEFAULT_RSSI_JITTER_DB,
-                                             trace.DEFAULT_SNR_JITTER_DB) if delivered
+            realized.append((min(entry.mean_rssi + z_rssi * trace.DEFAULT_RSSI_JITTER_DB, 0.0),
+                             entry.mean_snr + z_snr * trace.DEFAULT_SNR_JITTER_DB) if delivered
                             else (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB))
         label = int(np.argmax([rssi for rssi, _ in realized]))
         labels.append(label)

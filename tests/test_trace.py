@@ -1,9 +1,8 @@
-import zlib
-
 import numpy as np
 import pytest
 
 from lorahop import trace
+from oracle import ReferenceSampler
 
 
 def test_bundled_trace_shape(bundled_trace):
@@ -54,6 +53,11 @@ def test_sampler_exact_block_counts(bundled_trace):
                 assert snr == entry.mean_snr
 
 
+def test_sampler_rejects_an_empty_block(bundled_trace):
+    with pytest.raises(ValueError, match="block_len"):
+        trace.ChannelSampler(bundled_trace, seed=1, block_len=0)
+
+
 def test_sampler_deterministic(bundled_trace):
     a = trace.ChannelSampler(bundled_trace, seed=[5, 1], block_len=50)
     b = trace.ChannelSampler(bundled_trace, seed=[5, 1], block_len=50)
@@ -94,36 +98,6 @@ def test_load_trace_keeps_link_values_on_the_bounds(rssi, snr):
     assert (entry.mean_rssi, entry.mean_snr) == (float(rssi), float(snr))
 
 
-class ReferenceSampler:
-    """`ChannelSampler` with a pattern and a cursor dict, a trace lookup per call and one
-    `normal(0, 1)` draw at a time: the outcomes `sample` must match value for value."""
-
-    def __init__(self, trace_obj, seed, block_len=trace.DEFAULT_BLOCK_LEN,
-                 rssi_jitter_db=trace.DEFAULT_RSSI_JITTER_DB,
-                 snr_jitter_db=trace.DEFAULT_SNR_JITTER_DB):
-        self.trace = trace_obj
-        self.block_len = block_len
-        self.rssi_jitter_db, self.snr_jitter_db = rssi_jitter_db, snr_jitter_db
-        self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
-        self._patterns, self._cursor = {}, {}
-        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
-
-    def sample(self, source, freq_mhz, size_bytes):
-        key = (source, float(freq_mhz), int(size_bytes))
-        if key not in self._patterns:
-            entry = self.trace.lookup(*key)
-            pat = np.zeros(self.block_len, dtype=bool)
-            pat[:int(round(entry.pdr * self.block_len))] = True
-            np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())]).shuffle(pat)
-            self._patterns[key], self._cursor[key] = pat, 0
-        cur = self._cursor[key]
-        delivered = bool(self._patterns[key][cur % self.block_len])
-        self._cursor[key] = cur + 1
-        entry, rng = self.trace.lookup(*key), self._jitter_rng
-        rssi = min(entry.mean_rssi + rng.normal(0.0, 1.0) * self.rssi_jitter_db, 0.0)
-        return delivered, rssi, entry.mean_snr + rng.normal(0.0, 1.0) * self.snr_jitter_db
-
-
 @pytest.mark.parametrize("seed", [7, [4, 0x5A, 1]])
 @pytest.mark.parametrize("jitter", [{}, {"rssi_jitter_db": 0.0, "snr_jitter_db": 0.0}])
 def test_sampler_matches_reference_across_chunk_refills(bundled_trace, seed, jitter):
@@ -142,3 +116,24 @@ def test_sampler_matches_reference_across_chunk_refills(bundled_trace, seed, jit
         delivered += got[0]
     assert 0 < delivered < len(order)
 
+
+def test_equal_keys_of_other_types_share_one_cursor_and_one_jitter_stream(bundled_trace):
+    new, ref = trace.ChannelSampler(bundled_trace, 7), ReferenceSampler(bundled_trace, 7)
+    keys = [("C", 870, 250), ("C", 870.0, 250), ("C", np.float64(870), np.int64(250))]
+    for key in keys * 30:   # 90 calls: past the end of the 50-long delivery pattern
+        assert new.sample(*key) == ref.sample("C", 870.0, 250)
+    for sampler in (new, ref):   # after those hits, a missing key consumes no draw
+        with pytest.raises(trace.TraceError):
+            sampler.sample("C", 871, 250)
+    assert new.sample(*keys[2]) == ref.sample(*keys[0])
+
+
+def test_sampler_keeps_the_sign_of_a_zero_rssi():
+    # with no RSSI jitter a mean of -0.0 draws -0.0 + (+-0.0): both zeros, which min(x, 0.0)
+    # keeps as they are
+    zero = trace.ChannelTrace({("A", 868.0, 30): trace.TraceEntry(-0.0, 0.0, 1.0, 50)})
+    new, ref = (sampler(zero, 3, rssi_jitter_db=0.0)
+                for sampler in (trace.ChannelSampler, ReferenceSampler))
+    got = [repr(new.sample("A", 868.0, 30)[1]) for _ in range(40)]
+    assert got == [repr(ref.sample("A", 868.0, 30)[1]) for _ in range(40)]
+    assert set(got) == {"0.0", "-0.0"}
