@@ -21,7 +21,8 @@ import numpy as np
 from .core import integers, reals
 from .telemetry import TelemetryWindow
 from .trace import (DEFAULT_BLOCK_LEN, DEFAULT_PAYLOAD_SCHEDULE, DEFAULT_RSSI_JITTER_DB,
-                    DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler)
+                    DEFAULT_SNR_JITTER_DB, RSSI_FLOOR_DBM, SNR_FLOOR_DB, ChannelSampler,
+                    chunked_draws)
 from . import predictor as predictor_mod
 
 
@@ -174,25 +175,8 @@ EVENT_DTYPE = np.dtype([("slot", np.int64), ("node", np.int64), ("freq_mhz", np.
                         ("size", np.int64), ("rssi", np.float64), ("snr", np.float64),
                         ("delivered", bool), ("collided", bool), ("hopped", bool)])
 _WRITE_BLOCK = 1024   # events the writer makes Python values of at a time, not the run's
-_JSON_BOOL, _CSV_BOOL = ("false", "true"), ("0", "1")   # indexed by a bool
+_JSON_BOOL = ("false", "true")   # indexed by a flag, 0 or 1
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # by float repr
-# An event as `json.dumps(sort_keys=True)` writes it: its head, the text up to "rssi",
-# holds the fields that take few values, and the rest the four that take many
-_JSON_HEAD = ('{"collided": %s, "delivered": %s, "freq_mhz": %s, "gateway": %s, '
-              '"hopped": %s, "node": %s, "rssi": ')
-_JSON_EVENT = '%s%s%s, "size": %s, "slot": %s, "snr": %s}'   # separator, head, rssi, ...
-
-
-class _Texts(dict):
-    """Text by key, made by `make(key)` the first time a key is looked up."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
 
 
 def _text_cells(text):
@@ -243,75 +227,56 @@ class SimReport:
         events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
         `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
         pass over the events.  Slot, size, RSSI and SNR are formatted per event, RSSI and
-        SNR rounded to 6 decimals.  The rest of an event's text takes few values, each made
-        once: on first use, in JSON the text before "rssi", by node, carrier and the three
-        flags, and in CSV the cells between slot and size, by node and carrier; the CSV
-        line's end is one of eight, by the flags.  JSON spells strings and non-finite
-        floats as `json` does."""
+        SNR rounded to 6 decimals.  The rest of an event's text takes few values, made up
+        front in one table with an entry per node, carrier and delivered, collided and
+        hopped flags: the JSON text before the RSSI value, the CSV cells between slot and
+        size, and the CSV line's end after SNR.  JSON spells strings and non-finite floats
+        as `json` does."""
         nf = len(self.freqs)
-        names = [_text_cells(name) for name in self.sources]
-        carriers = [_carrier_cells(freq) for freq in self.freqs]
         gateway = _text_cells("GW0")
-
-        # an event's pair is node * nf + carrier, its flags delivered * 4 + collided * 2
-        # + hopped, and the key of its JSON head pair * 8 + flags
-        def json_head(key):
-            (k, f), flag = divmod(key >> 3, nf), key & 7
-            return _JSON_HEAD % (_JSON_BOOL[flag >> 1 & 1], _JSON_BOOL[flag >> 2],
-                                 carriers[f][0], gateway[0], _JSON_BOOL[flag & 1], names[k][0])
-
-        def csv_cells(pair):
-            k, f = divmod(pair, nf)
-            return f",{names[k][1]},{gateway[1]},{carriers[f][1]},"
-
-        heads, cells = _Texts(json_head), _Texts(csv_cells)
-        flag_cells = [f",{_CSV_BOOL[flag >> 2]},{_CSV_BOOL[flag >> 1 & 1]},"
-                      f"{_CSV_BOOL[flag & 1]}\r\n" for flag in range(8)]
+        # the entry of an event is at ((node * nf + carrier) * 8 + flags), its flags
+        # delivered * 4 + collided * 2 + hopped
+        table = [(f'{{"collided": {_JSON_BOOL[c]}, "delivered": {_JSON_BOOL[d]}, '
+                  f'"freq_mhz": {carrier[0]}, "gateway": {gateway[0]}, '
+                  f'"hopped": {_JSON_BOOL[h]}, "node": {name[0]}, "rssi": ',
+                  f",{name[1]},{gateway[1]},{carrier[1]},", f",{d},{c},{h}\r\n")
+                 for name in map(_text_cells, self.sources)
+                 for carrier in map(_carrier_cells, self.freqs)
+                 for d in (0, 1) for c in (0, 1) for h in (0, 1)]
         fh.write('{"events": [')
         if events_fh is not None:
             events_fh.write(",".join(_text_cells(name)[1] for name in EVENT_FIELDS) + "\r\n")
         write, write_csv = fh.write, None if events_fh is None else events_fh.write
-        columns = {name: self.events[name] for name in EVENT_DTYPE.names}
         sep = ""
         for start in range(0, len(self.events), _WRITE_BLOCK):
-            c = {name: column[start:start + _WRITE_BLOCK] for name, column in columns.items()}
-            pairs = c["node"] * nf + c["freq_mhz"]
-            flags = c["delivered"] * 4 + c["collided"] * 2 + c["hopped"]
-            for slot, size, rssi, snr, head, pair, flag in zip(
-                    *(c[name].tolist() for name in ("slot", "size", "rssi", "snr")),
-                    (pairs * 8 + flags).tolist(), pairs.tolist(), flags.tolist()):
-                slot, size = str(slot), str(size)
+            e = self.events[start:start + _WRITE_BLOCK]
+            keys = ((e["node"] * nf + e["freq_mhz"]) * 8 + e["delivered"] * 4
+                    + e["collided"] * 2 + e["hopped"])
+            for slot, size, rssi, snr, key in zip(
+                    *(e[name].tolist() for name in ("slot", "size", "rssi", "snr")), keys.tolist()):
+                head, cells, end = table[key]
                 rssi, snr = repr(round(rssi, 6)), repr(round(snr, 6))
-                write(_JSON_EVENT % (sep, heads[head], _JSON_NONFINITE.get(rssi, rssi), size,
-                                     slot, _JSON_NONFINITE.get(snr, snr)))
+                write(f'{sep}{head}{_JSON_NONFINITE.get(rssi, rssi)}, "size": {size}, '
+                      f'"slot": {slot}, "snr": {_JSON_NONFINITE.get(snr, snr)}}}')
                 sep = ", "
                 if write_csv is not None:
-                    write_csv(f"{slot}{cells[pair]}{size},{rssi},{snr}{flag_cells[flag]}")
+                    write_csv(f"{slot}{cells}{size},{rssi},{snr}{end}")
         rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
         fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
 
 
-_DRAWS_PER_CALL = 1024   # channel indices `_chunked_integers` draws per call to the generator
-
-
-def _chunked_integers(rng, high):
-    """rng's `integers(0, high)` one at a time, drawn `_DRAWS_PER_CALL` per call to the
-    generator: the same stream as one call per draw."""
-    while True:
-        yield from rng.integers(0, high, _DRAWS_PER_CALL).tolist()
-
-
 class _NodeState:
     """All of one simulated node's state; `last_avail` is the vector it last recorded, and
-    `draws` its stream of uniform channel indices."""
+    `draws` its stream of uniform channel indices, `integers(0, num_freqs)` one at a time
+    from `chunked_draws`."""
 
     def __init__(self, spec, config, trace, num_freqs, index):
         self.spec = spec
         self.source = spec.source
         ts = spec.strategy.window_slots
         self.window = None if ts is None else TelemetryWindow(ts, num_freqs)
-        self.draws = _chunked_integers(np.random.default_rng([config.rng_seed, 0x50, index]),
-                                       num_freqs)
+        rng = np.random.default_rng([config.rng_seed, 0x50, index])
+        self.draws = chunked_draws(lambda n: rng.integers(0, num_freqs, n))
         self.sampler = ChannelSampler(
             trace, seed=[config.rng_seed, 0x5A, index], block_len=config.packets_per_size,
             rssi_jitter_db=config.rssi_jitter_db, snr_jitter_db=config.snr_jitter_db)

@@ -25,7 +25,7 @@ DEFAULT_PAYLOAD_SCHEDULE = (30, 74, 118, 162, 206, 250)   # bundled trace sizes,
 DEFAULT_BLOCK_LEN = 50   # transmissions per (source, frequency, size) cell of the trace
 DEFAULT_RSSI_JITTER_DB = 1.0
 DEFAULT_SNR_JITTER_DB = 0.5
-_JITTER_CHUNK = 1024   # standard normals a sampler draws from its generator at a time
+_DRAW_CHUNK = 1024   # values `chunked_draws` asks its draw function for at a time
 # LoRa receivers hear down to about -148 dBm, and link SNRs lie within tens of dB.  A mean
 # far past these bounds is no measurement, and one near the float maximum turns a replayed
 # run's mean RSSI into -inf.
@@ -42,7 +42,6 @@ class TraceEntry:
     mean_rssi: float
     mean_snr: float
     pdr: float
-    sample_count: int
 
 
 class ChannelTrace:
@@ -85,8 +84,8 @@ def load_trace(data):
         try:
             source = row[0]
             key = (source, float(row[1]), int(row[2]))
-            entry = TraceEntry(mean_rssi=float(row[3]), mean_snr=float(row[4]),
-                               pdr=float(row[6]), sample_count=int(row[5]))
+            int(row[5])   # the count is kept nowhere, but it must be a whole number
+            entry = TraceEntry(mean_rssi=float(row[3]), mean_snr=float(row[4]), pdr=float(row[6]))
         except ValueError as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
         if not all(map(math.isfinite, (key[1], entry.mean_rssi, entry.mean_snr))):
@@ -107,6 +106,13 @@ def load_trace(data):
     return ChannelTrace(entries)
 
 
+def chunked_draws(draw):
+    """The values of `draw(_DRAW_CHUNK)` one at a time, for ever: for a numpy generator's
+    method, the same stream as one call per value."""
+    while True:
+        yield from draw(_DRAW_CHUNK).tolist()
+
+
 def bundled_trace_path():
     return str(importlib.resources.files("lorahop").joinpath("data/traces/paper_tables.csv"))
 
@@ -122,11 +128,10 @@ class ChannelSampler:
     full block of `block_len` transmissions: the block holds round(pdr * L)
     successes in an order shuffled by the seeded generator.  RSSI and SNR are
     each the trace mean plus a standard normal times its jitter, RSSI clamped at
-    0 dBm as `min(rssi, 0.0)` clamps it (a -0.0 stays).  The two normals of a
-    call, RSSI's first, are read by index from a list the jitter generator
-    refills `_JITTER_CHUNK` at a time, which is the same stream as one
-    `normal(0, 1)` draw at a time.  Each key's state is made on its first call
-    and found again under any equal key (`870` and `870.0` hash alike).
+    0 dBm as `min(rssi, 0.0)` clamps it (a -0.0 stays).  A call's two normals, RSSI's
+    first, come from `chunked_draws` over the jitter generator, the same stream as one
+    `normal(0, 1)` draw at a time.  Each key's state is made on its first call and found
+    again under any equal key (`870` and `870.0` hash alike).
     """
 
     def __init__(self, trace, seed, block_len=DEFAULT_BLOCK_LEN,
@@ -140,32 +145,26 @@ class ChannelSampler:
         self._seed = [int(v) for v in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
         # (source, freq, size) -> (its delivery pattern as an endless cycle, mean RSSI, mean SNR)
         self._keys = {}
-        self._jitter_rng = np.random.default_rng(self._seed + [0xA5])
-        self._normals, self._next = [], 0   # the drawn normals, and the index of the next
+        normals = chunked_draws(np.random.default_rng(self._seed + [0xA5]).standard_normal)
+        self._jitter = zip(normals, normals)   # (RSSI's normal, SNR's) per call
 
-    def _start(self, key):
-        entry = self.trace.lookup(*key)
-        n_ok = int(round(entry.pdr * self.block_len))
-        pat = np.zeros(self.block_len, dtype=bool)
-        pat[:n_ok] = True
-        rng = np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())])
-        rng.shuffle(pat)
-        return itertools.cycle(pat.tolist()), entry.mean_rssi, entry.mean_snr
+    def _start(self, source, freq_mhz, size_bytes):
+        """The state of a key that missed as the caller gave it, built under the normalised
+        key unless an equal spelling of it built one before."""
+        key = (source, float(freq_mhz), int(size_bytes))
+        if key not in self._keys:
+            entry = self.trace.lookup(*key)
+            pat = np.zeros(self.block_len, dtype=bool)
+            pat[:int(round(entry.pdr * self.block_len))] = True
+            np.random.default_rng(self._seed + [zlib.crc32(repr(key).encode())]).shuffle(pat)
+            self._keys[key] = itertools.cycle(pat.tolist()), entry.mean_rssi, entry.mean_snr
+        return self._keys[key]
 
     def sample(self, source, freq_mhz, size_bytes):
         """One transmission attempt: (delivered, rssi_dbm, snr_db)."""
         state = self._keys.get((source, freq_mhz, size_bytes))
-        if state is None:   # a key not met before, or met with another type
-            key = (source, float(freq_mhz), int(size_bytes))
-            state = self._keys.get(key)
-            if state is None:
-                state = self._keys[key] = self._start(key)
-        pattern, mean_rssi, mean_snr = state
-        i, normals = self._next, self._normals
-        if i == len(normals):   # `_JITTER_CHUNK` is even: a call's two never straddle a refill
-            i, normals = 0, self._jitter_rng.standard_normal(_JITTER_CHUNK).tolist()
-            self._normals = normals
-        self._next = i + 2
-        rssi = mean_rssi + normals[i] * self.rssi_jitter_db
+        pattern, mean_rssi, mean_snr = state or self._start(source, freq_mhz, size_bytes)
+        rssi_normal, snr_normal = next(self._jitter)
+        rssi = mean_rssi + rssi_normal * self.rssi_jitter_db
         return (next(pattern), 0.0 if 0.0 < rssi else rssi,   # min(rssi, 0.0)
-                mean_snr + normals[i + 1] * self.snr_jitter_db)
+                mean_snr + snr_normal * self.snr_jitter_db)

@@ -3,11 +3,13 @@
 Every import is from the standard library, numpy or lorahop itself (the
 package has no other runtime dependency), every imported name is used,
 every top-level function and class has a caller outside the tests, so does
-every public method and property of those classes, and `cli.py` builds no
-output document and parses no input document.
+every public method and property of those classes, `cli.py` builds no
+output document and parses no input document, and every function the bench
+tracer wraps is still there.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -110,3 +112,28 @@ def test_cli_parses_no_input_document():
     tree = ast.parse((SRC / "cli.py").read_text())
     assert not {"csv", "io"} & {top for top, _ in _imports(tree)}
     assert [node.func.attr for node in _json_calls(tree)] == ["dumps"]
+
+
+def _assigned_values(path, name):
+    """The value nodes of every assignment to `name` in the file at `path`, at any depth."""
+    return [node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+
+
+def test_traced_targets_and_expected_spans_name_lorahop_callables():
+    """Every `perfbench/tracing.py` target (module, class, attribute) is a callable of
+    lorahop, and every workload's `expected_spans` names a target: a traced function that
+    moves or is renamed fails here, not first in a traced bench pass."""
+    targets, = _assigned_values(ROOT / "perfbench" / "tracing.py", "TARGETS")
+    names = set()
+    for target in targets.elts:
+        module, cls, attr = (ast.literal_eval(part) for part in target.elts[:3])
+        owner = importlib.import_module(f"lorahop.{module}")
+        owner = owner if cls is None else getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), f"{module}.{cls}.{attr} is no callable"
+        names.add(".".join(p for p in (module, cls, attr) if p))
+    spans = _assigned_values(ROOT / "perfbench" / "workloads.py", "expected_spans")
+    assert len(spans) >= 5   # the base workload's and the four workloads'
+    unknown = {span for node in spans for span in ast.literal_eval(node)} - names
+    assert not unknown, f"expected spans that no tracing target records: {sorted(unknown)}"

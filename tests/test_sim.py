@@ -122,11 +122,11 @@ def test_hops_counted_for_random_strategy(bundled_trace):
 
 @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
 def test_random_hop_choices_are_one_draw_per_slot(bundled_trace, seed):
-    """The choices, drawn `_DRAWS_PER_CALL` at a time, are the node generator's stream of
+    """The choices, drawn `trace._DRAW_CHUNK` at a time, are the node generator's stream of
     one `integers(0, F)` call per slot, across chunk boundaries."""
     strategy = sim.RandomHopStrategy()
     config = sim.SimConfig(nodes=(sim.NodeSpec(source="A", strategy=strategy),), rng_seed=seed)
-    n_slots = 2 * sim._DRAWS_PER_CALL + 5
+    n_slots = 2 * trace._DRAW_CHUNK + 5
     for nf in range(1, 10):
         freqs = [868.0 + k for k in range(nf)]
         for index in (0, 2):
@@ -193,8 +193,10 @@ def test_report_json_shape(bundled_trace):
             "delivered", "collided", "hopped"} <= set(doc["events"][0])
 
 
-# names the CSV must quote or json must escape, and link values json spells its own way
-ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x "]
+# names the CSV must quote or json must escape, or that hold `%` and `str.format` syntax, and
+# link values json spells its own way
+ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x ", "100%s {0}",
+             "{}%%"]
 ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565, 1e16]
 
 

@@ -39,6 +39,14 @@ def test_load_trace_names_the_line_of_a_field_over_the_csv_size_limit():
         trace.load_trace(data)
 
 
+@pytest.mark.parametrize("count", ["5x", "50.0"])
+def test_load_trace_names_the_line_of_a_malformed_count(count):
+    rows = ["A,868.0,30,-70.0,9.0,50,1.0", f"A,869.0,30,-70.0,9.0,{count},1.0"]
+    data = "\n".join([",".join(trace.EXPECTED_HEADER), *rows, ""])
+    with pytest.raises(trace.TraceError, match="^line 3: invalid literal for int"):
+        trace.load_trace(data.encode())
+
+
 def test_sampler_exact_block_counts(bundled_trace):
     sampler = trace.ChannelSampler(bundled_trace, seed=1, block_len=50,
                                    rssi_jitter_db=0.0, snr_jitter_db=0.0)
@@ -105,6 +113,7 @@ def test_sampler_matches_reference_across_chunk_refills(bundled_trace, seed, jit
     ref = ReferenceSampler(bundled_trace, seed, block_len=40, **jitter)
     keys = [("A", 868.0, 30), ("B", 869.0, 74), ("C", 870, 250), ("A", 870.0, 118)]
     order = np.random.default_rng(0).integers(len(keys), size=1200)
+    assert 2 * len(order) > 2 * trace._DRAW_CHUNK   # two normals a call: two refills at least
     delivered = 0
     for n, k in enumerate(order):
         if n == 700:   # mid-chunk: a missing key consumes no draw
@@ -131,7 +140,7 @@ def test_equal_keys_of_other_types_share_one_cursor_and_one_jitter_stream(bundle
 def test_sampler_keeps_the_sign_of_a_zero_rssi():
     # with no RSSI jitter a mean of -0.0 draws -0.0 + (+-0.0): both zeros, which min(x, 0.0)
     # keeps as they are
-    zero = trace.ChannelTrace({("A", 868.0, 30): trace.TraceEntry(-0.0, 0.0, 1.0, 50)})
+    zero = trace.ChannelTrace({("A", 868.0, 30): trace.TraceEntry(-0.0, 0.0, 1.0)})
     new, ref = (sampler(zero, 3, rssi_jitter_db=0.0)
                 for sampler in (trace.ChannelSampler, ReferenceSampler))
     got = [repr(new.sample("A", 868.0, 30)[1]) for _ in range(40)]
