@@ -168,8 +168,9 @@ def hop_count(scenario, schedule):
 
 def integers(what, values):
     """The one rule for integer config values: `Integral` (numpy too), not `bool`; as ints."""
-    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in values):
-        raise TypeError(f"{what} must be integers, got {values!r}")
+    for v in values:   # name the first bad value only: a dataset holds thousands of labels
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise TypeError(f"{what} must be integers, got {v!r}")
     return tuple(int(v) for v in values)
 
 

@@ -21,6 +21,7 @@ RATING_MIN, RATING_MAX = 1, 5
 _ARCHETYPES = 5       # rating profiles in `synthetic_ratings`
 _NOISE_PROB = 0.08    # share of synthetic cells moved by +/-1
 _BLOCK_ROWS = 128     # rows `impute` fills at once: its memory is O(_BLOCK_ROWS x rows)
+_VOTE_CELLS = 512     # missing cells `impute` votes at once: temporaries of _VOTE_CELLS x k
 _INT32_KEY_ROWS = 1 << 15   # rows up to which `impute`'s keys (at most n << bits) fit int32
 _F32_EXACT_COLS = ((1 << 24) - 1) // 25   # columns while 25 x columns < 2**24: exact float32 sums
 
@@ -51,13 +52,16 @@ def similarity_matrix(matrix, missing_as_zero=False, rows=slice(None)):
     run in float32 and are cast to float64 for the arithmetic that follows.  Past
     the guard they run in float64.  Either way every sum is exact, so a block of
     rows is bit-equal to those rows of the full matrix, whatever BLAS kernel its
-    shape takes.
+    shape takes.  Rows without common support have a zero factor in every
+    product term and a zero `denom`, so their similarity is 0/0 = NaN, and only
+    theirs: every present rating is positive.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    z = np.nan_to_num(m)
+    present = present_mask(m)
     exact = np.float32 if m.shape[1] <= _F32_EXACT_COLS else np.float64
-    mask = present_mask(m).astype(exact)
-    zx = z.astype(exact)
+    mask = present.astype(exact)
+    z = np.where(present, m, 0.0)
+    zx = z.astype(exact, copy=False)
     sim = (zx[rows] @ zx.T).astype(np.float64)
     if missing_as_zero:
         norms = np.linalg.norm(z, axis=1)
@@ -66,10 +70,9 @@ def similarity_matrix(matrix, missing_as_zero=False, rows=slice(None)):
         sq = zx * zx
         denom = (sq[rows] @ mask.T).astype(np.float64)   # |x|^2 over the support shared with y
         denom *= mask[rows] @ sq.T                       # times |y|^2 over it
-        np.sqrt(denom, out=denom)     # 0 (or NaN, from inf * 0) without common support
+        np.sqrt(denom, out=denom)                        # 0 without common support
     with np.errstate(invalid="ignore", divide="ignore"):
         sim /= denom
-    sim[denom == 0] = np.nan
     return sim
 
 
@@ -122,7 +125,7 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
     every defined key, and never votes.  Per column, a partition of the
     holders' keys picks the k best, sorted back into order, into one row of k
     keys per missing cell, padded with `never`; the voter is the key's low bits.
-    The cells then vote in slices of `_BLOCK_ROWS`: weight and weighted sum
+    The cells then vote in slices of `_VOTE_CELLS`: weight and weighted sum
     are zero-padded numpy row sums over each cell's k keys in that order, so
     the result depends neither on the slicing nor on the BLAS build.  Cells
     with no neighbor or no positive weight take the row mean.
@@ -188,9 +191,9 @@ def impute(sparse, k_neighbors=20, missing_as_zero=False):
             keys[start:end, :column.shape[1]] = column
         del key
 
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            row, col = rows[start:start + _BLOCK_ROWS], cols[start:start + _BLOCK_ROWS]
-            best = keys[start:start + _BLOCK_ROWS]
+        for start in range(0, rows.size, _VOTE_CELLS):
+            row, col = rows[start:start + _VOTE_CELLS], cols[start:start + _VOTE_CELLS]
+            best = keys[start:start + _VOTE_CELLS]
             voted = best < never
             voter = best & low
             # C-ordered (cells, k) rows: a Fortran-ordered gather changes the bits of the sums
@@ -341,5 +344,8 @@ def load_matrix_csv(data):
         line = line.rstrip("\n")
         if not line and not rows:
             continue
-        rows.append([MISSING if cell == "" else float(cell) for cell in line.split(",")])
+        cells = line.split(",")
+        rows.append([float(cell) if cell else MISSING for cell in cells])
+        if any(cell and value != value for cell, value in zip(cells, rows[-1])):
+            raise ValueError("a rating cell reads NaN: only an empty cell is a missing rating")
     return check_matrix(np.asarray(rows, dtype=np.float64))

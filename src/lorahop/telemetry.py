@@ -193,14 +193,15 @@ def dataset_from_json(text):
     meta = doc["metadata"]
     if meta["normalization"] != _NORMALIZATION:
         raise ValueError(f"unsupported normalization {meta['normalization']!r}")
-    expected = TelemetryWindow.feature_dim(meta["ts"], meta["F"])
-    labels = [int(r["label"]) for r in doc["rows"]]
+    ts, num_freqs = integers("metadata.ts and metadata.F", (meta["ts"], meta["F"]))
+    expected = TelemetryWindow.feature_dim(ts, num_freqs)
+    labels = integers("labels", [r["label"] for r in doc["rows"]])
     for r, label in zip(doc["rows"], labels):
         if len(r["features"]) != expected:
             raise ValueError("feature length does not match metadata")
-        if not 0 <= label < meta["F"]:
+        if not 0 <= label < num_freqs:
             raise ValueError("label out of range")
     features = np.array([r["features"] for r in doc["rows"]], dtype=np.float64)
     labels = np.array(labels, dtype=np.int64)
     return Dataset(features=features.reshape(len(labels), expected), labels=labels,
-                   ts=meta["ts"], num_freqs=meta["F"])
+                   ts=ts, num_freqs=num_freqs)

@@ -282,6 +282,15 @@ def _train(d, *flags):
         "rows": [{"features": [0.0, 1.0, 0.5, 0.5], "label": k % 2} for k in range(10)]})]
 
 
+def _train_on(d, label=0, width=4, **metadata):
+    """`train` on a two-row dataset, `width` features a row, whose first label and metadata
+    values are as given; the second row's label is 0."""
+    meta = {"ts": 1, "F": 2, "normalization": "v1", **metadata}
+    return ["train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
+        "metadata": meta, "rows": [{"features": [0.5] * width, "label": label},
+                                   {"features": [0.25] * width, "label": 0}]})]
+
+
 DEEP_JSON = "[" * 200_000 + "]" * 200_000   # deeper than the json parser recurses
 
 
@@ -366,6 +375,20 @@ MALFORMED_INPUTS = {
     "capture threshold is a string": lambda d: _sim(d, capture_threshold_db="x"),
     "empty matrix CSV": lambda d: [
         "recommend", "impute", "--in", _write_text(d / "m.csv", ""), "--out", str(d / "f.csv")],
+    # only an empty cell is a missing rating
+    "matrix CSV with a nan cell": lambda d: [
+        "recommend", "impute", "--in", _write_text(d / "m.csv", "3,nan,5,1\n,2,2,\n4,4,,1\n"),
+        "--out", str(d / "f.csv")],
+    "matrix CSV with a NaN cell": lambda d: [
+        "recommend", "impute", "--in", _write_text(d / "m.csv", "3,2,5,1\n,NaN,2,\n4,4,,1\n"),
+        "--out", str(d / "f.csv")],
+    "dataset label 1.5": lambda d: _train_on(d, label=1.5),
+    "dataset label as a string": lambda d: _train_on(d, label="1"),
+    "dataset label true": lambda d: _train_on(d, label=True),
+    "dataset ts true": lambda d: _train_on(d, ts=True),
+    "dataset ts 1.0": lambda d: _train_on(d, ts=1.0),
+    "dataset F true": lambda d: _train_on(d, F=True, width=3),   # ts x (F + 2) features
+    "dataset F as a string": lambda d: _train_on(d, F="2"),
     "study report with a null sparsity": lambda d: [
         "figdata", "--figure", "confusion", "--out-dir", str(d / "figs"),
         "--in", _write_json(d / "study.json", _study_doc(None))],

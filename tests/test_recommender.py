@@ -103,6 +103,26 @@ def test_float32_products_are_byte_equal_to_float64_products(monkeypatch, missin
                 assert [a.tobytes() for a in float32] == [a.tobytes() for a in float64]
 
 
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("f32_cols", [rec._F32_EXACT_COLS, 0])   # float32, then float64 products
+def test_similarity_is_nan_exactly_where_two_rows_share_no_present_column(
+        monkeypatch, f32_cols, missing_as_zero):
+    # no common support makes both the product and `denom` 0, and 0/0 is the only NaN
+    monkeypatch.setattr(rec, "_F32_EXACT_COLS", f32_cols)
+    disjoint = 0
+    for seed in range(3):
+        full = np.random.default_rng(seed).integers(1, 6, size=(70, 6)).astype(float)
+        for pct in (0, 50, 80):
+            sparse = rec.sparsify(full, pct, seed=[seed, pct])
+            mask = rec.present_mask(sparse).astype(int)
+            undefined = (mask @ mask.T) == 0
+            disjoint += undefined.sum()
+            for rows in (slice(None), slice(0, 7), slice(64, 70)):
+                sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero, rows=rows)
+                assert np.array_equal(np.isnan(sim), undefined[rows])
+    assert disjoint > 1000
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_similarity_matrix_symmetric(seed):
@@ -397,19 +417,49 @@ def test_impute_rows_with_every_similarity_undefined_match_the_stable_order(
 
 
 @pytest.mark.parametrize("missing_as_zero", [False, True])
-@pytest.mark.parametrize("pct", [10, 90])
+@pytest.mark.parametrize("pct", [50, 90])   # at 10% a block holds about 256 missing cells
 def test_impute_votes_in_slices_at_the_study_shape(pct, missing_as_zero):
-    """The study's matrix: a block's missing cells span several vote slices of `_BLOCK_ROWS`
+    """The study's matrix: a block's missing cells span several vote slices of `_VOTE_CELLS`
     cells, and at 90% some cells have fewer than k holders with a defined similarity."""
     sparse = rec.sparsify(rec.synthetic_ratings(500, 20, seed=0), pct, seed=[0, pct, 0])
     mask = rec.present_mask(sparse)
-    assert (~mask[:rec._BLOCK_ROWS]).sum() > rec._BLOCK_ROWS
+    assert (~mask[:rec._BLOCK_ROWS]).sum() > rec._VOTE_CELLS
     if pct == 90:
         sim = rec.similarity_matrix(sparse, missing_as_zero=missing_as_zero)
         np.fill_diagonal(sim, np.nan)
         defined = (~np.isnan(sim)).astype(int) @ mask   # [i, j]: holders of j defined for row i
         assert (defined[~mask] < 20).any()
     _assert_impute_is_byte_equal_to_stable_order(sparse, 20, missing_as_zero)
+
+
+@pytest.mark.parametrize("missing_as_zero", [False, True])
+@pytest.mark.parametrize("pct", [10, 50, 90])
+def test_impute_is_byte_equal_whatever_the_vote_slice(monkeypatch, pct, missing_as_zero):
+    # each cell's weight and weighted sum are row sums over its own k keys: the slicing of
+    # the cells cannot move a bit, from one cell a slice to the default
+    sparse = rec.sparsify(rec.synthetic_ratings(500, 20, seed=0), pct, seed=[0, pct, 0])
+    expect = stable_order_impute(sparse, k_neighbors=20, missing_as_zero=missing_as_zero)
+    for cells in (1, 7, rec._VOTE_CELLS):
+        with monkeypatch.context() as m:
+            m.setattr(rec, "_VOTE_CELLS", cells)
+            filled = rec.impute(sparse, missing_as_zero=missing_as_zero)
+        assert filled.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, rec._BLOCK_ROWS, rec._BLOCK_ROWS + 1, 500])
+def test_impute_calls_similarity_matrix_once_per_row_block(monkeypatch, n):
+    # the bench tracer and the MemoryError test wrap this module attribute
+    blocks, similarity_matrix = [], rec.similarity_matrix
+
+    def counted(matrix, missing_as_zero=False, rows=slice(None)):
+        blocks.append((rows.start, rows.stop))
+        return similarity_matrix(matrix, missing_as_zero=missing_as_zero, rows=rows)
+
+    monkeypatch.setattr(rec, "similarity_matrix", counted)
+    sparse = rec.sparsify(rec.synthetic_ratings(n, 6, seed=n), 30, seed=n)
+    rec.impute(sparse, k_neighbors=3)
+    starts = range(0, n, rec._BLOCK_ROWS)
+    assert blocks == [(lo, min(lo + rec._BLOCK_ROWS, n)) for lo in starts]
 
 
 @pytest.mark.parametrize("pct", [10, 90])

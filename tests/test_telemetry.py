@@ -206,6 +206,23 @@ def test_dataset_json_validation():
         telemetry.dataset_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("where, value", [
+    ("label", 1.5), ("label", "1"), ("label", True),
+    ("ts", True), ("ts", 1.0), ("F", True), ("F", "3")])
+def test_dataset_json_takes_labels_and_window_shape_only_as_integers(where, value):
+    # the error names the bad value alone, not the other 999 labels
+    doc = {"metadata": {"ts": 1, "F": 3, "normalization": "v1"},
+           "rows": [{"features": [0.0] * 5, "label": k % 3} for k in range(1000)]}
+    if where == "label":
+        doc["rows"][500]["label"] = value
+    else:
+        doc["metadata"][where] = value
+    with pytest.raises(TypeError) as error:
+        telemetry.dataset_from_json(json.dumps(doc))
+    named = "labels" if where == "label" else "metadata.ts and metadata.F"
+    assert str(error.value) == f"{named} must be integers, got {value!r}"
+
+
 def _reference_dataset(trace_obj, source, ts, n_rows, seed):
     """`generate_labeled_dataset` as a per-row loop with one live window, from scalar draws:
     per channel one `random()` of stream 0 and two `standard_normal()` of stream 1, RSSI
