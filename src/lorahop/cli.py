@@ -65,13 +65,12 @@ def cmd_simulate(args):
     config = sim.SimConfig.from_json(args.config, args.read)
     args.seed = config.rng_seed if args.seed is None else args.seed   # the manifest's seed
     report = sim.run(dataclasses.replace(config, rng_seed=args.seed), trace.load_trace(args.trace))
-    with open(args.out, "w") as fh:
-        if not args.events:
-            report.write(fh)
-            return [args.out]
-        with open(args.events, "w", newline="") as events_fh:
-            report.write(fh, events_fh)
-    return [args.out, args.events]
+    with open(args.out, "w") as fh:   # opened first: an unwritable --events leaves it empty
+        if args.events:
+            with open(args.events, "w", newline="") as events_fh:
+                report.write_events(events_fh)
+        report.write(fh)
+    return [args.out, args.events] if args.events else [args.out]
 
 
 def cmd_gen_dataset(args):

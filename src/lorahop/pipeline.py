@@ -1,5 +1,10 @@
 """The paper's end-to-end loop: dataset -> training -> flat export -> strategy comparison.
 
+`run_pipeline` writes, in its output directory, `dataset_<source>.json` and
+`model_<source>.fhop` per source; `report_random.json` and `report_predictor.json`,
+the report rows of each strategy's runs; `events_random.csv` and
+`events_predictor.csv`, the event logs of those runs; and `comparison.csv`.
+
 Calls into `telemetry`, `predictor` and `sim` go through the module attributes,
 so a caller that wraps those attributes (a profiler, a tracer) sees every call.
 """
@@ -42,13 +47,14 @@ def run_pipeline(trace_obj, out_dir, seed, sources=("A", "B"), rows=5000, epochs
     comparison, report_random, report_pred = compare_strategies_on_trace(
         trace_obj, sources, trained, seed)
 
-    rand_path = out_dir / "report_random.json"
-    pred_path = out_dir / "report_predictor.json"
-    for path, report in ((rand_path, report_random), (pred_path, report_pred)):
-        with open(path, "w") as fh:
+    for name, report in (("random", report_random), ("predictor", report_pred)):
+        report_path, events_path = out_dir / f"report_{name}.json", out_dir / f"events_{name}.csv"
+        with open(report_path, "w") as fh:
             report.write(fh)
-    comp_path = sim.write_csv(out_dir / "comparison.csv", sim.COMPARISON_FIELDS, comparison)
-    outputs += [rand_path, pred_path, comp_path]
+        with open(events_path, "w", newline="") as fh:
+            report.write_events(fh)
+        outputs += [report_path, events_path]
+    outputs.append(sim.write_csv(out_dir / "comparison.csv", sim.COMPARISON_FIELDS, comparison))
     return comparison, outputs
 
 

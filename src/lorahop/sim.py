@@ -175,21 +175,13 @@ EVENT_DTYPE = np.dtype([("slot", np.int64), ("node", np.int64), ("freq_mhz", np.
                         ("size", np.int64), ("rssi", np.float64), ("snr", np.float64),
                         ("delivered", bool), ("collided", bool), ("hopped", bool)])
 _WRITE_BLOCK = 1024   # events the writer makes Python values of at a time, not the run's
-_JSON_BOOL = ("false", "true")   # indexed by a flag, 0 or 1
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}   # by float repr
 
 
-def _text_cells(text):
-    """(the JSON string, the CSV cell) of a string."""
+def _csv_cell(text):
+    """The CSV cell of a string, as `csv.writer` writes it."""
     buf = io.StringIO()
     csv.writer(buf).writerow([text, ""])   # in a row of two: a lone "" would be quoted
-    return json.dumps(text), buf.getvalue()[:-len(",\r\n")]
-
-
-def _carrier_cells(freq):
-    """(the JSON text, the CSV cell) of a carrier in MHz."""
-    text = repr(freq)
-    return _JSON_NONFINITE.get(text, text), text
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 @dataclass
@@ -222,47 +214,36 @@ class SimReport:
     def sizes(self):
         return sorted({r.size for r in self.rows})
 
-    def write(self, fh, events_fh=None):
-        """Write the report document (`json.dumps(..., sort_keys=True)` of its rows and
-        events) to the text stream `fh` and, given `events_fh`, the events CSV (columns
-        `EVENT_FIELDS`, booleans as 0/1, as `csv.writer` writes it) to that stream, in one
-        pass over the events.  Slot, size, RSSI and SNR are formatted per event, RSSI and
-        SNR rounded to 6 decimals.  The rest of an event's text takes few values, made up
-        front in one table with an entry per node, carrier and delivered, collided and
-        hopped flags: the JSON text before the RSSI value, the CSV cells between slot and
-        size, and the CSV line's end after SNR.  JSON spells strings and non-finite floats
-        as `json` does."""
+    def write(self, fh):
+        """Write the report document, `json.dumps(..., sort_keys=True)` of `{"rows": ...}`,
+        each row with its `pdr`, to the text stream `fh`.  The events go to `write_events`."""
+        rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
+        fh.write(json.dumps({"rows": rows}, sort_keys=True))
+
+    def write_events(self, fh):
+        """Write the events CSV (columns `EVENT_FIELDS`, booleans as 0/1, as `csv.writer`
+        writes it) to the text stream `fh`, opened with `newline=""`.  Slot, size, RSSI and
+        SNR are formatted per event, RSSI and SNR rounded to 6 decimals.  The rest of a line
+        takes few values, made up front in one table with an entry per node, carrier and
+        delivered, collided and hopped flags: the cells between slot and size, and the
+        line's end after SNR."""
         nf = len(self.freqs)
-        gateway = _text_cells("GW0")
+        gateway = _csv_cell("GW0")
         # the entry of an event is at ((node * nf + carrier) * 8 + flags), its flags
         # delivered * 4 + collided * 2 + hopped
-        table = [(f'{{"collided": {_JSON_BOOL[c]}, "delivered": {_JSON_BOOL[d]}, '
-                  f'"freq_mhz": {carrier[0]}, "gateway": {gateway[0]}, '
-                  f'"hopped": {_JSON_BOOL[h]}, "node": {name[0]}, "rssi": ',
-                  f",{name[1]},{gateway[1]},{carrier[1]},", f",{d},{c},{h}\r\n")
-                 for name in map(_text_cells, self.sources)
-                 for carrier in map(_carrier_cells, self.freqs)
+        table = [(f",{name},{gateway},{carrier!r},", f",{d},{c},{h}\r\n")
+                 for name in map(_csv_cell, self.sources) for carrier in self.freqs
                  for d in (0, 1) for c in (0, 1) for h in (0, 1)]
-        fh.write('{"events": [')
-        if events_fh is not None:
-            events_fh.write(",".join(_text_cells(name)[1] for name in EVENT_FIELDS) + "\r\n")
-        write, write_csv = fh.write, None if events_fh is None else events_fh.write
-        sep = ""
+        write = fh.write
+        write(",".join(map(_csv_cell, EVENT_FIELDS)) + "\r\n")
         for start in range(0, len(self.events), _WRITE_BLOCK):
             e = self.events[start:start + _WRITE_BLOCK]
             keys = ((e["node"] * nf + e["freq_mhz"]) * 8 + e["delivered"] * 4
                     + e["collided"] * 2 + e["hopped"])
             for slot, size, rssi, snr, key in zip(
                     *(e[name].tolist() for name in ("slot", "size", "rssi", "snr")), keys.tolist()):
-                head, cells, end = table[key]
-                rssi, snr = repr(round(rssi, 6)), repr(round(snr, 6))
-                write(f'{sep}{head}{_JSON_NONFINITE.get(rssi, rssi)}, "size": {size}, '
-                      f'"slot": {slot}, "snr": {_JSON_NONFINITE.get(snr, snr)}}}')
-                sep = ", "
-                if write_csv is not None:
-                    write_csv(f"{slot}{cells}{size},{rssi},{snr}{end}")
-        rows = [dict(asdict(r), pdr=r.pdr) for r in self.rows]
-        fh.write(f'], "rows": {json.dumps(rows, sort_keys=True)}}}')
+                cells, end = table[key]
+                write(f"{slot}{cells}{size},{round(rssi, 6)!r},{round(snr, 6)!r}{end}")
 
 
 class _NodeState:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -201,7 +202,12 @@ def dataset_from_json(text):
             raise ValueError("feature length does not match metadata")
         if not 0 <= label < num_freqs:
             raise ValueError("label out of range")
-    features = np.array([r["features"] for r in doc["rows"]], dtype=np.float64)
+    features = [r["features"] for r in doc["rows"]]
+    # `core.reals`' rule, by the types json decodes to: int or float, never bool or str
+    if bad := set(map(type, chain.from_iterable(features))) - {int, float}:
+        raise TypeError(f"dataset features must be real numbers, got "
+                        f"{sorted(t.__name__ for t in bad)}")
+    features = np.array(features, dtype=np.float64)
     labels = np.array(labels, dtype=np.int64)
     return Dataset(features=features.reshape(len(labels), expected), labels=labels,
                    ts=ts, num_freqs=num_freqs)

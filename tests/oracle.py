@@ -341,17 +341,14 @@ def rows_by_grouping(report, config):
 
 
 def _output_form(event):
-    """An event dict as the report writes it: RSSI and SNR rounded to 6 decimals."""
+    """An event dict as the events CSV writes it: RSSI and SNR rounded to 6 decimals."""
     return {**event, "rssi": round(event["rssi"], 6), "snr": round(event["snr"], 6)}
 
 
 def report_to_json(report):
     """The `sim.SimReport` document built as one tree, then one string."""
-    doc = {
-        "rows": [dict(asdict(r), pdr=r.pdr) for r in report.rows],
-        "events": [_output_form(e) for e in event_dicts(report)],
-    }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps({"rows": [dict(asdict(r), pdr=r.pdr) for r in report.rows]},
+                      sort_keys=True)
 
 
 def events_csv(report):

@@ -32,8 +32,9 @@ DATA = Path(cli.__file__).resolve().parent / "data"
 # a ts-4 model, exports it both ways and runs it as the predictor_hop node of `sim.json`; the
 # three-command row runs a default ts-8 model there.  The last row runs a ts-4 model as the
 # predictor_hop node of `sim_gateway_predictor.json`, whose window records only the delivered
-# slots, 144 of its 360.  A 4-row dataset has no validation or test split, so its training
-# curves hold null.
+# slots, 144 of its 360.  The `sim_end_node.json` run is pinned twice: with `--events`, and
+# without it, which writes the same report and no event log.  A 4-row dataset has no
+# validation or test split, so its training curves hold null.
 
 PINNED = {
     ("gen-dataset --source A --rows 60 --seed 3 --out {d}/dataset.json",): {
@@ -47,11 +48,13 @@ PINNED = {
         "dataset_A.json": "db7eecfbf61a237841657e9b5aa2f29b935f2511ecca4a4ec36e48f5cb808a27",
         "dataset_B.json": "eb471f6acced599d21fbebad64b53cb7aa5ffebb935ece730bc28fa2b8a36de5",
         "dataset_C.json": "63a8160f940ad9545f30901dbdd64eec11c16aa9950d3351e49c15bb33f95472",
+        "events_predictor.csv": "a7792b145a2ec12386eeaab27cf7324f120458101e8fd28fa4665e63dca89673",
+        "events_random.csv": "da8ab494e0dc80a955d6955baf55ea1fe71eaba4bdb88fc33d95b22b8c273319",
         "model_A.fhop": "369c5d048e14bb6e851d4f2b872e3e10695631ec260d7a5d23971a1c5c60e416",
         "model_B.fhop": "b7c21df150abc75b16347a63f1f91d0816809b1a0dd77e4472a9eabeee0735e9",
         "model_C.fhop": "d339942819997c82f5400546b193de874dd07665ffd4a9255f906686db54c33e",
-        "report_predictor.json": "c4bde7ba2b8637a8f9255f698ae4bb5bacefa2961ac0fd409f406759c325772e",
-        "report_random.json": "46e6df55254ba75e3c60f4b3259ac7e81048c92835144011448a436b020becf1"},
+        "report_predictor.json": "ad30fe8dff64a10bb285b9916744d7e7784d1fa687977cd5732553bf3a0b7947",
+        "report_random.json": "b53e2a2f003b2a2d1a372d5d3ae37dff1013743da431e5345befa69754c7d127"},
     ("optimize --scenario {data}/scenarios/three_nodes_two_freqs.json --out {d}/result.json",): {
         "result.json": "124147849cd0f2e9e3934e9fc61475894227d6e925b5faa9a569447a850e5fb3"},
     ("gen-dataset --source C --rows 300 --ts 4 --seed 5 --out {d}/dataset.json",
@@ -65,7 +68,7 @@ PINNED = {
         "model.fhop.train.json": "a5dde35fd8d62a27828d541bca52e2dfa67dded05163e9d800f8c03b08856bce",
         "model.h": "157f4034a232848275e215d84e100172fd6ff7483a9ae062d9b73b47e1d8f2de",
         "model_flat.fhop": "2d1cfe56b5a660bee1db0f7a2c90be8158ee767343ad14b691ceb1d9265b4172",
-        "report.json": "59ff7800368df20c2dfa38dae1ae95e08bea9adfd6525d988a85adb9ba03d271"},
+        "report.json": "23f71becfc7c3bcd907720604dc5993414f7ffdae64ab73f56272b18c4fedfc4"},
     ("recommend impute --in {d}/sparse.csv --out {d}/filled.csv",): {
         "filled.csv": "5ca282740ecbdee06c5933ed1cd8269dc408a84c69b985bd2757f60617d40df5"},
     ("recommend impute --in {d}/sparse.csv --missing-as-zero --out {d}/filled.csv",): {
@@ -82,10 +85,12 @@ PINNED = {
         "full.csv": "37ec91fcec9b7f9542baa67b657ce995c7576002a6c16a4fd80615bf79c55080"},
     ("simulate --config {d}/sim_end_node.json --out {d}/report.json --events {d}/events.csv",): {
         "events.csv": "4910c093e8e24bdd81dfb98a488bba48338bd31c0fa5f3f9f7ed45894a23d941",
-        "report.json": "00366a3aecd939bc8742632101ec40e842e15c353a097778bafcc3b40cdab670"},
+        "report.json": "65e1364ea2f74dc71afd85d886bad5d2a96ec9cfa75562f37885682fb87a38cf"},
+    ("simulate --config {d}/sim_end_node.json --out {d}/report.json",): {
+        "report.json": "65e1364ea2f74dc71afd85d886bad5d2a96ec9cfa75562f37885682fb87a38cf"},
     ("simulate --config {d}/sim_gateway.json --out {d}/report.json --events {d}/events.csv",): {
         "events.csv": "53928c75d727a3f03f2940f30ee18a80c09e5d85ec1fa7dada18853cde8db99e",
-        "report.json": "dad7182c812b52971dcb2f6f8b70b6695e5cb65b4308d5d0efeed0ecc5f206c7"},
+        "report.json": "1a2fa06213bb315925d828a0aea8bb29a60ac533ff09ed42af032e8d20b4c0a5"},
     ("gen-dataset --source C --rows 300 --seed 1 --out {d}/dataset.json",
      "train --dataset {d}/dataset.json --epochs 20 --seed 1 --out {d}/model.fhop",
      "simulate --config {d}/sim.json --out {d}/report.json --events {d}/events.csv"): {
@@ -93,7 +98,7 @@ PINNED = {
         "events.csv": "0e29aabb562e7fa7be15d4c07096db01bd227a664b9d132a461805e75b5d0192",
         "model.fhop": "c951c71a322155f21b38d7163154a3d271b813cae2f777374a199447c9d86abd",
         "model.fhop.train.json": "6c7e4a27b9908827784fcc2025aa42926c41cef657adaf5e325b3fca07bf1875",
-        "report.json": "271b28c263fdbda90a096e37a11a6342c3ee6c59c3893efbe30b4942c8d2222f"},
+        "report.json": "ce7b2a7206112e44d79ac8634f1c13d21989310623c0588a7d31f0a6f04d7bc0"},
     ("recommend study --sparsities 10,50,90 --seeds 2 --out {d}/study.json",): {
         "study.json": "1ae9dad4e99589dc2c7b7f687dbe582e0b58de84a00f5acb4edd5f2170334858"},
     ("figdata --figure strategy-comparison --in {d}/comparison_in.csv --out-dir {d}",): {
@@ -120,7 +125,7 @@ PINNED = {
         "events.csv": "4d4eeebeff9a389fb767ec48fa82e4c78c9077621ee5833fd8e4b04fde7231e6",
         "model.fhop": "1167e9f2932f28037251dd4e94d0747a0633a14dc5f76abb27d59ed546d146dc",
         "model.fhop.train.json": "e8c4b3d07c6497116ff777848f78f2ae467ed1955bf145980901ede97db3363f",
-        "report.json": "cd4654064e8872d1faf4fda6409c964736c12fd87280bebae3b8b772b421ca04"},
+        "report.json": "18a3c53573eac30c022ff512ce1f2249c151c2909d5fc20416de2f32d64f82e2"},
 }
 
 # name -> the bytes or JSON document of an input no command makes; "{d}" is the row's directory

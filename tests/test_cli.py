@@ -169,7 +169,9 @@ def test_pipeline_small(tmp_path):
                 "--epochs", "2", "--seed", "1"]) == 0
     assert (out_dir / "comparison.csv").is_file()
     assert (out_dir / "model_A.fhop").is_file()
-    assert (out_dir / "report_predictor.json").is_file()
+    for name in ("random", "predictor"):
+        assert (out_dir / f"report_{name}.json").is_file()
+        assert (out_dir / f"events_{name}.csv").is_file()
 
 
 def test_figdata_strategy_comparison_splits_the_pipeline_table(tmp_path):
@@ -282,12 +284,12 @@ def _train(d, *flags):
         "rows": [{"features": [0.0, 1.0, 0.5, 0.5], "label": k % 2} for k in range(10)]})]
 
 
-def _train_on(d, label=0, width=4, **metadata):
-    """`train` on a two-row dataset, `width` features a row, whose first label and metadata
-    values are as given; the second row's label is 0."""
+def _train_on(d, label=0, width=4, feature=0.5, **metadata):
+    """`train` on a two-row dataset, `width` features a row, whose first label, first feature
+    and metadata values are as given; the second row's label is 0."""
     meta = {"ts": 1, "F": 2, "normalization": "v1", **metadata}
     return ["train", "--out", str(d / "m.fhop"), "--dataset", _write_json(d / "ds.json", {
-        "metadata": meta, "rows": [{"features": [0.5] * width, "label": label},
+        "metadata": meta, "rows": [{"features": [feature] + [0.5] * (width - 1), "label": label},
                                    {"features": [0.25] * width, "label": 0}]})]
 
 
@@ -385,6 +387,8 @@ MALFORMED_INPUTS = {
     "dataset label 1.5": lambda d: _train_on(d, label=1.5),
     "dataset label as a string": lambda d: _train_on(d, label="1"),
     "dataset label true": lambda d: _train_on(d, label=True),
+    "dataset feature true": lambda d: _train_on(d, feature=True),
+    "dataset feature as a string": lambda d: _train_on(d, feature="1"),
     "dataset ts true": lambda d: _train_on(d, ts=True),
     "dataset ts 1.0": lambda d: _train_on(d, ts=1.0),
     "dataset F true": lambda d: _train_on(d, F=True, width=3),   # ts x (F + 2) features
@@ -710,15 +714,23 @@ def test_events_csv_and_report_share_rounded_link_values(tmp_path):
     out, events = tmp_path / "report.json", tmp_path / "events.csv"
     assert run(["simulate", "--config", config, "--out", str(out),
                 "--events", str(events)]) == 0
-    report_events = json.loads(out.read_text())["events"]
+    rows = json.loads(out.read_text())["rows"]
     with open(events, newline="") as fh:
         csv_rows = list(csv.DictReader(fh))
-    assert any(e["collided"] for e in report_events)
-    assert len(csv_rows) == len(report_events) == 3 * 6 * 10
-    for row, event in zip(csv_rows, report_events):
-        rssi, snr = float(row["rssi"]), float(row["snr"])
-        assert (rssi, snr) == (event["rssi"], event["snr"])
-        assert (rssi, snr) == (round(rssi, 6), round(snr, 6))
+    assert len(csv_rows) == 3 * 6 * 10
+    assert sum(int(e["collided"]) for e in csv_rows) == sum(r["collisions"] for r in rows) > 0
+    for r in rows:
+        group = [e for e in csv_rows if (e["node"], int(e["size"])) == (r["node"], r["size"])]
+        assert [len(group), *(sum(int(e[flag]) for e in group)
+                              for flag in ("delivered", "collided", "hopped"))] == [
+            r["sent"], r["delivered"], r["collisions"], r["hops"]]
+        link = [(float(e["rssi"]), float(e["snr"])) for e in group]
+        assert link == [(round(rssi, 6), round(snr, 6)) for rssi, snr in link]
+        # each CSV value is within 5e-7 of the event's, so the row's means are too
+        seen = [value if e["delivered"] == "1" else (trace.RSSI_FLOOR_DBM, trace.SNR_FLOOR_DB)
+                for value, e in zip(link, group)]
+        assert np.mean(seen, axis=0) == pytest.approx([r["mean_rssi_all"], r["mean_snr_all"]],
+                                                      abs=5e-7)
 
 
 def test_empty_payload_schedule_still_writes_events_header(tmp_path):
@@ -1057,6 +1069,8 @@ def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, output, path):
     assert err.startswith("error: ") and "Traceback" not in err
     assert str(tmp_path / path) in err
     assert not list(tmp_path.glob("*.manifest.json"))
+    if output == "simulate --events":   # --out is opened first, and left empty
+        assert Path(outputs["--out"]).read_text() == ""
 
 
 @pytest.mark.parametrize("flags,seeds", [([], [3]), (["--seed", "5"], [5])])

@@ -23,6 +23,12 @@ def report_json(report):
     return buf.getvalue()
 
 
+def events_text(report):
+    buf = io.StringIO(newline="")
+    report.write_events(buf)
+    return buf.getvalue()
+
+
 def test_fixed_node_trace_fidelity_no_jitter(bundled_trace):
     config = fixed_config(rssi_jitter_db=0.0, snr_jitter_db=0.0)
     report = sim.run(config, bundled_trace)
@@ -51,8 +57,10 @@ def test_run_is_deterministic(bundled_trace):
     a = sim.run(cfg, bundled_trace)
     b = sim.run(cfg, bundled_trace)
     assert report_json(a) == report_json(b)
+    assert events_text(a) == events_text(b)
     c = sim.run(sim.SimConfig(nodes=cfg.nodes, rng_seed=43), bundled_trace)
     assert report_json(a) != report_json(c)
+    assert events_text(a) != events_text(c)
 
 
 def test_duplicate_sources_rejected(bundled_trace):
@@ -186,15 +194,16 @@ def test_strategy_tables_name_an_empty_table():
 def test_report_json_shape(bundled_trace):
     report = sim.run(fixed_config(), bundled_trace)
     doc = json.loads(report_json(report))
-    assert set(doc) == {"rows", "events"}
+    assert set(doc) == {"rows"}
     assert len(doc["rows"]) == 6
-    assert len(doc["events"]) == 300
-    assert {"slot", "node", "gateway", "freq_mhz", "size", "rssi", "snr",
-            "delivered", "collided", "hopped"} <= set(doc["events"][0])
+    header, *lines = events_text(report).splitlines()
+    assert len(lines) == 300
+    assert header.split(",") == ["slot", "node", "gateway", "freq_mhz", "size", "rssi", "snr",
+                                 "delivered", "collided", "hopped"]
 
 
-# names the CSV must quote or json must escape, or that hold `%` and `str.format` syntax, and
-# link values json spells its own way
+# names the CSV must quote, or that hold `%` and `str.format` syntax, and link values that
+# round and repr spell their own way
 ODD_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "Grüße ✓", "", " x ", "100%s {0}",
              "{}%%"]
 ODD_VALUES = [float("inf"), -float("inf"), float("nan"), -0.0, 1e-7, -45.1234565, 1e16]
@@ -237,14 +246,11 @@ def test_write_is_byte_equal_to_the_whole_document_writers(bundled_trace, monkey
         report = _all_flags_report(report)
         keys = {(e.node, e.freq_mhz, e.delivered, e.collided, e.hopped) for e in report.events}
         assert len(keys) == 3 * 6 * 8
+    assert report_json(report) == report_to_json(report)
     for block in (sim._WRITE_BLOCK, 7):   # 180 events in one block, or in 26 ending in 5
-        doc, events, doc_only = io.StringIO(), io.StringIO(newline=""), io.StringIO()
         with monkeypatch.context() as m:
             m.setattr(sim, "_WRITE_BLOCK", block)
-            report.write(doc, events)
-            report.write(doc_only)
-        assert doc.getvalue() == doc_only.getvalue() == report_to_json(report)
-        assert events.getvalue() == events_csv(report)
+            assert events_text(report) == events_csv(report)
 
 
 @pytest.mark.parametrize("placement", ["end_node", "gateway"])
@@ -288,7 +294,7 @@ def test_run_matches_the_reference_slot_loop(bundled_trace, placement, threshold
 
 
 def test_write_peak_memory_stays_under_a_megabyte_for_36000_events():
-    # the bench's contended run: the whole-document writers peak at about 24 MB
+    # the bench's contended run: the whole-document writer, `events_csv`, peaks at about 17 MB
     rng = np.random.default_rng(0)
     k = np.arange(36_000)
     events = np.rec.fromarrays([k // 3 + 1, k % 3, k % 3, np.full_like(k, 30),
@@ -296,10 +302,10 @@ def test_write_peak_memory_stays_under_a_megabyte_for_36000_events():
                                 k % 4 != 0, k % 4 == 0, k % 7 == 0], dtype=sim.EVENT_DTYPE)
     report = sim.SimReport(rows=[], events=events, sources=["A", "B", "C"],
                            freqs=[868.0, 869.0, 870.0])
-    with open(os.devnull, "w") as fh, open(os.devnull, "w", newline="") as events_fh:
+    with open(os.devnull, "w", newline="") as events_fh:
         tracemalloc.start()
         try:
-            report.write(fh, events_fh)
+            report.write_events(events_fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
